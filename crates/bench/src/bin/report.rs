@@ -9,10 +9,7 @@
 //! report --no-json    # skip writing BENCH_report.json
 //! report --obs-off    # disable the engine's global observability registry
 //!                     # (overhead spot checks; counters then read as zero)
-//! report --batched      # set-at-a-time mediator execution (the default)
-//! report --per-context  # tuple-at-a-time mediator execution (ablation
-//!                       # baseline for the N+1 statement comparison)
-//! report --durable    # also run E11: file-backed update latency under WAL
+//! report --durable   # also run E11: file-backed update latency under WAL
 //!                     # vs checkpoint durability (wal_frames_written deltas
 //!                     # land in BENCH_report.json like any other experiment)
 //! report --trace      # collect structured spans for the whole run and
@@ -20,8 +17,7 @@
 //!                     # format) plus BENCH_trace.folded (flamegraph stacks)
 //! ```
 
-use ordxml::ExecutionMode;
-use ordxml_bench::{experiments, harness, report, Scale};
+use ordxml_bench::{experiments, report, Scale};
 use ordxml_rdbms::{obs, trace};
 
 fn main() {
@@ -39,12 +35,6 @@ fn main() {
         trace::clear();
         trace::set_enabled(true);
     }
-    let mode = if args.iter().any(|a| a == "--per-context") {
-        ExecutionMode::PerContext
-    } else {
-        ExecutionMode::Batched
-    };
-    harness::set_execution_mode(mode);
     let write_json = !args.iter().any(|a| a == "--no-json");
     let selected: Vec<String> = args
         .iter()
@@ -59,11 +49,7 @@ fn main() {
     if args.iter().any(|a| a == "--durable") && !ids.contains(&"e11") {
         ids.push("e11");
     }
-    println!(
-        "ordxml experiment report — scale: {scale:?}, mediator: {mode:?} \
-         (pass --full for paper-scale runs, --per-context for the \
-         tuple-at-a-time baseline)"
-    );
+    println!("ordxml experiment report — scale: {scale:?} (pass --full for paper-scale runs)");
     let mut records = Vec::new();
     for id in ids {
         match experiments::run(id, scale) {

@@ -5,14 +5,13 @@
 //! * Global answers `x//leaf` with one `pos BETWEEN` interval scan,
 //! * Dewey with one key prefix-range scan (its signature strength),
 //! * Local has no descendant translation at all — the mediator walks the
-//!   subtree issuing one child query per visited node, so its cost grows
-//!   with subtree *size*, not result size.
+//!   subtree one batched child query per tree level, so its cost grows
+//!   with subtree *size* and depth, not result size.
 
 use crate::datagen;
-use crate::harness::{self, fmt_count, fmt_dur, load_all, time_median, Table};
+use crate::harness::{fmt_count, fmt_dur, load_all, time_median, Table};
 use crate::Scale;
-use ordxml::{ExecutionMode, OrderConfig};
-use ordxml_xml::Document;
+use ordxml::OrderConfig;
 
 pub fn run(scale: Scale) {
     let depths = scale.pick(vec![8usize, 64], vec![10, 100, 500]);
@@ -48,73 +47,29 @@ pub fn run(scale: Scale) {
         }
     }
     table.print();
-    ablation(scale);
-}
-
-/// A bushy document: `<root>` with `groups` `<d>` subtrees, each holding
-/// `leaves` `<leaf>` children (one text node apiece). `//d//leaf` then has
-/// `groups` context nodes for its break step — the shape where
-/// tuple-at-a-time execution pays one statement per context.
-fn bushy(groups: usize, leaves: usize) -> Document {
-    let mut doc = Document::new("root");
-    let root = doc.root();
-    for _ in 0..groups {
-        let d = doc.append_element(root, "d");
-        for i in 0..leaves {
-            let leaf = doc.append_element(d, "leaf");
-            doc.append_text(leaf, format!("L{i}"));
-        }
-    }
-    doc
-}
-
-/// E6b — set-at-a-time vs tuple-at-a-time mediator execution on a
-/// multi-context descendant query. Batched mode answers the break step
-/// with **one** multi-range scan regardless of context count; per-context
-/// mode issues one range scan per context node (the N+1 statement storm).
-fn ablation(scale: Scale) {
-    // Many contexts, few rows each: the shape where the per-context mode's
-    // statement count — not row volume — dominates (the paper-motivating
-    // N+1 regime). Full scale is ~10k node rows / 2000 contexts.
-    let (groups, leaves) = scale.pick((200usize, 2usize), (2000, 2));
-    let reps = scale.pick(3usize, 5);
-    let doc = bushy(groups, leaves);
-    let nodes = datagen::row_count(&doc);
-    let query = "//d//leaf";
-    let path = ordxml::xpath::parse(query).unwrap();
-    let mut table = Table::new(
-        format!("E6b: `{query}` batched vs per-context ({nodes} node rows, {groups} contexts)"),
-        &["enc", "mode", "hits", "stmts", "median"],
-    );
-    let mut loaded = load_all(&doc, OrderConfig::default());
-    for l in loaded.iter_mut() {
-        let store = &mut l.store;
-        let d = l.doc;
-        for mode in [ExecutionMode::Batched, ExecutionMode::PerContext] {
-            store.set_execution_mode(mode);
-            let (hits, diag) = store.xpath_diagnostics(d, query).expect("diagnostics");
-            let (t, _) = time_median(reps, || store.xpath_parsed(d, &path).unwrap().len());
-            table.row(vec![
-                format!("{:?}", l.enc).to_lowercase(),
-                match mode {
-                    ExecutionMode::Batched => "batched".into(),
-                    ExecutionMode::PerContext => "per-context".into(),
-                },
-                fmt_count(hits.len() as u64),
-                fmt_count(diag.statements_executed),
-                fmt_dur(t),
-            ]);
-        }
-        store.set_execution_mode(harness::execution_mode());
-    }
-    table.print();
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use ordxml::{Encoding, XmlStore};
     use ordxml_rdbms::Database;
+    use ordxml_xml::Document;
+
+    /// A bushy document: `<root>` with `groups` `<d>` subtrees, each holding
+    /// `leaves` `<leaf>` children (one text node apiece). `//d//leaf` then
+    /// has `groups` context nodes for its break step.
+    fn bushy(groups: usize, leaves: usize) -> Document {
+        let mut doc = Document::new("root");
+        let root = doc.root();
+        for _ in 0..groups {
+            let d = doc.append_element(root, "d");
+            for i in 0..leaves {
+                let leaf = doc.append_element(d, "leaf");
+                doc.append_text(leaf, format!("L{i}"));
+            }
+        }
+        doc
+    }
 
     /// The descent-finger acceptance gate: on the batched Dewey descendant
     /// workload — many context nodes, each contributing one prefix range to
@@ -124,8 +79,7 @@ mod tests {
     #[test]
     fn batched_dewey_descendant_saves_at_least_30pct_of_descents() {
         let doc = bushy(40, 25);
-        let mut store = XmlStore::new(Database::in_memory(), Encoding::Dewey);
-        store.set_execution_mode(ExecutionMode::Batched);
+        let store = XmlStore::new(Database::in_memory(), Encoding::Dewey);
         let d = store.load_document(&doc, "gate").unwrap();
         let (hits, diag) = store.xpath_diagnostics(d, "//d//leaf").unwrap();
         assert_eq!(hits.len(), 40 * 25);

@@ -1,35 +1,11 @@
 //! Measurement and reporting utilities shared by all experiments.
 
-use ordxml::{Encoding, ExecutionMode, OrderConfig, XmlStore};
+use ordxml::{Encoding, OrderConfig, XmlStore};
 use ordxml_rdbms::Database;
 use ordxml_xml::{Document, NodePath};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
-
-/// Process-wide default execution mode for stores created by
-/// [`load_all`]. The `report` binary sets this from `--batched` /
-/// `--per-context` so every experiment runs under the requested mode
-/// without threading a knob through each experiment's signature.
-static EXEC_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the default [`ExecutionMode`] for subsequently loaded stores.
-pub fn set_execution_mode(mode: ExecutionMode) {
-    let v = match mode {
-        ExecutionMode::Batched => 0,
-        ExecutionMode::PerContext => 1,
-    };
-    EXEC_MODE.store(v, Ordering::Relaxed);
-}
-
-/// The current default [`ExecutionMode`] (see [`set_execution_mode`]).
-pub fn execution_mode() -> ExecutionMode {
-    match EXEC_MODE.load(Ordering::Relaxed) {
-        1 => ExecutionMode::PerContext,
-        _ => ExecutionMode::Batched,
-    }
-}
 
 /// A printable result table (fixed-width, like the paper's tables).
 pub struct Table {
@@ -174,8 +150,7 @@ pub fn load_all(document: &Document, cfg: OrderConfig) -> Vec<Loaded> {
     Encoding::all()
         .into_iter()
         .map(|enc| {
-            let mut store = XmlStore::new(Database::in_memory(), enc);
-            store.set_execution_mode(execution_mode());
+            let store = XmlStore::new(Database::in_memory(), enc);
             let doc = store
                 .load_document_with(document, "bench", cfg)
                 .expect("load");

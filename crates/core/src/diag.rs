@@ -2,10 +2,10 @@
 //!
 //! Every [`XmlStore`](crate::XmlStore) operation bottoms out in one or more
 //! SQL statements against the relational engine. This module captures that
-//! translation surface per call: the statements actually issued (mediator
-//! steps repeat one statement per context node), the engine's execution
-//! counters merged across them, and — for queries — the engine's rendered
-//! plan for each distinct statement. Updates additionally report the
+//! translation surface per call: the statements actually issued (repeats
+//! included, e.g. one per tree level of a mediator climb), the engine's
+//! execution counters merged across them, and — for queries — the engine's
+//! rendered plan for each distinct statement. Updates additionally report the
 //! paper's headline maintenance metric, the [`UpdateCost`] (rows inserted /
 //! deleted / **relabeled** / auxiliary maintenance).
 
@@ -16,14 +16,14 @@ use std::fmt;
 use std::time::Duration;
 
 /// One SQL statement issued on behalf of a store operation, aggregated over
-/// its executions (a mediator phase re-executes the same statement once per
-/// context node).
+/// its executions (a mediator climb, for one, re-executes the same statement
+/// once per tree level).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatementProfile {
     /// The SQL text as issued to the engine.
     pub sql: String,
-    /// Bound parameters of the first execution (mediator repetitions bind
-    /// different context values; these suffice to re-run or re-`EXPLAIN
+    /// Bound parameters of the first execution (repetitions bind different
+    /// context values; these suffice to re-run or re-`EXPLAIN
     /// ANALYZE` one representative execution).
     pub params: Vec<Value>,
     /// How many times this exact statement text was executed.

@@ -11,6 +11,7 @@
 use crate::diag::{self, QueryDiagnostics, UpdateDiagnostics};
 use crate::encoding::{DeweyKey, Encoding, OrderConfig};
 use crate::shred::{self, KIND_ATTR, KIND_ELEMENT};
+use crate::translate::ExecutionMode;
 use crate::update::UpdateCost;
 use crate::xpath::{self, XPathError};
 use ordxml_rdbms::obs::{self, WaitSite};
@@ -222,8 +223,7 @@ pub(crate) fn decode_node_row(enc: Encoding, doc: i64, row: &Row) -> StoreResult
 }
 
 /// Fetches all stored children of `node` (attributes included), in sibling
-/// order, via one indexed query. Shared by the facade, the translator's
-/// mediator, and the update layer.
+/// order, via one indexed query. Shared by the facade and node resolution.
 pub(crate) fn fetch_children(
     db: &dyn SqlRead,
     enc: Encoding,
@@ -266,7 +266,7 @@ pub(crate) fn fetch_children(
 // (which must not): both sides are just a `SqlRead`.
 // ---------------------------------------------------------------------
 
-fn root_at(db: &dyn SqlRead, enc: Encoding, doc: i64) -> StoreResult<XNode> {
+pub(crate) fn root_at(db: &dyn SqlRead, enc: Encoding, doc: i64) -> StoreResult<XNode> {
     let sql = match enc {
         Encoding::Global => format!(
             "SELECT {} FROM global_node n WHERE n.doc = ? AND n.parent_pos = ?",
@@ -350,7 +350,7 @@ fn node_count_at(db: &dyn SqlRead, enc: Encoding, doc: i64) -> StoreResult<u64> 
 }
 
 /// Everything behind the store's writer latch: the live database plus the
-/// lazily-initialized schema flag and the ablation knobs that shape query
+/// lazily-initialized schema flag and the ablation knob that shapes query
 /// translation. Readers never lock this — they run against the last
 /// published [`StoreSnapshot`].
 struct StoreInner {
@@ -358,7 +358,6 @@ struct StoreInner {
     encoding: Encoding,
     schema_ready: bool,
     position_strategy: crate::translate::PositionStrategy,
-    execution_mode: crate::translate::ExecutionMode,
 }
 
 /// One committed version of an [`XmlStore`] — the MVCC snapshot every read
@@ -376,7 +375,6 @@ pub struct StoreSnapshot {
     encoding: Encoding,
     schema_ready: bool,
     position_strategy: crate::translate::PositionStrategy,
-    execution_mode: crate::translate::ExecutionMode,
 }
 
 /// An ordered XML store over a relational database.
@@ -465,7 +463,6 @@ impl XmlStore {
             encoding,
             schema_ready: false,
             position_strategy: crate::translate::PositionStrategy::default(),
-            execution_mode: crate::translate::ExecutionMode::default(),
         };
         let published = latch::EpochCell::new(Arc::new(inner.capture()));
         XmlStore {
@@ -520,21 +517,6 @@ impl XmlStore {
         inner.position_strategy = strategy;
         self.published
             .publish(Arc::new(inner.capture()), WaitSite::Snapshot);
-    }
-
-    /// Chooses how mediator phases visit their context set (an ablation
-    /// knob; see [`crate::translate::ExecutionMode`]). The default is
-    /// set-at-a-time batched execution.
-    pub fn set_execution_mode(&mut self, mode: crate::translate::ExecutionMode) {
-        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
-        inner.execution_mode = mode;
-        self.published
-            .publish(Arc::new(inner.capture()), WaitSite::Snapshot);
-    }
-
-    /// The store's current execution mode.
-    pub fn execution_mode(&self) -> crate::translate::ExecutionMode {
-        self.published.load(WaitSite::Snapshot).1.execution_mode
     }
 
     /// The store's encoding.
@@ -721,9 +703,9 @@ impl XmlStore {
 
     /// Evaluates an XPath expression like [`XmlStore::xpath`], additionally
     /// capturing the query's full translation surface: every SQL statement
-    /// issued (mediator phases repeat one statement per context node), the
-    /// engine's rendered plan per distinct statement, and the merged
-    /// execution counters.
+    /// issued (repeats included, e.g. one per tree level of a mediator
+    /// climb), the engine's rendered plan per distinct statement, and the
+    /// merged execution counters.
     ///
     /// Diagnostics are read-only and run on the committed snapshot —
     /// concurrent with other readers *and* with an in-flight writer (they
@@ -890,7 +872,6 @@ impl StoreInner {
             encoding: self.encoding,
             schema_ready: self.schema_ready,
             position_strategy: self.position_strategy,
-            execution_mode: self.execution_mode,
         }
     }
 
@@ -1079,7 +1060,7 @@ impl StoreSnapshot {
             doc,
             path,
             self.position_strategy,
-            self.execution_mode,
+            ExecutionMode::default(),
         )
     }
 
@@ -1104,7 +1085,7 @@ impl StoreSnapshot {
                 doc,
                 &path,
                 self.position_strategy,
-                self.execution_mode,
+                ExecutionMode::default(),
             )
         });
         let stmt_trace = db.take_trace();
@@ -1421,22 +1402,33 @@ mod tests {
     }
 
     #[test]
-    fn mediator_steps_repeat_one_statement_per_context() {
-        // `//d` below the top level forces Dewey through the mediator:
-        // under tuple-at-a-time execution, one descendant range scan per
-        // context node.
-        let mut s = XmlStore::new(Database::in_memory(), Encoding::Dewey);
-        s.set_execution_mode(crate::translate::ExecutionMode::PerContext);
-        let d = s
-            .load_document(&parse("<a><c><d/></c><c><d/></c></a>").unwrap(), "m")
-            .unwrap();
-        let (nodes, diag) = s.xpath_diagnostics(d, "/a/c//d").unwrap();
-        assert_eq!(nodes.len(), 2);
-        // Two <c> contexts ⇒ the descendant statement executes twice.
-        assert!(
-            diag.statements.iter().any(|p| p.executions >= 2),
-            "expected a repeated mediator statement, got {diag}"
-        );
+    fn mediator_statement_count_is_independent_of_context_count() {
+        // Every break step runs set-at-a-time, so the statements a query
+        // issues follow the tree's depth, not the number of context nodes.
+        // Local's final order recovery (one parent lookup per unseen
+        // ancestor of a hit) grows with the hit count and is not counted.
+        fn statements(enc: Encoding, contexts: usize, query: &str) -> u64 {
+            let xml = format!("<r>{}</r>", "<c><d/><e><d/></e></c><d/>".repeat(contexts));
+            let s = XmlStore::new(Database::in_memory(), enc);
+            let d = s.load_document(&parse(&xml).unwrap(), "n").unwrap();
+            let (nodes, diag) = s.xpath_diagnostics(d, query).unwrap();
+            assert!(!nodes.is_empty(), "{enc}: {query}");
+            diag.statements
+                .iter()
+                .filter(|p| !p.sql.starts_with("SELECT parent_id, ord FROM local_node"))
+                .map(|p| p.executions)
+                .sum()
+        }
+        for enc in Encoding::all() {
+            for q in [
+                "/r/c//d",
+                "//d/ancestor::c",
+                "//c/following::d",
+                "//c/preceding::d",
+            ] {
+                assert_eq!(statements(enc, 10, q), statements(enc, 50, q), "{enc}: {q}");
+            }
+        }
     }
 
     #[test]

@@ -5,22 +5,25 @@
 //! * a **SQL segment** — a maximal run of steps expressed as one SQL
 //!   statement (one table alias per step, self-joins between them), or
 //! * a **mediator step** — a step the encoding cannot express in one SQL
-//!   statement, evaluated by the translation layer with one (indexed) SQL
-//!   statement *per context node*.
+//!   statement, evaluated by the translation layer set-at-a-time: one
+//!   batched (`MULTIRANGE`) statement for the whole context set, or one per
+//!   tree level for the parent-pointer climbs.
 //!
 //! Which steps break into mediator phases is exactly the paper's story:
 //!
 //! * **Global** never breaks: every axis — including `descendant` (the
 //!   `(pos, desc_max]` interval) and `ancestor` (interval containment) — is
 //!   a range predicate on the position column.
-//! * **Dewey** breaks only on `descendant`/`ancestor` *below* the top level:
-//!   the descendant range `[key, successor(key))` needs the mediator to
-//!   compute the successor bound, after which it is a single indexed range
-//!   scan per context — no joins. Ancestors are the key's prefixes,
-//!   fetched by primary key.
-//! * **Local** breaks on `descendant` (evaluated as a per-context DFS of
-//!   child queries) and `ancestor` (a climb), and — even when a query is a
-//!   single SQL segment — recovering *document order* requires either
+//! * **Dewey** breaks on `descendant` *below* the top level and on
+//!   `ancestor`/`following`/`preceding`: the descendant range `[key, successor(key))` needs the mediator to
+//!   compute the successor bound, after which every context's range is one
+//!   slice of a single multi-range scan — no joins. Ancestors are the key's
+//!   prefixes, fetched by primary key.
+//! * **Local** breaks on `descendant` (a level-by-level walk of child
+//!   queries), `ancestor` (a climb), and `following`/`preceding` (a climb,
+//!   the siblings of every level, then their subtrees) — each O(depth)
+//!   statements for the whole context set. Even when a query is a
+//!   single SQL segment, recovering *document order* requires either
 //!   ordering by every ancestor's `ord` along the join chain or climbing
 //!   parent pointers in the mediator. That is the encoding's query-side
 //!   penalty.
@@ -52,46 +55,32 @@ pub enum PositionStrategy {
     MediatorSlice,
 }
 
-/// How a mediator phase visits its context set — an ablation knob (the
-/// before/after of the set-at-a-time rewrite; E6 reports both).
+/// How a mediator phase visits its context set. There is one way: every
+/// break step runs set-at-a-time. The enum keeps its single variant only so
+/// that existing callers of [`execute_full`] (the repo benchmark's layer
+/// trace among them) keep compiling; it selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Set-at-a-time: one batched statement per break step. All context
-    /// nodes' ranges travel in a single `MULTIRANGE` parameter, the engine
-    /// answers with one multi-range index scan, and the mediator
-    /// demultiplexes rows back to their contexts.
+    /// Set-at-a-time: one batched statement per break step (one per tree
+    /// level for the parent-pointer climbs). All context nodes' ranges
+    /// travel in a single `MULTIRANGE` parameter, the engine answers with
+    /// one multi-range index scan, and the mediator demultiplexes rows back
+    /// to their contexts.
     #[default]
     Batched,
-    /// Tuple-at-a-time: one statement per context node — the N+1 statement
-    /// storm the paper's per-context translation implies.
-    PerContext,
 }
 
-/// Evaluates an absolute path against document `doc`, returning matching
-/// nodes in document order (duplicates removed).
-pub fn execute(db: &dyn SqlRead, enc: Encoding, doc: i64, path: &Path) -> StoreResult<Vec<XNode>> {
-    execute_with(db, enc, doc, path, PositionStrategy::CountSubquery)
-}
-
-/// [`execute`] with an explicit positional-predicate strategy.
-pub fn execute_with(
-    db: &dyn SqlRead,
-    enc: Encoding,
-    doc: i64,
-    path: &Path,
-    strategy: PositionStrategy,
-) -> StoreResult<Vec<XNode>> {
-    execute_full(db, enc, doc, path, strategy, ExecutionMode::default())
-}
-
-/// [`execute`] with explicit positional-predicate and execution-mode knobs.
+/// Evaluates an absolute path against document `doc` under the given
+/// positional-predicate strategy, returning matching nodes in document
+/// order (duplicates removed). `_mode` has a single value (see
+/// [`ExecutionMode`]).
 pub fn execute_full(
     db: &dyn SqlRead,
     enc: Encoding,
     doc: i64,
     path: &Path,
     strategy: PositionStrategy,
-    mode: ExecutionMode,
+    _mode: ExecutionMode,
 ) -> StoreResult<Vec<XNode>> {
     let _span = ordxml_rdbms::trace::span("translate");
     // Axes that are empty from the document node end the query immediately.
@@ -113,7 +102,6 @@ pub fn execute_full(
         enc,
         doc,
         strategy,
-        mode,
     };
     // `None` means "anchored at the document node".
     let mut ctx: Option<Vec<XNode>> = None;
@@ -255,7 +243,6 @@ struct Translator<'a> {
     enc: Encoding,
     doc: i64,
     strategy: PositionStrategy,
-    mode: ExecutionMode,
 }
 
 impl<'a> Translator<'a> {
@@ -312,10 +299,8 @@ impl<'a> Translator<'a> {
         // Set-at-a-time: a context-anchored segment whose first step hangs
         // off the context by parent equality (child/attribute) ships every
         // context key in one MULTIRANGE point batch and runs once; the
-        // per-context loop below is the tuple-at-a-time fallback.
-        let batch_ctx = self.mode == ExecutionMode::Batched
-            && ctx.is_some()
-            && matches!(steps[0].axis, Axis::Child | Axis::Attribute);
+        // per-context loop below serves the other context-anchored segments.
+        let batch_ctx = ctx.is_some() && matches!(steps[0].axis, Axis::Child | Axis::Attribute);
         sql.batch_parent = batch_ctx;
         // Alias chain used to rebuild document order for Local results:
         // the aliases of the result's root-to-node ancestor path.
@@ -958,9 +943,9 @@ impl<'a> Translator<'a> {
     // Mediator steps
     // =================================================================
 
-    /// Evaluates a break step: per context node, fetch the axis candidates
-    /// matching the node test in axis order (one indexed SQL statement per
-    /// context or per ancestor), then apply predicates in the mediator.
+    /// Evaluates a break step: fetch every context node's axis candidates
+    /// matching the node test, in axis order, set-at-a-time; then apply
+    /// predicates in the mediator.
     fn mediator_step(
         &mut self,
         ctx: Option<Vec<XNode>>,
@@ -970,23 +955,10 @@ impl<'a> Translator<'a> {
         let _span = ordxml_rdbms::trace::span("translate.mediator");
         let ctx_nodes = match ctx {
             Some(nodes) => nodes,
-            None => {
-                if first {
-                    vec![self.fetch_root()?]
-                } else {
-                    return Ok(Vec::new());
-                }
-            }
+            None if first => vec![crate::store::root_at(self.db, self.enc, self.doc)?],
+            None => return Ok(Vec::new()),
         };
-        // Fetch each context's candidates — one batched statement for the
-        // whole context set, or one (or more) statements per context.
-        let candidate_sets: Vec<Vec<XNode>> = match self.mode {
-            ExecutionMode::Batched => match self.batched_candidates(&ctx_nodes, step, first)? {
-                Some(sets) => sets,
-                None => self.per_context_candidates(&ctx_nodes, step, first)?,
-            },
-            ExecutionMode::PerContext => self.per_context_candidates(&ctx_nodes, step, first)?,
-        };
+        let candidate_sets = self.batched_candidates(&ctx_nodes, step, first)?;
         let mut out = Vec::new();
         for candidates in candidate_sets {
             let size = candidates.len();
@@ -1006,69 +978,9 @@ impl<'a> Translator<'a> {
         Ok(out)
     }
 
-    /// Tuple-at-a-time candidate fetch: one context at a time.
-    fn per_context_candidates(
-        &mut self,
-        ctx_nodes: &[XNode],
-        step: &Step,
-        first: bool,
-    ) -> StoreResult<Vec<Vec<XNode>>> {
-        ctx_nodes
-            .iter()
-            .map(|c| self.candidates_for(c, step, first))
-            .collect()
-    }
-
-    /// One context node's axis candidates, matching the step's node test,
-    /// in axis order.
-    fn candidates_for(&mut self, c: &XNode, step: &Step, first: bool) -> StoreResult<Vec<XNode>> {
-        Ok(match step.axis {
-            Axis::Descendant | Axis::DescendantOrSelf => {
-                let include_self = step.axis == Axis::DescendantOrSelf || first;
-                self.axis_descendants(c, include_self, step)?
-            }
-            Axis::Ancestor => self.axis_ancestors(c, step)?,
-            Axis::Child | Axis::Attribute if first => {
-                // Child axis of the document node selects the root
-                // element itself.
-                if step.axis == Axis::Child {
-                    std::iter::once(c.clone())
-                        .filter(|n| self.test_matches(n, step))
-                        .collect()
-                } else {
-                    crate::store::fetch_children(self.db, self.enc, self.doc, c)?
-                        .into_iter()
-                        .filter(|n| self.test_matches(n, step))
-                        .collect()
-                }
-            }
-            Axis::Child | Axis::Attribute => {
-                crate::store::fetch_children(self.db, self.enc, self.doc, c)?
-                    .into_iter()
-                    .filter(|n| self.test_matches(n, step))
-                    .collect()
-            }
-            Axis::FollowingSibling | Axis::PrecedingSibling => {
-                if first || c.kind == KIND_ATTR {
-                    Vec::new()
-                } else {
-                    self.axis_siblings(c, step)?
-                }
-            }
-            Axis::SelfAxis => std::iter::once(c.clone())
-                .filter(|n| self.test_matches(n, step))
-                .collect(),
-            Axis::Following => self.axis_following(c, step)?,
-            Axis::Preceding => self.axis_preceding(c, step)?,
-            Axis::Parent => {
-                return Err(StoreError::Unsupported(
-                    "positional predicate on the parent axis".into(),
-                ))
-            }
-        })
-    }
-
-    /// Set-at-a-time candidate fetch for the whole context set.
+    /// Set-at-a-time candidate fetch for the whole context set: one
+    /// candidate list per context, matching the step's node test, in axis
+    /// order.
     ///
     /// Each arm issues **one** batched statement (or one per tree level for
     /// the climbing encodings) carrying every context's key range in a
@@ -1083,31 +995,43 @@ impl<'a> Translator<'a> {
     ///   prefix lookup;
     /// * parent-pointer climbs (Global/Local ancestor, Local descendant)
     ///   batch level-synchronously: one statement per tree level instead of
-    ///   one per context per level.
-    ///
-    /// Returns `None` when the axis/encoding pair has no batched form; the
-    /// caller falls back to the per-context loop.
+    ///   one per context per level;
+    /// * Local following/preceding compose those arms (see
+    ///   [`Translator::local_following`]);
+    /// * `self` and the document-anchored child/sibling steps need no
+    ///   statement at all.
     fn batched_candidates(
         &mut self,
         ctxs: &[XNode],
         step: &Step,
         first: bool,
-    ) -> StoreResult<Option<Vec<Vec<XNode>>>> {
+    ) -> StoreResult<Vec<Vec<XNode>>> {
         use Encoding::{Dewey, Global, Local};
         if ctxs.is_empty() {
-            return Ok(Some(Vec::new()));
+            return Ok(Vec::new());
         }
-        // Document-anchored child/attribute/sibling steps have special
-        // root semantics and a single context; keep the per-context form.
-        if first
-            && matches!(
-                step.axis,
-                Axis::Child | Axis::Attribute | Axis::FollowingSibling | Axis::PrecedingSibling
-            )
-        {
-            return Ok(None);
-        }
+        // `self` selects the context; so does the child axis of the document
+        // node (the context is the root element).
+        let itself = |t: &Self| -> Vec<Vec<XNode>> {
+            ctxs.iter()
+                .map(|c| {
+                    std::iter::once(c.clone())
+                        .filter(|n| t.test_matches(n, step))
+                        .collect()
+                })
+                .collect()
+        };
         match (self.enc, step.axis) {
+            (_, Axis::SelfAxis) => Ok(itself(self)),
+            (_, Axis::Child) if first => Ok(itself(self)),
+            // The document node has no siblings.
+            (_, Axis::FollowingSibling | Axis::PrecedingSibling) if first => {
+                Ok(vec![Vec::new(); ctxs.len()])
+            }
+            (_, Axis::Parent) => Err(StoreError::Unsupported(
+                "positional predicate on the parent axis".into(),
+            )),
+            (Local, Axis::Following | Axis::Preceding) => self.local_following(ctxs, step),
             (Dewey, Axis::Descendant | Axis::DescendantOrSelf) => {
                 let include_self = step.axis == Axis::DescendantOrSelf || first;
                 let bounds: Vec<(Vec<u8>, Vec<u8>)> = ctxs
@@ -1130,12 +1054,12 @@ impl<'a> Translator<'a> {
                     .collect();
                 let rows = self.multirange_query("key", &["key"], specs, Some(step))?;
                 let keys: Vec<Vec<u8>> = rows.iter().map(dewey_bytes).collect();
-                Ok(Some(demux_ranges(rows, &bounds, |(lo, hi)| {
+                Ok(demux_ranges(rows, &bounds, |(lo, hi)| {
                     let start =
                         keys.partition_point(|k| if include_self { k < lo } else { k <= lo });
                     let end = keys.partition_point(|k| k < hi);
                     (start, end)
-                })))
+                }))
             }
             (Global, Axis::Descendant | Axis::DescendantOrSelf) => {
                 let include_self = step.axis == Axis::DescendantOrSelf || first;
@@ -1159,12 +1083,12 @@ impl<'a> Translator<'a> {
                     .collect();
                 let rows = self.multirange_query("pos", &["pos"], specs, Some(step))?;
                 let ps: Vec<i64> = rows.iter().map(global_pos).collect();
-                Ok(Some(demux_ranges(rows, &bounds, |&(pos, desc_max)| {
+                Ok(demux_ranges(rows, &bounds, |&(pos, desc_max)| {
                     let start =
                         ps.partition_point(|&p| if include_self { p < pos } else { p <= pos });
                     let end = ps.partition_point(|&p| p <= desc_max);
                     (start, end)
-                })))
+                }))
             }
             (Local, Axis::Descendant | Axis::DescendantOrSelf) => {
                 let include_self = step.axis == Axis::DescendantOrSelf || first;
@@ -1219,7 +1143,7 @@ impl<'a> Translator<'a> {
                     }
                     sets.push(out);
                 }
-                Ok(Some(sets))
+                Ok(sets)
             }
             (Dewey, Axis::Ancestor) => {
                 // Ancestors are the key's proper prefixes: one point batch
@@ -1247,12 +1171,10 @@ impl<'a> Translator<'a> {
                 let rows = self.multirange_query("key", &["key"], specs, Some(step))?;
                 let map: HashMap<Vec<u8>, XNode> =
                     rows.into_iter().map(|n| (dewey_bytes(&n), n)).collect();
-                Ok(Some(
-                    chains
-                        .iter()
-                        .map(|chain| chain.iter().filter_map(|b| map.get(b).cloned()).collect())
-                        .collect(),
-                ))
+                Ok(chains
+                    .iter()
+                    .map(|chain| chain.iter().filter_map(|b| map.get(b).cloned()).collect())
+                    .collect())
             }
             (Global | Local, Axis::Ancestor) => {
                 // Level-synchronous climb: every context's current parent in
@@ -1297,7 +1219,7 @@ impl<'a> Translator<'a> {
                     }
                     pending = next;
                 }
-                Ok(Some(sets))
+                Ok(sets)
             }
             (Dewey, Axis::Following) => {
                 let lows: Vec<Vec<u8>> = ctxs
@@ -1320,14 +1242,13 @@ impl<'a> Translator<'a> {
                     .collect();
                 let rows = self.multirange_query("key", &["key"], specs, Some(step))?;
                 let keys: Vec<Vec<u8>> = rows.iter().map(dewey_bytes).collect();
-                Ok(Some(
-                    lows.iter()
-                        .map(|lo| {
-                            let start = keys.partition_point(|k| k < lo);
-                            rows[start..].to_vec()
-                        })
-                        .collect(),
-                ))
+                Ok(lows
+                    .iter()
+                    .map(|lo| {
+                        let start = keys.partition_point(|k| k < lo);
+                        rows[start..].to_vec()
+                    })
+                    .collect())
             }
             (Global, Axis::Following) => {
                 let maxes: Vec<i64> = ctxs
@@ -1350,15 +1271,13 @@ impl<'a> Translator<'a> {
                     .collect();
                 let rows = self.multirange_query("pos", &["pos"], specs, Some(step))?;
                 let ps: Vec<i64> = rows.iter().map(global_pos).collect();
-                Ok(Some(
-                    maxes
-                        .iter()
-                        .map(|&m| {
-                            let start = ps.partition_point(|&p| p <= m);
-                            rows[start..].to_vec()
-                        })
-                        .collect(),
-                ))
+                Ok(maxes
+                    .iter()
+                    .map(|&m| {
+                        let start = ps.partition_point(|&p| p <= m);
+                        rows[start..].to_vec()
+                    })
+                    .collect())
             }
             (Dewey, Axis::Preceding) => {
                 let specs = ctxs
@@ -1377,31 +1296,30 @@ impl<'a> Translator<'a> {
                     .collect();
                 let rows = self.multirange_query("key", &["key"], specs, Some(step))?;
                 let keys: Vec<Vec<u8>> = rows.iter().map(dewey_bytes).collect();
-                Ok(Some(
-                    ctxs.iter()
-                        .map(|c| {
-                            let NodeRef::Dewey { key } = &c.node else {
-                                unreachable!()
-                            };
-                            let hi = key.to_bytes();
-                            let end = keys.partition_point(|k| k < &hi);
-                            // Nearest-first (reverse document order), with
-                            // the context's ancestors (its key's prefixes)
-                            // filtered out.
-                            rows[..end]
-                                .iter()
-                                .rev()
-                                .filter(|n| {
-                                    let NodeRef::Dewey { key: k } = &n.node else {
-                                        unreachable!()
-                                    };
-                                    !k.is_prefix_of(key)
-                                })
-                                .cloned()
-                                .collect()
-                        })
-                        .collect(),
-                ))
+                Ok(ctxs
+                    .iter()
+                    .map(|c| {
+                        let NodeRef::Dewey { key } = &c.node else {
+                            unreachable!()
+                        };
+                        let hi = key.to_bytes();
+                        let end = keys.partition_point(|k| k < &hi);
+                        // Nearest-first (reverse document order), with the
+                        // context's ancestors (its key's prefixes) filtered
+                        // out.
+                        rows[..end]
+                            .iter()
+                            .rev()
+                            .filter(|n| {
+                                let NodeRef::Dewey { key: k } = &n.node else {
+                                    unreachable!()
+                                };
+                                !k.is_prefix_of(key)
+                            })
+                            .cloned()
+                            .collect()
+                    })
+                    .collect())
             }
             (Global, Axis::Preceding) => {
                 let specs = ctxs
@@ -1420,29 +1338,28 @@ impl<'a> Translator<'a> {
                     .collect();
                 let rows = self.multirange_query("pos", &["pos"], specs, Some(step))?;
                 let ps: Vec<i64> = rows.iter().map(global_pos).collect();
-                Ok(Some(
-                    ctxs.iter()
-                        .map(|c| {
-                            let NodeRef::Global { pos, .. } = &c.node else {
-                                unreachable!()
-                            };
-                            let end = ps.partition_point(|&p| p < *pos);
-                            // Nearest-first, ancestors (whose intervals
-                            // contain the context) filtered out.
-                            rows[..end]
-                                .iter()
-                                .rev()
-                                .filter(|n| {
-                                    let NodeRef::Global { desc_max, .. } = &n.node else {
-                                        unreachable!()
-                                    };
-                                    *desc_max < *pos
-                                })
-                                .cloned()
-                                .collect()
-                        })
-                        .collect(),
-                ))
+                Ok(ctxs
+                    .iter()
+                    .map(|c| {
+                        let NodeRef::Global { pos, .. } = &c.node else {
+                            unreachable!()
+                        };
+                        let end = ps.partition_point(|&p| p < *pos);
+                        // Nearest-first, ancestors (whose intervals contain
+                        // the context) filtered out.
+                        rows[..end]
+                            .iter()
+                            .rev()
+                            .filter(|n| {
+                                let NodeRef::Global { desc_max, .. } = &n.node else {
+                                    unreachable!()
+                                };
+                                *desc_max < *pos
+                            })
+                            .cloned()
+                            .collect()
+                    })
+                    .collect())
             }
             (_, Axis::Child | Axis::Attribute) => {
                 let (pcol, ocols): (&str, &[&str]) = match self.enc {
@@ -1459,11 +1376,10 @@ impl<'a> Translator<'a> {
                 for n in rows {
                     groups.entry(parent_key(&n)).or_default().push(n);
                 }
-                Ok(Some(
-                    ctxs.iter()
-                        .map(|c| groups.get(&self_key(c)).cloned().unwrap_or_default())
-                        .collect(),
-                ))
+                Ok(ctxs
+                    .iter()
+                    .map(|c| groups.get(&c.node.token()).cloned().unwrap_or_default())
+                    .collect())
             }
             (_, Axis::FollowingSibling | Axis::PrecedingSibling) => {
                 let following = step.axis == Axis::FollowingSibling;
@@ -1484,31 +1400,109 @@ impl<'a> Translator<'a> {
                 for n in rows {
                     groups.entry(parent_key(&n)).or_default().push(n);
                 }
-                Ok(Some(
-                    ctxs.iter()
-                        .map(|c| {
-                            if c.kind == KIND_ATTR {
-                                return Vec::new();
-                            }
-                            let Some(sibs) = groups.get(&parent_key(c)) else {
-                                return Vec::new();
-                            };
-                            let r = order_rank(c);
-                            if following {
-                                sibs.iter().filter(|n| order_rank(n) > r).cloned().collect()
-                            } else {
-                                sibs.iter()
-                                    .filter(|n| order_rank(n) < r)
-                                    .rev()
-                                    .cloned()
-                                    .collect()
-                            }
-                        })
-                        .collect(),
-                ))
+                Ok(ctxs
+                    .iter()
+                    .map(|c| {
+                        if c.kind == KIND_ATTR {
+                            return Vec::new();
+                        }
+                        let Some(sibs) = groups.get(&parent_key(c)) else {
+                            return Vec::new();
+                        };
+                        let r = order_rank(c);
+                        if following {
+                            sibs.iter().filter(|n| order_rank(n) > r).cloned().collect()
+                        } else {
+                            sibs.iter()
+                                .filter(|n| order_rank(n) < r)
+                                .rev()
+                                .cloned()
+                                .collect()
+                        }
+                    })
+                    .collect())
             }
-            _ => Ok(None),
         }
+    }
+
+    /// Local `following` / `preceding`: for every ancestor-or-self, the
+    /// later (earlier) children of its parent, each with its whole subtree.
+    /// Composed of three batched phases — the level-synchronous ancestor
+    /// climb, one point batch fetching the children of every chain node's
+    /// parent, and the level-synchronous subtree walk over every distinct
+    /// sibling — so the whole context set costs O(depth) statements.
+    /// Siblings include attributes, as the shredded document order does (an
+    /// attribute is followed by its element's later attributes and
+    /// content). Candidates come out in axis order: document order for
+    /// `following`; nearest-first for `preceding`, with each sibling's
+    /// subtree reversed.
+    fn local_following(&mut self, ctxs: &[XNode], step: &Step) -> StoreResult<Vec<Vec<XNode>>> {
+        let following = step.axis == Axis::Following;
+        let ancestor_step = Step {
+            axis: Axis::Ancestor,
+            test: NodeTest::Node,
+            preds: Vec::new(),
+        };
+        let ancestors = self.batched_candidates(ctxs, &ancestor_step, false)?;
+        // Ancestor-or-self chains, nearest first.
+        let chains: Vec<Vec<XNode>> = ctxs
+            .iter()
+            .zip(ancestors)
+            .map(|(c, up)| std::iter::once(c.clone()).chain(up).collect())
+            .collect();
+        let parents: BTreeSet<i64> = chains
+            .iter()
+            .flatten()
+            .map(local_parent)
+            .filter(|&p| p != NO_PARENT)
+            .collect();
+        let specs = parents
+            .iter()
+            .map(|&p| RangeSpec::point(Value::Int(p)))
+            .collect();
+        let mut children: HashMap<i64, Vec<XNode>> = HashMap::new();
+        for n in self.multirange_query("parent_id", &["parent_id", "ord"], specs, None)? {
+            children.entry(local_parent(&n)).or_default().push(n);
+        }
+        // The siblings of `n` on the axis side, in sibling order.
+        let beyond = |n: &XNode| -> &[XNode] {
+            let Some(sibs) = children.get(&local_parent(n)) else {
+                return &[];
+            };
+            let r = order_rank(n);
+            if following {
+                &sibs[sibs.partition_point(|s| order_rank(s) <= r)..]
+            } else {
+                &sibs[..sibs.partition_point(|s| order_rank(s) < r)]
+            }
+        };
+        let roots = distinct(chains.iter().flatten().flat_map(beyond));
+        let subtree_step = Step {
+            axis: Axis::DescendantOrSelf,
+            test: step.test.clone(),
+            preds: Vec::new(),
+        };
+        let subtrees = self.batched_candidates(&roots, &subtree_step, false)?;
+        let subtree_of: HashMap<Vec<u8>, Vec<XNode>> =
+            roots.iter().map(|n| n.node.token()).zip(subtrees).collect();
+        Ok(chains
+            .iter()
+            .map(|chain| {
+                let mut out = Vec::new();
+                for n in chain {
+                    if following {
+                        for sib in beyond(n) {
+                            out.extend(subtree_of[&sib.node.token()].iter().cloned());
+                        }
+                    } else {
+                        for sib in beyond(n).iter().rev() {
+                            out.extend(subtree_of[&sib.node.token()].iter().rev().cloned());
+                        }
+                    }
+                }
+                out
+            })
+            .collect())
     }
 
     /// Runs the one statement of a batched phase:
@@ -1547,436 +1541,6 @@ impl<'a> Translator<'a> {
         );
         let params = self.bind(&sql.params, None)?;
         let rows = self.db.query_read(&text, &params)?;
-        rows.iter()
-            .map(|r| decode_node_row(self.enc, self.doc, r))
-            .collect()
-    }
-
-    fn fetch_root(&mut self) -> StoreResult<XNode> {
-        let enc = self.enc;
-        let (sql, params) = match enc {
-            Encoding::Dewey => (
-                format!(
-                    "SELECT {} FROM dewey_node n WHERE n.doc = ? AND n.key = ?",
-                    select_list(enc, "n")
-                ),
-                vec![
-                    Value::Int(self.doc),
-                    Value::Bytes(DeweyKey::root().to_bytes()),
-                ],
-            ),
-            Encoding::Local => (
-                format!(
-                    "SELECT {} FROM local_node n WHERE n.doc = ? AND n.parent_id = ?",
-                    select_list(enc, "n")
-                ),
-                vec![Value::Int(self.doc), Value::Int(NO_PARENT)],
-            ),
-            Encoding::Global => (
-                format!(
-                    "SELECT {} FROM global_node n WHERE n.doc = ? AND n.parent_pos = ?",
-                    select_list(enc, "n")
-                ),
-                vec![Value::Int(self.doc), Value::Int(NO_PARENT)],
-            ),
-        };
-        let rows = self.db.query_read(&sql, &params)?;
-        let row = rows
-            .first()
-            .ok_or_else(|| StoreError::BadNode(format!("no document {}", self.doc)))?;
-        decode_node_row(enc, self.doc, row)
-    }
-
-    /// Candidates of a descendant(-or-self) break step, in document order.
-    fn axis_descendants(
-        &mut self,
-        ctx: &XNode,
-        include_self: bool,
-        step: &Step,
-    ) -> StoreResult<Vec<XNode>> {
-        match &ctx.node {
-            NodeRef::Dewey { key } => {
-                // One indexed range scan per context: Dewey's strength.
-                let mut sql = Sql::new(self.enc);
-                sql.raw("n.doc = ");
-                sql.fixed(Value::Int(self.doc));
-                sql.raw(if include_self {
-                    " AND n.key >= "
-                } else {
-                    " AND n.key > "
-                });
-                sql.fixed(Value::Bytes(key.to_bytes()));
-                sql.raw(" AND n.key < ");
-                sql.fixed(Value::Bytes(key.subtree_upper_bound()));
-                sql.raw(" AND ");
-                self.gen_test(&mut sql, "n", step.axis, &step.test);
-                let text = format!(
-                    "SELECT {} FROM dewey_node n WHERE {} ORDER BY n.key",
-                    select_list(self.enc, "n"),
-                    sql.where_sql
-                );
-                let params = self.bind(&sql.params, None)?;
-                let rows = self.db.query_read(&text, &params)?;
-                rows.iter()
-                    .map(|r| decode_node_row(self.enc, self.doc, r))
-                    .collect()
-            }
-            NodeRef::Local { .. } => {
-                // DFS of per-node child queries: Local's weakness, priced
-                // honestly as one indexed query per visited node.
-                let mut out = Vec::new();
-                let mut stack = vec![(ctx.clone(), include_self)];
-                while let Some((node, emit)) = stack.pop() {
-                    if emit && self.test_matches(&node, step) {
-                        out.push(node.clone());
-                    }
-                    let children = self.children_of(&node)?;
-                    for child in children.into_iter().rev() {
-                        stack.push((child, true));
-                    }
-                }
-                Ok(out)
-            }
-            NodeRef::Global { pos, desc_max, .. } => {
-                // One interval scan (reached under MediatorSlice only).
-                let op = if include_self { ">=" } else { ">" };
-                let mut sql = Sql::new(self.enc);
-                sql.raw("n.doc = ");
-                sql.fixed(Value::Int(self.doc));
-                sql.raw(&format!(" AND n.pos {op} "));
-                sql.fixed(Value::Int(*pos));
-                sql.raw(" AND n.pos <= ");
-                sql.fixed(Value::Int(*desc_max));
-                sql.raw(" AND ");
-                self.gen_test(&mut sql, "n", step.axis, &step.test);
-                let text = format!(
-                    "SELECT {} FROM global_node n WHERE {} ORDER BY n.pos",
-                    select_list(self.enc, "n"),
-                    sql.where_sql
-                );
-                let params = self.bind(&sql.params, None)?;
-                let rows = self.db.query_read(&text, &params)?;
-                rows.iter()
-                    .map(|r| decode_node_row(self.enc, self.doc, r))
-                    .collect()
-            }
-        }
-    }
-
-    /// Candidates of an ancestor break step, nearest-first.
-    fn axis_ancestors(&mut self, ctx: &XNode, step: &Step) -> StoreResult<Vec<XNode>> {
-        let mut out = Vec::new();
-        match &ctx.node {
-            NodeRef::Dewey { key } => {
-                let mut cur = key.parent();
-                while let Some(k) = cur {
-                    let rows = self.db.query_read(
-                        &format!(
-                            "SELECT {} FROM dewey_node n WHERE n.doc = ? AND n.key = ?",
-                            select_list(self.enc, "n")
-                        ),
-                        &[Value::Int(self.doc), Value::Bytes(k.to_bytes())],
-                    )?;
-                    if let Some(row) = rows.first() {
-                        let node = decode_node_row(self.enc, self.doc, row)?;
-                        if self.test_matches(&node, step) {
-                            out.push(node);
-                        }
-                    }
-                    cur = k.parent();
-                }
-            }
-            NodeRef::Local { parent, .. } => {
-                let mut cur = *parent;
-                while cur != NO_PARENT {
-                    let rows = self.db.query_read(
-                        &format!(
-                            "SELECT {} FROM local_node n WHERE n.doc = ? AND n.id = ?",
-                            select_list(self.enc, "n")
-                        ),
-                        &[Value::Int(self.doc), Value::Int(cur)],
-                    )?;
-                    let Some(row) = rows.first() else { break };
-                    let node = decode_node_row(self.enc, self.doc, row)?;
-                    let NodeRef::Local { parent, .. } = &node.node else {
-                        unreachable!()
-                    };
-                    let next = *parent;
-                    if self.test_matches(&node, step) {
-                        out.push(node);
-                    }
-                    cur = next;
-                }
-            }
-            NodeRef::Global { parent, .. } => {
-                // Climb parent positions (only reached for positional
-                // predicates, which need nearest-first candidate order).
-                let mut cur = *parent;
-                while cur != NO_PARENT {
-                    let rows = self.db.query_read(
-                        &format!(
-                            "SELECT {} FROM global_node n WHERE n.doc = ? AND n.pos = ?",
-                            select_list(self.enc, "n")
-                        ),
-                        &[Value::Int(self.doc), Value::Int(cur)],
-                    )?;
-                    let Some(row) = rows.first() else { break };
-                    let node = decode_node_row(self.enc, self.doc, row)?;
-                    let NodeRef::Global { parent, .. } = &node.node else {
-                        unreachable!()
-                    };
-                    let next = *parent;
-                    if self.test_matches(&node, step) {
-                        out.push(node);
-                    }
-                    cur = next;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// `following` axis candidates in document order.
-    ///
-    /// * Dewey: one range scan from the subtree's key upper bound — the key
-    ///   algebra makes "everything after my subtree" a single comparison.
-    /// * Global (MediatorSlice only): one range scan past `desc_max`.
-    /// * Local: climb the ancestor chain; at each level take the following
-    ///   siblings and their whole subtrees (per-node child queries).
-    fn axis_following(&mut self, ctx: &XNode, step: &Step) -> StoreResult<Vec<XNode>> {
-        match &ctx.node {
-            NodeRef::Dewey { key } => {
-                let rows = self.db.query_read(
-                    &format!(
-                        "SELECT {} FROM dewey_node n \
-                         WHERE n.doc = ? AND n.key >= ? ORDER BY n.key",
-                        select_list(self.enc, "n")
-                    ),
-                    &[
-                        Value::Int(self.doc),
-                        Value::Bytes(key.subtree_upper_bound()),
-                    ],
-                )?;
-                Ok(rows
-                    .iter()
-                    .map(|r| decode_node_row(self.enc, self.doc, r))
-                    .collect::<StoreResult<Vec<_>>>()?
-                    .into_iter()
-                    .filter(|n| self.test_matches(n, step))
-                    .collect())
-            }
-            NodeRef::Global { desc_max, .. } => {
-                let rows = self.db.query_read(
-                    &format!(
-                        "SELECT {} FROM global_node n \
-                         WHERE n.doc = ? AND n.pos > ? ORDER BY n.pos",
-                        select_list(self.enc, "n")
-                    ),
-                    &[Value::Int(self.doc), Value::Int(*desc_max)],
-                )?;
-                Ok(rows
-                    .iter()
-                    .map(|r| decode_node_row(self.enc, self.doc, r))
-                    .collect::<StoreResult<Vec<_>>>()?
-                    .into_iter()
-                    .filter(|n| self.test_matches(n, step))
-                    .collect())
-            }
-            NodeRef::Local { .. } => {
-                let mut out = Vec::new();
-                let mut cur = ctx.clone();
-                loop {
-                    let sib_step = Step {
-                        axis: Axis::FollowingSibling,
-                        test: NodeTest::Node,
-                        preds: Vec::new(),
-                    };
-                    if cur.kind != KIND_ATTR {
-                        for sib in self.axis_siblings(&cur, &sib_step)? {
-                            if self.test_matches(&sib, step) {
-                                out.push(sib.clone());
-                            }
-                            for d in crate::reconstruct::fetch_subtree(
-                                self.db, self.enc, self.doc, &sib,
-                            )? {
-                                if self.test_matches(&d, step) {
-                                    out.push(d);
-                                }
-                            }
-                        }
-                    }
-                    let NodeRef::Local { parent, .. } = &cur.node else {
-                        unreachable!()
-                    };
-                    if *parent == NO_PARENT {
-                        break;
-                    }
-                    let rows = self.db.query_read(
-                        &format!(
-                            "SELECT {} FROM local_node n WHERE n.doc = ? AND n.id = ?",
-                            select_list(self.enc, "n")
-                        ),
-                        &[Value::Int(self.doc), Value::Int(*parent)],
-                    )?;
-                    let Some(row) = rows.first() else { break };
-                    cur = decode_node_row(self.enc, self.doc, row)?;
-                }
-                // Bottom-up climb appends nearest levels first, which *is*
-                // document order for the following axis.
-                Ok(out)
-            }
-        }
-    }
-
-    /// `preceding` axis candidates in axis order (nearest first = reverse
-    /// document order).
-    fn axis_preceding(&mut self, ctx: &XNode, step: &Step) -> StoreResult<Vec<XNode>> {
-        match &ctx.node {
-            NodeRef::Dewey { key } => {
-                // One reverse range scan below the context key; ancestors
-                // (the key's proper prefixes) are filtered out here.
-                let rows = self.db.query_read(
-                    &format!(
-                        "SELECT {} FROM dewey_node n \
-                         WHERE n.doc = ? AND n.key < ? ORDER BY n.key DESC",
-                        select_list(self.enc, "n")
-                    ),
-                    &[Value::Int(self.doc), Value::Bytes(key.to_bytes())],
-                )?;
-                Ok(rows
-                    .iter()
-                    .map(|r| decode_node_row(self.enc, self.doc, r))
-                    .collect::<StoreResult<Vec<_>>>()?
-                    .into_iter()
-                    .filter(|n| {
-                        let NodeRef::Dewey { key: k } = &n.node else {
-                            unreachable!()
-                        };
-                        !k.is_prefix_of(key) && self.test_matches(n, step)
-                    })
-                    .collect())
-            }
-            NodeRef::Global { pos, .. } => {
-                let rows = self.db.query_read(
-                    &format!(
-                        "SELECT {} FROM global_node n \
-                         WHERE n.doc = ? AND n.pos < ? AND n.desc_max < ? \
-                         ORDER BY n.pos DESC",
-                        select_list(self.enc, "n")
-                    ),
-                    &[Value::Int(self.doc), Value::Int(*pos), Value::Int(*pos)],
-                )?;
-                Ok(rows
-                    .iter()
-                    .map(|r| decode_node_row(self.enc, self.doc, r))
-                    .collect::<StoreResult<Vec<_>>>()?
-                    .into_iter()
-                    .filter(|n| self.test_matches(n, step))
-                    .collect())
-            }
-            NodeRef::Local { .. } => {
-                let mut out = Vec::new();
-                let mut cur = ctx.clone();
-                loop {
-                    let sib_step = Step {
-                        axis: Axis::PrecedingSibling,
-                        test: NodeTest::Node,
-                        preds: Vec::new(),
-                    };
-                    if cur.kind != KIND_ATTR {
-                        // Nearest-first siblings; within each sibling, the
-                        // subtree in reverse document order.
-                        for sib in self.axis_siblings(&cur, &sib_step)? {
-                            let mut chunk = vec![sib.clone()];
-                            chunk.extend(crate::reconstruct::fetch_subtree(
-                                self.db, self.enc, self.doc, &sib,
-                            )?);
-                            for d in chunk.into_iter().rev() {
-                                if self.test_matches(&d, step) {
-                                    out.push(d);
-                                }
-                            }
-                        }
-                    }
-                    let NodeRef::Local { parent, .. } = &cur.node else {
-                        unreachable!()
-                    };
-                    if *parent == NO_PARENT {
-                        break;
-                    }
-                    let rows = self.db.query_read(
-                        &format!(
-                            "SELECT {} FROM local_node n WHERE n.doc = ? AND n.id = ?",
-                            select_list(self.enc, "n")
-                        ),
-                        &[Value::Int(self.doc), Value::Int(*parent)],
-                    )?;
-                    let Some(row) = rows.first() else { break };
-                    cur = decode_node_row(self.enc, self.doc, row)?;
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// Sibling-axis candidates of `ctx`, matching the step's node test, in
-    /// axis order (nearest-first for preceding-sibling). One indexed scan.
-    fn axis_siblings(&mut self, ctx: &XNode, step: &Step) -> StoreResult<Vec<XNode>> {
-        let following = step.axis == Axis::FollowingSibling;
-        let (cmp, order) = if following { (">", "") } else { ("<", " DESC") };
-        let (sql, params) = match &ctx.node {
-            NodeRef::Global { pos, parent, .. } => (
-                format!(
-                    "SELECT {} FROM global_node n WHERE n.doc = ? AND n.parent_pos = ? \
-                     AND n.pos {cmp} ? ORDER BY n.pos{order}",
-                    select_list(self.enc, "n")
-                ),
-                vec![Value::Int(self.doc), Value::Int(*parent), Value::Int(*pos)],
-            ),
-            NodeRef::Local { parent, ord, .. } => (
-                format!(
-                    "SELECT {} FROM local_node n WHERE n.doc = ? AND n.parent_id = ? \
-                     AND n.ord {cmp} ? ORDER BY n.ord{order}",
-                    select_list(self.enc, "n")
-                ),
-                vec![Value::Int(self.doc), Value::Int(*parent), Value::Int(*ord)],
-            ),
-            NodeRef::Dewey { key } => (
-                format!(
-                    "SELECT {} FROM dewey_node n WHERE n.doc = ? AND n.parent = ? \
-                     AND n.key {cmp} ? ORDER BY n.key{order}",
-                    select_list(self.enc, "n")
-                ),
-                vec![
-                    Value::Int(self.doc),
-                    Value::Bytes(key.parent().map(|p| p.to_bytes()).unwrap_or_default()),
-                    Value::Bytes(key.to_bytes()),
-                ],
-            ),
-        };
-        let rows = self.db.query_read(&sql, &params)?;
-        Ok(rows
-            .iter()
-            .map(|r| decode_node_row(self.enc, self.doc, r))
-            .collect::<StoreResult<Vec<_>>>()?
-            .into_iter()
-            .filter(|n| self.test_matches(n, step))
-            .collect())
-    }
-
-    /// All stored children of a node, in sibling order.
-    fn children_of(&mut self, node: &XNode) -> StoreResult<Vec<XNode>> {
-        let NodeRef::Local { id, .. } = &node.node else {
-            unreachable!("children_of is only used by the Local mediator")
-        };
-        let rows = self.db.query_read(
-            &format!(
-                "SELECT {} FROM local_node n \
-                 WHERE n.doc = ? AND n.parent_id = ? ORDER BY n.ord",
-                select_list(self.enc, "n")
-            ),
-            &[Value::Int(self.doc), Value::Int(*id)],
-        )?;
         rows.iter()
             .map(|r| decode_node_row(self.enc, self.doc, r))
             .collect()
@@ -2236,13 +1800,21 @@ fn parent_value(n: &XNode) -> Value {
     }
 }
 
-/// The node's own id/key as a grouping key (equality only).
-fn self_key(n: &XNode) -> Vec<u8> {
-    match &n.node {
-        NodeRef::Global { pos, .. } => pos.to_be_bytes().to_vec(),
-        NodeRef::Local { id, .. } => id.to_be_bytes().to_vec(),
-        NodeRef::Dewey { key } => key.to_bytes(),
-    }
+/// Parent id of a Local node.
+fn local_parent(n: &XNode) -> i64 {
+    let NodeRef::Local { parent, .. } = &n.node else {
+        unreachable!()
+    };
+    *parent
+}
+
+/// The nodes of `nodes` with repeats removed, in first-seen order.
+fn distinct<'n>(nodes: impl Iterator<Item = &'n XNode>) -> Vec<XNode> {
+    let mut seen = HashSet::new();
+    nodes
+        .filter(|n| seen.insert(n.node.token()))
+        .cloned()
+        .collect()
 }
 
 /// The node's parent id/key as a grouping key (equality only).
@@ -2340,7 +1912,6 @@ mod tests {
                 enc,
                 doc: 1,
                 strategy: PositionStrategy::CountSubquery,
-                mode: ExecutionMode::default(),
             };
             match enc {
                 Encoding::Global => {
@@ -2366,7 +1937,6 @@ mod tests {
             enc: Encoding::Local,
             doc: 1,
             strategy: PositionStrategy::CountSubquery,
-            mode: ExecutionMode::default(),
         };
         assert!(t.is_break_step(&step_desc_pos, true));
     }

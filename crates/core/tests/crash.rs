@@ -83,9 +83,13 @@ struct Snapshot {
 impl Snapshot {
     /// Loads `doc` into a fresh file-backed store with a tight numbering gap
     /// (so inserts renumber and the transactions have real breadth), then
-    /// checkpoints and captures the database file bytes.
-    fn build(name: &str, enc: Encoding, doc: &Document) -> Snapshot {
-        let dir = std::env::temp_dir().join(format!("ordxml-crash-{}", std::process::id()));
+    /// checkpoints and captures the database file bytes. Each test passes
+    /// its own `test` directory name, so tests running in parallel never
+    /// share a database file.
+    fn build(test: &str, name: &str, enc: Encoding, doc: &Document) -> Snapshot {
+        let dir = std::env::temp_dir()
+            .join(format!("ordxml-crash-{}", std::process::id()))
+            .join(test);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{name}-{}.db", enc.name()));
         let _ = std::fs::remove_file(&path);
@@ -125,8 +129,8 @@ impl Snapshot {
 
 /// Runs the full frame-boundary matrix for one (encoding, update) pair.
 /// Returns the number of crash points exercised.
-fn crash_matrix(name: &str, enc: Encoding, base: &Document, update: &Update) -> u64 {
-    let snap = Snapshot::build(name, enc, base);
+fn crash_matrix(test: &str, name: &str, enc: Encoding, base: &Document, update: &Update) -> u64 {
+    let snap = Snapshot::build(test, name, enc, base);
     let pre = base.clone();
     let mut post = base.clone();
     update.apply_dom(&mut post);
@@ -206,7 +210,7 @@ fn every_frame_boundary_recovers_to_pre_or_post_state() {
     let mut points = 0;
     for enc in Encoding::all() {
         for (name, update) in update_kinds() {
-            points += crash_matrix(name, enc, &base, &update);
+            points += crash_matrix("frame-matrix", name, enc, &base, &update);
         }
     }
     // Sanity: the matrix actually exercised a spread of crash points.
@@ -220,7 +224,7 @@ fn renumbering_pass_is_atomic_under_crash() {
     // intact (structurally: the same tree).
     let base = parse_xml(BASE).unwrap();
     for enc in Encoding::all() {
-        let snap = Snapshot::build("renumber", enc, &base);
+        let snap = Snapshot::build("renumber", "renumber", enc, &base);
         let store = snap.restore_with(enc);
         let before = store.db().faults().wal_frames_observed();
         store.renumber_document(snap.doc_id).unwrap();
@@ -295,7 +299,7 @@ proptest! {
         let doc = GenConfig::mixed(size).with_seed(seed).generate();
         let enc = Encoding::all()[enc_pick];
         if let Some(update) = concretize(&doc, kind, sel, payload) {
-            crash_matrix("prop", enc, &doc, &update);
+            crash_matrix("prop", "random", enc, &doc, &update);
         }
     }
 }

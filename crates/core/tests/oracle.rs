@@ -4,7 +4,7 @@
 //! to the mutated DOM.
 
 use ordxml::naive::{DomNode, NaiveEvaluator};
-use ordxml::{Encoding, OrderConfig, XmlStore};
+use ordxml::{Encoding, OrderConfig, PositionStrategy, XmlStore};
 use ordxml_rdbms::Database;
 use ordxml_xml::{parse as parse_xml, Document, GenConfig, NodePath};
 
@@ -37,10 +37,13 @@ fn canon_store(store: &mut XmlStore, doc_id: i64, n: &ordxml::XNode) -> String {
 }
 
 /// Asserts `query` agrees between the oracle and every encoding on `doc`,
-/// under both positional-predicate strategies and both execution modes
-/// (set-at-a-time batched vs tuple-at-a-time per-context).
+/// under both positional-predicate strategies.
 fn check_query(doc: &Document, query: &str) {
-    use ordxml::translate::{ExecutionMode, PositionStrategy};
+    check_query_under(doc, query, &STRATEGIES);
+}
+
+/// [`check_query`] under the given positional-predicate strategies only.
+fn check_query_under(doc: &Document, query: &str, strategies: &[PositionStrategy]) {
     let ev = NaiveEvaluator::new(doc);
     let path = ordxml::xpath::parse(query).unwrap_or_else(|e| panic!("{query}: {e}"));
     let expected: Vec<String> = ev
@@ -49,26 +52,25 @@ fn check_query(doc: &Document, query: &str) {
         .map(|v| canon_dom(doc, v))
         .collect();
     for enc in Encoding::all() {
-        for strategy in [
-            PositionStrategy::CountSubquery,
-            PositionStrategy::MediatorSlice,
-        ] {
-            for mode in [ExecutionMode::Batched, ExecutionMode::PerContext] {
-                let mut store = XmlStore::new(Database::in_memory(), enc);
-                store.set_position_strategy(strategy);
-                store.set_execution_mode(mode);
-                let d = store.load_document(doc, "oracle").unwrap();
-                let got: Vec<String> = store
-                    .xpath(d, query)
-                    .unwrap_or_else(|e| panic!("{enc}/{strategy:?}/{mode:?}: {query}: {e}"))
-                    .iter()
-                    .map(|n| canon_store(&mut store, d, n))
-                    .collect();
-                assert_eq!(got, expected, "{enc}/{strategy:?}/{mode:?}: {query}");
-            }
+        for &strategy in strategies {
+            let mut store = XmlStore::new(Database::in_memory(), enc);
+            store.set_position_strategy(strategy);
+            let d = store.load_document(doc, "oracle").unwrap();
+            let got: Vec<String> = store
+                .xpath(d, query)
+                .unwrap_or_else(|e| panic!("{enc}/{strategy:?}: {query}: {e}"))
+                .iter()
+                .map(|n| canon_store(&mut store, d, n))
+                .collect();
+            assert_eq!(got, expected, "{enc}/{strategy:?}: {query}");
         }
     }
 }
+
+const STRATEGIES: [PositionStrategy; 2] = [
+    PositionStrategy::CountSubquery,
+    PositionStrategy::MediatorSlice,
+];
 
 fn check_queries(doc: &Document, queries: &[&str]) {
     for q in queries {
@@ -76,12 +78,14 @@ fn check_queries(doc: &Document, queries: &[&str]) {
     }
 }
 
-/// The bench suite's E3/E5/E6 query shapes, oracle-checked: because
-/// [`check_query`] crosses every encoding with both execution modes, the
-/// set-at-a-time and per-context paths are forced to return the identical
-/// node sequence (both must match the DOM oracle exactly).
+/// The bench suite's E3/E5/E6 query shapes plus many-context mediator
+/// shapes, oracle-checked across every encoding and both positional
+/// strategies: every set-at-a-time mediator arm — including the
+/// document-anchored and `self` steps `MediatorSlice` routes through it,
+/// and Local's composed `following`/`preceding` — must return the DOM
+/// oracle's node sequence exactly.
 #[test]
-fn batched_and_per_context_modes_agree_on_experiment_shapes() {
+fn mediator_agrees_with_oracle_on_experiment_shapes() {
     // E3 shape: a catalog of repeated items (child chains, positional
     // points/ranges, descendant sweeps).
     let mut catalog = String::from("<catalog>");
@@ -104,8 +108,32 @@ fn batched_and_per_context_modes_agree_on_experiment_shapes() {
             "/catalog/item[10]/following-sibling::item[position() <= 5]",
             "//item",
             "//name",
+            // Document-anchored steps (mediator under MediatorSlice).
+            "/catalog[1]",
+            "/catalog/item[2]/following-sibling::item[1]",
+            // Many-context following/preceding (Local composes these from
+            // a climb, one sibling batch and a subtree walk).
+            "//item/following::name",
+            "//item/following::name[1]",
+            "//item/following::name[last()]",
+            "//item/preceding::name",
+            "//item/preceding::name[1]",
+            "//item/preceding::name[last()]",
+            "//name/preceding::item[1]",
+            "/catalog/item[@id='i5']/following::name[position() <= 10]",
+            // Attribute contexts and attribute candidates.
+            "//item/@id/following::name[1]",
+            "//item/@id/preceding::name[1]",
+            "//item/@id/following::node()[1]",
+            "//item/@id/preceding::node()[1]",
+            "//name/preceding::node()[1]",
         ],
     );
+    // A positional predicate on `self` has no SQL translation; only
+    // MediatorSlice evaluates it (in the mediator, with no statement).
+    for q in ["/catalog/self::catalog[1]", "/catalog/item/self::item[1]"] {
+        check_query_under(&catalog, q, &[PositionStrategy::MediatorSlice]);
+    }
 
     // E5 shape: one wide element, sibling windows anchored by value.
     let mut flat = String::from("<root>");
@@ -149,6 +177,9 @@ fn batched_and_per_context_modes_agree_on_experiment_shapes() {
             "//leaf/ancestor::d",
             "//d[last()]/following::*",
             "//leaf[1]/preceding::d",
+            "//leaf/following::leaf[1]",
+            "//leaf/preceding::leaf[last()]",
+            "//leaf/preceding::*[1]",
         ],
     );
 }
@@ -795,12 +826,12 @@ fn cleanup_store(path: &std::path::Path) {
 }
 
 /// The full CATALOG query corpus, replayed against file-backed (WAL-durable)
-/// databases instead of in-memory ones, in both execution modes. One store
-/// per encoding x mode serves the whole corpus, so buffer-pool eviction and
-/// the transactional load path both get exercised.
+/// databases instead of in-memory ones, under both positional-predicate
+/// strategies. One store per encoding x strategy serves the whole corpus,
+/// so buffer-pool eviction and the transactional load path both get
+/// exercised.
 #[test]
-fn file_backed_stores_agree_with_oracle_in_both_modes() {
-    use ordxml::translate::ExecutionMode;
+fn file_backed_stores_agree_with_oracle_under_both_strategies() {
     let corpus: Vec<&str> = [
         CHILD_CHAIN_QUERIES,
         POSITIONAL_QUERIES,
@@ -820,12 +851,12 @@ fn file_backed_stores_agree_with_oracle_in_both_modes() {
     let doc = parse_xml(CATALOG).unwrap();
     let ev = NaiveEvaluator::new(&doc);
     for enc in Encoding::all() {
-        for mode in [ExecutionMode::Batched, ExecutionMode::PerContext] {
-            let path = temp_store_path(&format!("q-{}-{:?}.db", enc.name(), mode));
+        for strategy in STRATEGIES {
+            let path = temp_store_path(&format!("q-{}-{strategy:?}.db", enc.name()));
             // A small pool forces eviction traffic through the WAL'd pager.
             let db = Database::open(&path, 8).unwrap();
             let mut store = XmlStore::new(db, enc);
-            store.set_execution_mode(mode);
+            store.set_position_strategy(strategy);
             let d = store.load_document(&doc, "oracle").unwrap();
             for q in &corpus {
                 let xpath = ordxml::xpath::parse(q).unwrap();
@@ -836,11 +867,11 @@ fn file_backed_stores_agree_with_oracle_in_both_modes() {
                     .collect();
                 let got: Vec<String> = store
                     .xpath(d, q)
-                    .unwrap_or_else(|e| panic!("file/{enc}/{mode:?}: {q}: {e}"))
+                    .unwrap_or_else(|e| panic!("file/{enc}/{strategy:?}: {q}: {e}"))
                     .iter()
                     .map(|n| canon_store(&mut store, d, n))
                     .collect();
-                assert_eq!(got, expected, "file/{enc}/{mode:?}: {q}");
+                assert_eq!(got, expected, "file/{enc}/{strategy:?}: {q}");
             }
             drop(store);
             cleanup_store(&path);

@@ -10,10 +10,8 @@
 //! commits. The writer here repeatedly
 //! inserts and deletes a two-child marker fragment while readers assert
 //! pair-invariants that any torn update would break — across all three
-//! encodings, both mediator execution modes, and both the in-memory and
-//! file-backed pager.
+//! encodings and both the in-memory and file-backed pager.
 
-use ordxml::translate::ExecutionMode;
 use ordxml::{Encoding, OrderConfig, XmlStore};
 use ordxml_rdbms::Database;
 use ordxml_xml::{parse as parse_xml, NodePath};
@@ -143,11 +141,7 @@ fn cleanup(path: &std::path::Path) {
 #[test]
 fn readers_vs_writer_in_memory() {
     for enc in Encoding::all() {
-        for mode in [ExecutionMode::Batched, ExecutionMode::PerContext] {
-            let mut store = XmlStore::new(Database::in_memory(), enc);
-            store.set_execution_mode(mode);
-            stress(store, 4, 40);
-        }
+        stress(XmlStore::new(Database::in_memory(), enc), 4, 40);
     }
 }
 
@@ -157,13 +151,9 @@ fn readers_vs_writer_file_backed() {
     // transactions), so each write additionally pays the commit barrier;
     // fewer iterations keep the test CI-sized.
     for enc in Encoding::all() {
-        for mode in [ExecutionMode::Batched, ExecutionMode::PerContext] {
-            let (path, db) = file_db(&format!("{}-{mode:?}", enc.name()));
-            let mut store = XmlStore::new(db, enc);
-            store.set_execution_mode(mode);
-            stress(store, 4, 10);
-            cleanup(&path);
-        }
+        let (path, db) = file_db(&format!("rw-{}", enc.name()));
+        stress(XmlStore::new(db, enc), 4, 10);
+        cleanup(&path);
     }
 }
 

@@ -932,8 +932,10 @@ mod tests {
                 let reg = Arc::clone(&reg);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
+                    // Record before the first `stop` check: a recorder the
+                    // scheduler starts only after `stop` still contributes.
                     let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         let q = SlowQuery {
                             sql: format!("SELECT {t}/{n}"),
                             elapsed: Duration::from_millis(9),
@@ -942,8 +944,10 @@ mod tests {
                         };
                         reg.record_statement(&q.sql.clone(), true, &q);
                         n += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            return n;
+                        }
                     }
-                    n
                 })
             })
             .collect();
