@@ -46,7 +46,7 @@ pub struct EngineDelta {
     /// execution mode's unit of index work).
     pub btree_descents: u64,
     /// Descents skipped by reusing the previous range's leaf finger
-    /// (batched multi-range scans walking sibling links instead).
+    /// (batched multi-range scans stepping leaf to leaf instead).
     pub btree_descent_reuses: u64,
     /// Plan-cache hits.
     pub plan_cache_hits: u64,

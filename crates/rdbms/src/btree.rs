@@ -1,4 +1,4 @@
-//! An in-memory B+tree over byte-string keys.
+//! A persistent, in-memory B+tree over byte-string keys.
 //!
 //! Keys are order-preserving encodings produced by
 //! [`crate::value::encode_key`]; values are packed row ids
@@ -9,38 +9,218 @@
 //! cost model differences come from *how many* index entries the encodings
 //! touch, which this structure measures faithfully.
 //!
+//! Nodes are shared, path-copied versions: every child is an `Arc<Node>`,
+//! and a write calls `Arc::make_mut` down its root-to-leaf path — mutating
+//! a node in place when this tree owns it alone, copying that one node when
+//! a clone (a published catalog snapshot) still holds it. `Clone` therefore
+//! copies one root pointer, and a writer that alters a table a snapshot
+//! shares pays O(depth) node copies per touched index instead of a copy of
+//! every entry. A copied path would strand leaf-to-leaf links, so there are
+//! none: scans keep their place in a fixed-size parent stack (`Cursor`).
+//! A node keeps its keys packed in one buffer (`Keys`), so copying it is a
+//! few allocations and a search reads adjacent memory, whatever order the
+//! keys were inserted in.
+//!
 //! Duplicate keys are not stored: the table layer makes non-unique index
 //! keys unique by appending the row id to the key, the standard technique.
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Maximum number of entries (leaf) or children minus one (inner) per node.
 const MAX_KEYS: usize = 64;
 /// Minimum fill for non-root nodes.
 const MIN_KEYS: usize = MAX_KEYS / 2;
-/// Sentinel "no node".
-const NIL: u32 = u32::MAX;
 /// Leaves a fingered seek ([`BTree::range_from`]) may walk past before
 /// falling back to a root descent — beyond this, the descent's
-/// `O(log n)` beats the sibling walk.
+/// `O(log n)` beats the leaf walk.
 const FINGER_WALK_LIMIT: usize = 4;
+/// Inner levels a cursor's parent stack holds. Non-root inner nodes keep at
+/// least `MIN_KEYS + 1` children and non-root leaves `MIN_KEYS` entries, so
+/// sixteen inner levels would take more than `u64::MAX` entries.
+const MAX_DEPTH: usize = 16;
 
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
-        keys: Vec<Vec<u8>>,
+        keys: Keys,
         vals: Vec<u64>,
-        next: u32,
-        prev: u32,
     },
     Inner {
-        /// `keys[i]` separates `children[i]` (< key) from `children[i+1]` (>= key).
-        keys: Vec<Vec<u8>>,
-        children: Vec<u32>,
+        /// Key `i` separates `children[i]` (< key) from `children[i+1]` (>= key).
+        keys: Keys,
+        children: Vec<Arc<Node>>,
     },
-    /// A node on the free list.
-    Free,
+}
+
+/// A node's keys, packed: their bytes back to back in one buffer, and the
+/// end offset of each. One allocation holds every key of a node instead of
+/// one allocation per key.
+#[derive(Debug, Clone, Default)]
+struct Keys {
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
+}
+
+impl Keys {
+    fn single(key: &[u8]) -> Self {
+        let mut keys = Keys::default();
+        keys.push(key);
+        keys
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    fn start(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1] as usize
+        }
+    }
+
+    fn get(&self, i: usize) -> &[u8] {
+        &self.bytes[self.start(i)..self.ends[i] as usize]
+    }
+
+    fn last(&self) -> Option<&[u8]> {
+        (!self.is_empty()).then(|| self.get(self.len() - 1))
+    }
+
+    /// How many leading keys satisfy `pred`, which must hold for a prefix
+    /// of the keys and fail for the rest (binary search).
+    fn partition_point(&self, pred: impl Fn(&[u8]) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.get(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// `Ok(slot)` of `key`, or `Err(slot)` where it would be inserted.
+    fn find(&self, key: &[u8]) -> Result<usize, usize> {
+        let i = self.partition_point(|k| k < key);
+        if i < self.len() && self.get(i) == key {
+            Ok(i)
+        } else {
+            Err(i)
+        }
+    }
+
+    fn offset(n: usize) -> u32 {
+        u32::try_from(n).expect("a node's keys fit in 4 GiB")
+    }
+
+    fn insert(&mut self, i: usize, key: &[u8]) {
+        let (at, n) = (self.start(i), key.len());
+        let tail = self.bytes.len();
+        self.bytes.resize(tail + n, 0);
+        self.bytes.copy_within(at..tail, at + n);
+        self.bytes[at..at + n].copy_from_slice(key);
+        let grow = Self::offset(n);
+        for end in &mut self.ends[i..] {
+            *end += grow;
+        }
+        self.ends.insert(i, Self::offset(at + n));
+    }
+
+    fn push(&mut self, key: &[u8]) {
+        self.insert(self.len(), key);
+    }
+
+    /// Drops key `i`.
+    fn delete(&mut self, i: usize) {
+        let (at, end) = (self.start(i), self.ends[i] as usize);
+        self.bytes.drain(at..end);
+        self.ends.remove(i);
+        let shrink = Self::offset(end - at);
+        for end in &mut self.ends[i..] {
+            *end -= shrink;
+        }
+    }
+
+    /// Removes key `i` and returns it.
+    fn remove(&mut self, i: usize) -> Vec<u8> {
+        let key = self.get(i).to_vec();
+        self.delete(i);
+        key
+    }
+
+    fn pop(&mut self) -> Vec<u8> {
+        self.remove(self.len() - 1)
+    }
+
+    /// Puts `key` in slot `i`, returning the key that was there.
+    fn replace(&mut self, i: usize, key: &[u8]) -> Vec<u8> {
+        let old = self.remove(i);
+        self.insert(i, key);
+        old
+    }
+
+    /// Moves keys `at..` into a new list.
+    fn split_off(&mut self, at: usize) -> Keys {
+        let cut = self.start(at);
+        let mut right = Keys {
+            bytes: self.bytes.split_off(cut),
+            ends: self.ends.split_off(at),
+        };
+        let cut = Self::offset(cut);
+        for end in &mut right.ends {
+            *end -= cut;
+        }
+        right
+    }
+
+    fn append(&mut self, other: &Keys) {
+        let base = Self::offset(self.bytes.len());
+        self.bytes.extend_from_slice(&other.bytes);
+        self.ends.extend(other.ends.iter().map(|end| end + base));
+    }
+}
+
+/// An overflowing node's split: the separator key and the new right sibling.
+type Split = (Vec<u8>, Arc<Node>);
+
+impl Node {
+    fn len(&self) -> usize {
+        match self {
+            Node::Leaf { keys, .. } | Node::Inner { keys, .. } => keys.len(),
+        }
+    }
+}
+
+/// The child of an inner node whose subtree holds `key`.
+fn child_index(keys: &Keys, key: &[u8]) -> usize {
+    keys.partition_point(|k| k <= key)
+}
+
+/// The first slot of a leaf's `keys` that satisfies a lower bound.
+fn lower_index(keys: &Keys, bound: Bound<&[u8]>) -> usize {
+    match bound {
+        Bound::Included(k) => keys.partition_point(|x| x < k),
+        Bound::Excluded(k) => keys.partition_point(|x| x <= k),
+        Bound::Unbounded => 0,
+    }
+}
+
+fn owned_bound(b: Bound<&[u8]>) -> Option<(Vec<u8>, bool)> {
+    match b {
+        Bound::Unbounded => None,
+        Bound::Included(k) => Some((k.to_vec(), true)),
+        Bound::Excluded(k) => Some((k.to_vec(), false)),
+    }
 }
 
 /// Operation counters for one tree (see [`BTree::counters`]).
@@ -77,9 +257,7 @@ impl BTreeCounters {
 /// The B+tree. See the module docs.
 #[derive(Debug)]
 pub struct BTree {
-    nodes: Vec<Node>,
-    free: Vec<u32>,
-    root: u32,
+    root: Arc<Node>,
     len: u64,
     descents: AtomicU64,
     descent_reuses: AtomicU64,
@@ -94,15 +272,14 @@ impl Default for BTree {
 }
 
 impl Clone for BTree {
-    /// Deep copy for catalog copy-on-write: a published snapshot shares a
-    /// table until a writer touches it, at which point the whole tree is
-    /// cloned. Counters are carried over as fresh atomics so the copy's
-    /// totals start where the original's were.
+    /// A new version sharing every node with `self`: one root `Arc` and the
+    /// counters, nothing else. Either copy's later writes path-copy the
+    /// nodes they touch, so neither ever sees the other's changes. Counters
+    /// are carried over as fresh atomics so the copy's totals start where
+    /// the original's were.
     fn clone(&self) -> Self {
         BTree {
-            nodes: self.nodes.clone(),
-            free: self.free.clone(),
-            root: self.root,
+            root: Arc::clone(&self.root),
             len: self.len,
             descents: AtomicU64::new(self.descents.load(Ordering::Relaxed)),
             descent_reuses: AtomicU64::new(self.descent_reuses.load(Ordering::Relaxed)),
@@ -116,14 +293,10 @@ impl BTree {
     /// An empty tree.
     pub fn new() -> Self {
         BTree {
-            nodes: vec![Node::Leaf {
-                keys: Vec::new(),
+            root: Arc::new(Node::Leaf {
+                keys: Keys::default(),
                 vals: Vec::new(),
-                next: NIL,
-                prev: NIL,
-            }],
-            free: Vec::new(),
-            root: 0,
+            }),
             len: 0,
             descents: AtomicU64::new(0),
             descent_reuses: AtomicU64::new(0),
@@ -145,7 +318,7 @@ impl BTree {
 
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-        // Every bump marks one unit of tree work (a descent, a leaf-link
+        // Every bump marks one unit of tree work (a descent, a leaf
         // advance, a split); charge it against the governing scope, if any.
         // Iterators cannot return errors, so a tripped limit latches here
         // and surfaces at the caller's next fallible checkpoint.
@@ -167,39 +340,15 @@ impl BTree {
         *self = BTree::new();
     }
 
-    fn alloc(&mut self, node: Node) -> u32 {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = node;
-            id
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        }
-    }
-
-    fn dealloc(&mut self, id: u32) {
-        self.nodes[id as usize] = Node::Free;
-        self.free.push(id);
-    }
-
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
         Self::bump(&self.descents);
         let _span = crate::trace::span("btree.descent");
-        let mut cur = self.root;
+        let mut node = self.root.as_ref();
         loop {
-            match &self.nodes[cur as usize] {
-                Node::Inner { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    cur = children[idx];
-                }
-                Node::Leaf { keys, vals, .. } => {
-                    return keys
-                        .binary_search_by(|k| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| vals[i]);
-                }
-                Node::Free => unreachable!("walked into a freed node"),
+            match node {
+                Node::Inner { keys, children } => node = children[child_index(keys, key)].as_ref(),
+                Node::Leaf { keys, vals } => return keys.find(key).ok().map(|i| vals[i]),
             }
         }
     }
@@ -212,15 +361,25 @@ impl BTree {
     /// Inserts `key -> val`. Returns the previous value if the key existed
     /// (in which case the value was replaced).
     pub fn insert(&mut self, key: &[u8], val: u64) -> Option<u64> {
+        self.put(key, val, true)
+    }
+
+    /// Inserts `key -> val` only if `key` is absent, in one descent.
+    /// Returns `false`, leaving every entry as it was, when `key` exists.
+    pub fn insert_new(&mut self, key: &[u8], val: u64) -> bool {
+        self.put(key, val, false).is_none()
+    }
+
+    fn put(&mut self, key: &[u8], val: u64, overwrite: bool) -> Option<u64> {
         Self::bump(&self.descents);
         let _span = crate::trace::span("btree.descent");
-        let (split, old) = self.insert_rec(self.root, key, val);
+        let (split, old) = Self::insert_rec(&mut self.root, key, val, overwrite, &self.splits);
         if let Some((sep, right)) = split {
-            let new_root = self.alloc(Node::Inner {
-                keys: vec![sep],
-                children: vec![self.root, right],
+            let left = Arc::clone(&self.root);
+            self.root = Arc::new(Node::Inner {
+                keys: Keys::single(&sep),
+                children: vec![left, right],
             });
-            self.root = new_root;
         }
         if old.is_none() {
             self.len += 1;
@@ -228,83 +387,65 @@ impl BTree {
         old
     }
 
+    /// Inserts below `node`, returning the split-off right sibling (with
+    /// its separator) if `node` overflowed, and the key's previous value.
     fn insert_rec(
-        &mut self,
-        node: u32,
+        node: &mut Arc<Node>,
         key: &[u8],
         val: u64,
-    ) -> (Option<(Vec<u8>, u32)>, Option<u64>) {
-        match &mut self.nodes[node as usize] {
-            Node::Leaf {
-                keys, vals, next, ..
-            } => {
-                match keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        let old = vals[i];
+        overwrite: bool,
+        splits: &AtomicU64,
+    ) -> (Option<Split>, Option<u64>) {
+        match Arc::make_mut(node) {
+            Node::Leaf { keys, vals } => match keys.find(key) {
+                Ok(i) => {
+                    let old = vals[i];
+                    if overwrite {
                         vals[i] = val;
-                        (None, Some(old))
                     }
-                    Err(i) => {
-                        keys.insert(i, key.to_vec());
-                        vals.insert(i, val);
-                        if keys.len() <= MAX_KEYS {
-                            return (None, None);
-                        }
-                        // Split.
-                        let mid = keys.len() / 2;
-                        let right_keys = keys.split_off(mid);
-                        let right_vals = vals.split_off(mid);
-                        let sep = right_keys[0].clone();
-                        let old_next = *next;
-                        // The leaf borrow ends here; allocate the right sibling.
-                        let right = self.alloc(Node::Leaf {
-                            keys: right_keys,
-                            vals: right_vals,
-                            next: old_next,
-                            prev: node,
-                        });
-                        Self::bump(&self.splits);
-                        // Re-borrow to fix the left leaf's next pointer.
-                        if let Node::Leaf { next, .. } = &mut self.nodes[node as usize] {
-                            *next = right;
-                        }
-                        if old_next != NIL {
-                            if let Node::Leaf { prev, .. } = &mut self.nodes[old_next as usize] {
-                                *prev = right;
-                            }
-                        }
-                        (Some((sep, right)), None)
-                    }
+                    (None, Some(old))
                 }
-            }
-            Node::Inner { keys, children } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let child = children[idx];
-                let (split, old) = self.insert_rec(child, key, val);
-                if let Some((sep, right)) = split {
-                    let Node::Inner { keys, children } = &mut self.nodes[node as usize] else {
-                        unreachable!()
+                Err(i) => {
+                    keys.insert(i, key);
+                    vals.insert(i, val);
+                    if keys.len() <= MAX_KEYS {
+                        return (None, None);
+                    }
+                    let mid = keys.len() / 2;
+                    let right_keys = keys.split_off(mid);
+                    let right_vals = vals.split_off(mid);
+                    let sep = right_keys.get(0).to_vec();
+                    Self::bump(splits);
+                    let right = Node::Leaf {
+                        keys: right_keys,
+                        vals: right_vals,
                     };
-                    keys.insert(idx, sep);
+                    (Some((sep, Arc::new(right))), None)
+                }
+            },
+            Node::Inner { keys, children } => {
+                let idx = child_index(keys, key);
+                let (split, old) =
+                    Self::insert_rec(&mut children[idx], key, val, overwrite, splits);
+                if let Some((sep, right)) = split {
+                    keys.insert(idx, &sep);
                     children.insert(idx + 1, right);
                     if keys.len() > MAX_KEYS {
                         // Split the inner node; the middle key moves up.
                         let mid = keys.len() / 2;
-                        let promote = keys[mid].clone();
                         let right_keys = keys.split_off(mid + 1);
-                        keys.pop(); // drop the promoted key from the left
+                        let promote = keys.pop();
                         let right_children = children.split_off(mid + 1);
-                        let right = self.alloc(Node::Inner {
+                        Self::bump(splits);
+                        let right = Node::Inner {
                             keys: right_keys,
                             children: right_children,
-                        });
-                        Self::bump(&self.splits);
-                        return (Some((promote, right)), old);
+                        };
+                        return (Some((promote, Arc::new(right))), old);
                     }
                 }
                 (None, old)
             }
-            Node::Free => unreachable!("walked into a freed node"),
         }
     }
 
@@ -312,388 +453,240 @@ impl BTree {
     pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
         Self::bump(&self.descents);
         let _span = crate::trace::span("btree.descent");
-        let removed = self.remove_rec(self.root, key);
+        let removed = Self::remove_rec(&mut self.root, key);
         if removed.is_some() {
             self.len -= 1;
         }
-        // Collapse a root inner node with a single child.
-        if let Node::Inner { children, keys } = &self.nodes[self.root as usize] {
-            if keys.is_empty() && children.len() == 1 {
-                let child = children[0];
-                let old_root = self.root;
-                self.root = child;
-                self.dealloc(old_root);
-            }
+        // Collapse a root inner node left with a single child.
+        let only_child = match self.root.as_ref() {
+            Node::Inner { keys, children } if keys.is_empty() => Some(Arc::clone(&children[0])),
+            _ => None,
+        };
+        if let Some(child) = only_child {
+            self.root = child;
         }
         removed
     }
 
-    fn remove_rec(&mut self, node: u32, key: &[u8]) -> Option<u64> {
-        match &mut self.nodes[node as usize] {
-            Node::Leaf { keys, vals, .. } => {
-                match keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        keys.remove(i);
-                        Some(vals.remove(i))
-                    }
-                    Err(_) => None,
-                }
+    fn remove_rec(node: &mut Arc<Node>, key: &[u8]) -> Option<u64> {
+        match Arc::make_mut(node) {
+            Node::Leaf { keys, vals } => {
+                let i = keys.find(key).ok()?;
+                keys.delete(i);
+                Some(vals.remove(i))
             }
             Node::Inner { keys, children } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let child = children[idx];
-                let removed = self.remove_rec(child, key)?;
-                self.rebalance_child(node, idx);
+                let idx = child_index(keys, key);
+                let removed = Self::remove_rec(&mut children[idx], key)?;
+                Self::rebalance_child(keys, children, idx);
                 Some(removed)
             }
-            Node::Free => unreachable!("walked into a freed node"),
         }
     }
 
-    fn node_len(&self, id: u32) -> usize {
-        match &self.nodes[id as usize] {
-            Node::Leaf { keys, .. } => keys.len(),
-            Node::Inner { keys, .. } => keys.len(),
-            Node::Free => unreachable!(),
-        }
-    }
-
-    /// After a removal in `children[idx]` of inner node `parent`, restore the
+    /// After a removal in `children[idx]` of an inner node, restore the
     /// minimum-fill invariant by borrowing from a sibling or merging.
-    fn rebalance_child(&mut self, parent: u32, idx: usize) {
-        let Node::Inner { children, .. } = &self.nodes[parent as usize] else {
-            unreachable!()
-        };
-        let child = children[idx];
-        if self.node_len(child) >= MIN_KEYS {
+    fn rebalance_child(keys: &mut Keys, children: &mut Vec<Arc<Node>>, idx: usize) {
+        if children[idx].len() >= MIN_KEYS {
             return;
         }
-        let n_children = {
-            let Node::Inner { children, .. } = &self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            children.len()
-        };
-        // Try borrowing from the left sibling.
-        if idx > 0 {
-            let Node::Inner { children, .. } = &self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            let left = children[idx - 1];
-            if self.node_len(left) > MIN_KEYS {
-                self.borrow_from_left(parent, idx);
-                return;
-            }
-        }
-        // Try borrowing from the right sibling.
-        if idx + 1 < n_children {
-            let Node::Inner { children, .. } = &self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            let right = children[idx + 1];
-            if self.node_len(right) > MIN_KEYS {
-                self.borrow_from_right(parent, idx);
-                return;
-            }
-        }
-        // Merge with a sibling.
-        if idx > 0 {
-            self.merge_children(parent, idx - 1);
-        } else if idx + 1 < n_children {
-            self.merge_children(parent, idx);
+        if idx > 0 && children[idx - 1].len() > MIN_KEYS {
+            Self::borrow_from_left(keys, children, idx);
+        } else if idx + 1 < children.len() && children[idx + 1].len() > MIN_KEYS {
+            Self::borrow_from_right(keys, children, idx);
+        } else if idx > 0 {
+            Self::merge_children(keys, children, idx - 1);
+        } else if idx + 1 < children.len() {
+            Self::merge_children(keys, children, idx);
         }
     }
 
     /// Moves the last entry of `children[idx-1]` into `children[idx]`.
-    fn borrow_from_left(&mut self, parent: u32, idx: usize) {
-        let (left_id, child_id, sep_idx) = {
-            let Node::Inner { children, .. } = &self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            (children[idx - 1], children[idx], idx - 1)
-        };
-        let is_leaf = matches!(self.nodes[child_id as usize], Node::Leaf { .. });
-        if is_leaf {
-            let (k, v) = {
-                let Node::Leaf { keys, vals, .. } = &mut self.nodes[left_id as usize] else {
-                    unreachable!()
-                };
-                (
-                    keys.pop().expect("left has > MIN"),
-                    vals.pop().expect("left has > MIN"),
-                )
-            };
-            let new_sep = k.clone();
-            {
-                let Node::Leaf { keys, vals, .. } = &mut self.nodes[child_id as usize] else {
-                    unreachable!()
-                };
-                keys.insert(0, k);
-                vals.insert(0, v);
+    fn borrow_from_left(keys: &mut Keys, children: &mut [Arc<Node>], idx: usize) {
+        let (head, tail) = children.split_at_mut(idx);
+        match (
+            Arc::make_mut(&mut head[idx - 1]),
+            Arc::make_mut(&mut tail[0]),
+        ) {
+            (
+                Node::Leaf { keys: lk, vals: lv },
+                Node::Leaf {
+                    keys: ck, vals: cv, ..
+                },
+            ) => {
+                let k = lk.pop();
+                let v = lv.pop().expect("left has > MIN");
+                keys.replace(idx - 1, &k);
+                ck.insert(0, &k);
+                cv.insert(0, v);
             }
-            let Node::Inner { keys, .. } = &mut self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            keys[sep_idx] = new_sep;
-        } else {
-            // Rotate through the parent separator.
-            let old_sep = {
-                let Node::Inner { keys, .. } = &self.nodes[parent as usize] else {
-                    unreachable!()
-                };
-                keys[sep_idx].clone()
-            };
-            let (k, c) = {
-                let Node::Inner { keys, children } = &mut self.nodes[left_id as usize] else {
-                    unreachable!()
-                };
-                (
-                    keys.pop().expect("left has > MIN"),
-                    children.pop().expect("left has > MIN"),
-                )
-            };
-            {
-                let Node::Inner { keys, children } = &mut self.nodes[child_id as usize] else {
-                    unreachable!()
-                };
-                keys.insert(0, old_sep);
-                children.insert(0, c);
+            (
+                Node::Inner {
+                    keys: lk,
+                    children: lc,
+                },
+                Node::Inner {
+                    keys: ck,
+                    children: cc,
+                },
+            ) => {
+                // Rotate through the parent separator.
+                let k = lk.pop();
+                let c = lc.pop().expect("left has > MIN");
+                ck.insert(0, &keys.replace(idx - 1, &k));
+                cc.insert(0, c);
             }
-            let Node::Inner { keys, .. } = &mut self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            keys[sep_idx] = k;
+            _ => unreachable!("siblings sit at one level"),
         }
     }
 
     /// Moves the first entry of `children[idx+1]` into `children[idx]`.
-    fn borrow_from_right(&mut self, parent: u32, idx: usize) {
-        let (child_id, right_id, sep_idx) = {
-            let Node::Inner { children, .. } = &self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            (children[idx], children[idx + 1], idx)
-        };
-        let is_leaf = matches!(self.nodes[child_id as usize], Node::Leaf { .. });
-        if is_leaf {
-            let (k, v, new_sep) = {
-                let Node::Leaf { keys, vals, .. } = &mut self.nodes[right_id as usize] else {
-                    unreachable!()
-                };
-                let k = keys.remove(0);
-                let v = vals.remove(0);
-                (k, v, keys[0].clone())
-            };
-            {
-                let Node::Leaf { keys, vals, .. } = &mut self.nodes[child_id as usize] else {
-                    unreachable!()
-                };
-                keys.push(k);
-                vals.push(v);
+    fn borrow_from_right(keys: &mut Keys, children: &mut [Arc<Node>], idx: usize) {
+        let (head, tail) = children.split_at_mut(idx + 1);
+        match (Arc::make_mut(&mut head[idx]), Arc::make_mut(&mut tail[0])) {
+            (Node::Leaf { keys: ck, vals: cv }, Node::Leaf { keys: rk, vals: rv }) => {
+                ck.push(&rk.remove(0));
+                cv.push(rv.remove(0));
+                keys.replace(idx, rk.get(0));
             }
-            let Node::Inner { keys, .. } = &mut self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            keys[sep_idx] = new_sep;
-        } else {
-            let old_sep = {
-                let Node::Inner { keys, .. } = &self.nodes[parent as usize] else {
-                    unreachable!()
-                };
-                keys[sep_idx].clone()
-            };
-            let (k, c) = {
-                let Node::Inner { keys, children } = &mut self.nodes[right_id as usize] else {
-                    unreachable!()
-                };
-                (keys.remove(0), children.remove(0))
-            };
-            {
-                let Node::Inner { keys, children } = &mut self.nodes[child_id as usize] else {
-                    unreachable!()
-                };
-                keys.push(old_sep);
-                children.push(c);
+            (
+                Node::Inner {
+                    keys: ck,
+                    children: cc,
+                },
+                Node::Inner {
+                    keys: rk,
+                    children: rc,
+                },
+            ) => {
+                let k = rk.remove(0);
+                ck.push(&keys.replace(idx, &k));
+                cc.push(rc.remove(0));
             }
-            let Node::Inner { keys, .. } = &mut self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            keys[sep_idx] = k;
+            _ => unreachable!("siblings sit at one level"),
         }
     }
 
     /// Merges `children[idx+1]` into `children[idx]` and drops the separator.
-    fn merge_children(&mut self, parent: u32, idx: usize) {
-        let (left_id, right_id, sep) = {
-            let Node::Inner { keys, children } = &mut self.nodes[parent as usize] else {
-                unreachable!()
-            };
-            let left = children[idx];
-            let right = children.remove(idx + 1);
-            let sep = keys.remove(idx);
-            (left, right, sep)
-        };
-        let right_node = std::mem::replace(&mut self.nodes[right_id as usize], Node::Free);
-        self.free.push(right_id);
-        match right_node {
-            Node::Leaf {
-                keys: rkeys,
-                vals: rvals,
-                next: rnext,
-                ..
-            } => {
-                let Node::Leaf {
-                    keys, vals, next, ..
-                } = &mut self.nodes[left_id as usize]
-                else {
-                    unreachable!()
-                };
-                keys.extend(rkeys);
-                vals.extend(rvals);
-                *next = rnext;
-                if rnext != NIL {
-                    if let Node::Leaf { prev, .. } = &mut self.nodes[rnext as usize] {
-                        *prev = left_id;
-                    }
-                }
+    fn merge_children(keys: &mut Keys, children: &mut Vec<Arc<Node>>, idx: usize) {
+        let sep = keys.remove(idx);
+        let right = Arc::unwrap_or_clone(children.remove(idx + 1));
+        match (Arc::make_mut(&mut children[idx]), right) {
+            (Node::Leaf { keys: lk, vals: lv }, Node::Leaf { keys: rk, vals: rv }) => {
+                lk.append(&rk);
+                lv.extend(rv);
             }
-            Node::Inner {
-                keys: rkeys,
-                children: rchildren,
-            } => {
-                let Node::Inner { keys, children } = &mut self.nodes[left_id as usize] else {
-                    unreachable!()
-                };
-                keys.push(sep);
-                keys.extend(rkeys);
-                children.extend(rchildren);
+            (
+                Node::Inner {
+                    keys: lk,
+                    children: lc,
+                },
+                Node::Inner {
+                    keys: rk,
+                    children: rc,
+                },
+            ) => {
+                lk.push(&sep);
+                lk.append(&rk);
+                lc.extend(rc);
             }
-            Node::Free => unreachable!(),
+            _ => unreachable!("siblings sit at one level"),
         }
     }
 
-    /// Finds `(leaf, index)` of the first entry `>=`/`>` the bound, walking
+    /// Positions a cursor at the first entry `>=`/`>` the bound, walking
     /// down from the root.
-    fn seek_lower(&self, bound: Bound<&[u8]>) -> (u32, usize) {
+    fn seek(&self, bound: Bound<&[u8]>) -> (Cursor<'_>, usize) {
         Self::bump(&self.descents);
         let _span = crate::trace::span("btree.descent");
-        let key = match bound {
-            Bound::Unbounded => {
-                // Leftmost leaf.
-                let mut cur = self.root;
-                loop {
-                    match &self.nodes[cur as usize] {
-                        Node::Inner { children, .. } => cur = children[0],
-                        Node::Leaf { .. } => return (cur, 0),
-                        Node::Free => unreachable!(),
-                    }
-                }
+        let cur = match bound {
+            Bound::Unbounded => Cursor::descend(&self.root, |_| 0),
+            Bound::Included(k) | Bound::Excluded(k) => {
+                Cursor::descend(&self.root, |keys| child_index(keys, k))
             }
-            Bound::Included(k) | Bound::Excluded(k) => k,
         };
-        let mut cur = self.root;
-        loop {
-            match &self.nodes[cur as usize] {
-                Node::Inner { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    cur = children[idx];
-                }
-                Node::Leaf { keys, .. } => {
-                    let idx = match bound {
-                        Bound::Included(k) => keys.partition_point(|x| x.as_slice() < k),
-                        Bound::Excluded(k) => keys.partition_point(|x| x.as_slice() <= k),
-                        Bound::Unbounded => 0,
-                    };
-                    return (cur, idx);
-                }
-                Node::Free => unreachable!(),
-            }
-        }
+        let idx = lower_index(cur.keys, bound);
+        (cur, idx)
     }
 
     /// Ascending iterator over entries in `(lower, upper)` bounds.
     pub fn range(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> Range<'_> {
-        let (leaf, idx) = self.seek_lower(lower);
+        let (cur, idx) = self.seek(lower);
         Self::bump(&self.leaf_scans);
         Range {
             tree: self,
-            leaf,
+            cur,
             idx,
-            done: false,
-            upper: match upper {
-                Bound::Unbounded => None,
-                Bound::Included(k) => Some((k.to_vec(), true)),
-                Bound::Excluded(k) => Some((k.to_vec(), false)),
-            },
+            stopped: false,
+            exhausted: false,
+            upper: owned_bound(upper),
         }
     }
 
     /// Like [`BTree::range`], but tries to resume from `finger` — the
-    /// position a previous ascending scan over this (unmodified) tree
-    /// stopped at — by walking leaf sibling links instead of descending
-    /// from the root. Falls back to a plain descent when the finger cannot
-    /// prove itself valid for `lower` (target precedes it, the walk would
-    /// exceed [`FINGER_WALK_LIMIT`] leaves, or the node id went stale).
+    /// position a previous ascending scan over this tree stopped at — by
+    /// stepping leaf to leaf instead of descending from the root. Falls
+    /// back to a plain descent when the finger cannot prove itself valid
+    /// for `lower` (target precedes it, the walk would exceed
+    /// [`FINGER_WALK_LIMIT`] leaves, or it was taken on another tree or
+    /// another version of this one).
     ///
     /// The batched multi-range executor calls this with the ascending
     /// disjoint ranges of one statement: each range after the first then
-    /// costs a short sibling walk (`descent_reuses`) instead of a full
+    /// costs a short leaf walk (`descent_reuses`) instead of a full
     /// root-to-leaf descent (`descents`).
-    pub fn range_from(
-        &self,
-        finger: Option<Finger>,
+    pub fn range_from<'a>(
+        &'a self,
+        finger: Option<Finger<'a>>,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
-    ) -> Range<'_> {
-        if let Some(fg) = finger {
-            if let Some((leaf, idx)) = self.seek_from(fg, lower) {
-                Self::bump(&self.descent_reuses);
-                Self::bump(&self.leaf_scans);
-                return Range {
-                    tree: self,
-                    leaf,
-                    idx,
-                    done: false,
-                    upper: match upper {
-                        Bound::Unbounded => None,
-                        Bound::Included(k) => Some((k.to_vec(), true)),
-                        Bound::Excluded(k) => Some((k.to_vec(), false)),
-                    },
-                };
-            }
+    ) -> Range<'a> {
+        if let Some((cur, idx)) = finger.and_then(|fg| self.seek_from(fg, lower)) {
+            Self::bump(&self.descent_reuses);
+            Self::bump(&self.leaf_scans);
+            return Range {
+                tree: self,
+                cur,
+                idx,
+                stopped: false,
+                exhausted: false,
+                upper: owned_bound(upper),
+            };
         }
         self.range(lower, upper)
     }
 
-    /// Finds `(leaf, index)` of the first entry satisfying `bound` by
-    /// walking forward from `finger`, or `None` when the finger cannot be
-    /// used (the caller then descends from the root).
+    /// Positions a cursor at the first entry satisfying `bound` by walking
+    /// forward from `finger`, or `None` when the finger cannot be used (the
+    /// caller then descends from the root).
     ///
     /// Self-validating: the position is accepted only if the entry
     /// immediately *before* the finger is excluded by the bound (so the
-    /// first match provably cannot lie to its left), and a finger whose
-    /// node id no longer names a leaf — the tree changed — is rejected
-    /// rather than trusted.
-    fn seek_from(&self, finger: Finger, bound: Bound<&[u8]>) -> Option<(u32, usize)> {
+    /// first match provably cannot lie to its left). The finger borrows the
+    /// tree it came from, so that tree cannot have changed under it; a
+    /// finger whose root is not this tree's root — another tree, or a clone
+    /// that has since been written — is rejected rather than trusted.
+    fn seek_from<'a>(
+        &'a self,
+        finger: Finger<'a>,
+        bound: Bound<&[u8]>,
+    ) -> Option<(Cursor<'a>, usize)> {
         // An unbounded lower targets the leftmost leaf; nothing to reuse.
-        if matches!(bound, Bound::Unbounded) {
+        if matches!(bound, Bound::Unbounded) || !std::ptr::eq(finger.root, self.root.as_ref()) {
             return None;
         }
-        let Some(Node::Leaf { keys, prev, .. }) = self.nodes.get(finger.leaf as usize) else {
-            return None; // stale finger: node freed or repurposed
-        };
-        let idx = finger.idx.min(keys.len());
+        let Finger { mut cur, idx, .. } = finger;
         // The nearest entry to the left of the finger position (possibly in
         // the previous leaf). Sorted order makes this one comparison
         // sufficient to prove every entry before the finger is excluded.
         let pred: Option<&[u8]> = if idx > 0 {
-            Some(keys[idx - 1].as_slice())
-        } else if *prev == NIL {
-            None // beginning of the tree: trivially valid
+            Some(cur.keys.get(idx - 1))
         } else {
-            match self.nodes.get(*prev as usize) {
-                Some(Node::Leaf { keys: pkeys, .. }) => pkeys.last().map(|k| k.as_slice()),
-                _ => return None,
+            let mut back = cur;
+            if back.prev_leaf() {
+                back.keys.last()
+            } else {
+                None // beginning of the tree: trivially valid
             }
         };
         if let Some(p) = pred {
@@ -706,82 +699,52 @@ impl BTree {
                 return None;
             }
         }
-        // Walk sibling links to the first entry satisfying the bound.
-        let mut cur = finger.leaf;
+        // Walk forward to the first entry satisfying the bound.
         let mut steps = 0;
         loop {
-            let Some(Node::Leaf { keys, next, .. }) = self.nodes.get(cur as usize) else {
-                return None;
-            };
-            let pos = match bound {
-                Bound::Included(k) => keys.partition_point(|x| x.as_slice() < k),
-                Bound::Excluded(k) => keys.partition_point(|x| x.as_slice() <= k),
-                Bound::Unbounded => 0,
-            };
-            if pos < keys.len() || *next == NIL {
+            let pos = lower_index(cur.keys, bound);
+            if pos < cur.keys.len() || !cur.next_leaf() {
                 return Some((cur, pos));
             }
             steps += 1;
             if steps > FINGER_WALK_LIMIT {
                 return None; // gap too wide: a root descent is cheaper
             }
-            cur = *next;
         }
     }
 
     /// Descending iterator over entries in `(lower, upper)` bounds.
     pub fn range_rev(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> RangeRev<'_> {
         // Position one past the last entry within `upper`.
-        let (mut leaf, mut idx) = match &upper {
+        let (mut cur, mut idx) = match upper {
             Bound::Unbounded => {
                 Self::bump(&self.descents);
                 let _span = crate::trace::span("btree.descent");
-                let mut cur = self.root;
-                loop {
-                    match &self.nodes[cur as usize] {
-                        Node::Inner { children, .. } => {
-                            cur = *children.last().expect("inner node has children")
-                        }
-                        Node::Leaf { keys, .. } => break (cur, keys.len()),
-                        Node::Free => unreachable!(),
-                    }
-                }
+                let cur = Cursor::descend(&self.root, |keys| keys.len());
+                (cur, cur.keys.len())
             }
-            Bound::Included(k) => {
-                let (leaf, idx) = self.seek_lower(Bound::Excluded(*k));
-                (leaf, idx)
-            }
-            Bound::Excluded(k) => {
-                let (leaf, idx) = self.seek_lower(Bound::Included(*k));
-                (leaf, idx)
-            }
+            Bound::Included(k) => self.seek(Bound::Excluded(k)),
+            Bound::Excluded(k) => self.seek(Bound::Included(k)),
         };
-        // If idx == 0, step to the previous leaf.
+        // At a leaf's first slot, the last entry within `upper` is in the
+        // previous leaf; with none, the range is empty.
+        let mut exhausted = false;
         if idx == 0 {
-            let prev = match &self.nodes[leaf as usize] {
-                Node::Leaf { prev, .. } => *prev,
-                _ => unreachable!(),
-            };
-            if prev == NIL {
-                // Empty range: mark exhausted with leaf = NIL.
-                leaf = NIL;
+            if cur.prev_leaf() {
+                idx = cur.keys.len();
             } else {
-                leaf = prev;
-                idx = self.node_len(leaf);
+                exhausted = true;
             }
         }
-        if leaf != NIL {
+        if !exhausted {
             Self::bump(&self.leaf_scans);
         }
         RangeRev {
             tree: self,
-            leaf,
+            cur,
             idx,
-            lower: match lower {
-                Bound::Unbounded => None,
-                Bound::Included(k) => Some((k.to_vec(), true)),
-                Bound::Excluded(k) => Some((k.to_vec(), false)),
-            },
+            exhausted,
+            lower: owned_bound(lower),
         }
     }
 
@@ -790,19 +753,42 @@ impl BTree {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
+    /// Levels from the root to the leaves (1 for a lone root leaf).
+    #[cfg(test)]
+    pub(crate) fn height(&self) -> usize {
+        Cursor::descend(&self.root, |_| 0).depth + 1
+    }
+
+    /// `(nodes, shared)`: how many nodes this tree has, and how many of
+    /// them are the very allocations `other` also holds (not equal copies).
+    #[cfg(test)]
+    pub(crate) fn node_sharing(&self, other: &BTree) -> (usize, usize) {
+        fn collect(node: &Arc<Node>, out: &mut Vec<*const Node>) {
+            out.push(Arc::as_ptr(node));
+            if let Node::Inner { children, .. } = node.as_ref() {
+                for c in children {
+                    collect(c, out);
+                }
+            }
+        }
+        let (mut mine, mut theirs) = (Vec::new(), Vec::new());
+        collect(&self.root, &mut mine);
+        collect(&other.root, &mut theirs);
+        let theirs: std::collections::HashSet<_> = theirs.into_iter().collect();
+        let shared = mine.iter().filter(|p| theirs.contains(p)).count();
+        (mine.len(), shared)
+    }
+
     #[cfg(test)]
     fn check_invariants(&self) {
-        fn walk(
-            tree: &BTree,
-            node: u32,
-            depth: usize,
-            leaf_depth: &mut Option<usize>,
-            is_root: bool,
-        ) {
-            match &tree.nodes[node as usize] {
-                Node::Leaf { keys, vals, .. } => {
+        fn sorted(keys: &Keys) -> bool {
+            (1..keys.len()).all(|i| keys.get(i - 1) < keys.get(i))
+        }
+        fn walk(node: &Node, depth: usize, leaf_depth: &mut Option<usize>, is_root: bool) {
+            match node {
+                Node::Leaf { keys, vals } => {
                     assert_eq!(keys.len(), vals.len());
-                    assert!(keys.windows(2).all(|w| w[0] < w[1]), "leaf keys sorted");
+                    assert!(sorted(keys), "leaf keys sorted");
                     if !is_root {
                         assert!(keys.len() >= MIN_KEYS.min(1), "leaf fill");
                     }
@@ -813,7 +799,7 @@ impl BTree {
                 }
                 Node::Inner { keys, children } => {
                     assert_eq!(children.len(), keys.len() + 1);
-                    assert!(keys.windows(2).all(|w| w[0] < w[1]), "inner keys sorted");
+                    assert!(sorted(keys), "inner keys sorted");
                     if !is_root {
                         assert!(
                             keys.len() >= MIN_KEYS,
@@ -821,55 +807,164 @@ impl BTree {
                             keys.len()
                         );
                     }
-                    for &c in children {
-                        walk(tree, c, depth + 1, leaf_depth, false);
+                    for c in children {
+                        walk(c, depth + 1, leaf_depth, false);
                     }
                 }
-                Node::Free => panic!("live tree references a freed node"),
             }
         }
         let mut leaf_depth = None;
-        walk(self, self.root, 0, &mut leaf_depth, true);
+        walk(&self.root, 0, &mut leaf_depth, true);
     }
 }
 
-/// An opaque resume position: the leaf/slot where an ascending scan
+/// Fills the unused levels of a cursor's parent stack.
+static NO_NODE: Node = Node::Leaf {
+    keys: Keys {
+        bytes: Vec::new(),
+        ends: Vec::new(),
+    },
+    vals: Vec::new(),
+};
+/// A cursor's leaf keys before its first descent.
+static NO_KEYS: Keys = Keys {
+    bytes: Vec::new(),
+    ends: Vec::new(),
+};
+
+/// A root-to-leaf position: each inner level's node with the index of the
+/// child taken there, then the leaf's entries. Fixed-size, compact and
+/// `Copy`, so keeping a scan's place allocates nothing; stepping to a
+/// neighbouring leaf climbs only to the nearest ancestor with a child on
+/// that side.
+#[derive(Clone, Copy)]
+struct Cursor<'a> {
+    inner: [&'a Node; MAX_DEPTH],
+    /// Child index taken at each level (`MAX_KEYS + 1` fits a byte).
+    taken: [u8; MAX_DEPTH],
+    depth: usize,
+    keys: &'a Keys,
+    vals: &'a [u64],
+}
+
+impl<'a> Cursor<'a> {
+    /// Descends from `root`, taking child `pick(separators)` at each inner
+    /// level.
+    fn descend(root: &'a Node, pick: impl Fn(&Keys) -> usize) -> Self {
+        let mut cur = Cursor {
+            inner: [&NO_NODE; MAX_DEPTH],
+            taken: [0; MAX_DEPTH],
+            depth: 0,
+            keys: &NO_KEYS,
+            vals: &[],
+        };
+        cur.descend_from(root, pick);
+        cur
+    }
+
+    fn descend_from(&mut self, mut node: &'a Node, pick: impl Fn(&Keys) -> usize) {
+        loop {
+            match node {
+                Node::Inner { keys, children } => {
+                    let i = pick(keys);
+                    self.inner[self.depth] = node;
+                    self.taken[self.depth] = i as u8;
+                    self.depth += 1;
+                    node = children[i].as_ref();
+                }
+                Node::Leaf { keys, vals } => {
+                    self.keys = keys;
+                    self.vals = vals;
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The children of the inner node at level `d`.
+    fn children(&self, d: usize) -> &'a [Arc<Node>] {
+        match self.inner[d] {
+            Node::Inner { children, .. } => children,
+            Node::Leaf { .. } => &[],
+        }
+    }
+
+    /// Moves to the next leaf in key order; `false`, leaving the cursor
+    /// where it was, at the last leaf.
+    fn next_leaf(&mut self) -> bool {
+        for d in (0..self.depth).rev() {
+            let (children, i) = (self.children(d), usize::from(self.taken[d]));
+            if i + 1 < children.len() {
+                self.taken[d] += 1;
+                self.depth = d + 1;
+                self.descend_from(&children[i + 1], |_| 0);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Moves to the previous leaf in key order; `false`, leaving the cursor
+    /// where it was, at the first leaf.
+    fn prev_leaf(&mut self) -> bool {
+        for d in (0..self.depth).rev() {
+            let (children, i) = (self.children(d), usize::from(self.taken[d]));
+            if i > 0 {
+                self.taken[d] -= 1;
+                self.depth = d + 1;
+                self.descend_from(&children[i - 1], |keys| keys.len());
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// An opaque resume position: the cursor and slot where an ascending scan
 /// stopped, as returned by [`Range::finger`]. Feed it to
 /// [`BTree::range_from`] to position the next (key-ordered later) range by
-/// walking leaf links instead of re-descending from the root. Plain data —
-/// it borrows nothing — and safe to hold across tree mutations: a finger
-/// the tree can no longer validate degrades to a normal descent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Finger {
-    leaf: u32,
+/// stepping leaf to leaf instead of re-descending from the root. It borrows
+/// the tree it was taken on, which therefore cannot change while it lives.
+#[derive(Clone, Copy)]
+pub struct Finger<'a> {
+    root: &'a Node,
+    cur: Cursor<'a>,
     idx: usize,
+}
+
+impl std::fmt::Debug for Finger<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Finger")
+            .field("depth", &self.cur.depth)
+            .field("idx", &self.idx)
+            .finish()
+    }
 }
 
 /// Ascending range iterator. See [`BTree::range`].
 pub struct Range<'a> {
     tree: &'a BTree,
-    leaf: u32,
+    cur: Cursor<'a>,
     idx: usize,
-    /// Set when the upper bound stopped the scan — `leaf`/`idx` then hold
+    /// Set when the upper bound stopped the scan — `cur`/`idx` then hold
     /// the first out-of-range position, which [`Range::finger`] exposes
     /// for the next range to resume from.
-    done: bool,
+    stopped: bool,
+    /// Set when the scan ran off the end of the tree.
+    exhausted: bool,
     upper: Option<(Vec<u8>, bool)>,
 }
 
-impl Range<'_> {
+impl<'a> Range<'a> {
     /// The position this scan has reached, for [`BTree::range_from`] —
     /// `None` once the scan ran off the end of the tree (nothing follows,
     /// so there is nothing to resume from).
-    pub fn finger(&self) -> Option<Finger> {
-        if self.leaf == NIL {
-            None
-        } else {
-            Some(Finger {
-                leaf: self.leaf,
-                idx: self.idx,
-            })
-        }
+    pub fn finger(&self) -> Option<Finger<'a>> {
+        (!self.exhausted).then_some(Finger {
+            root: self.tree.root.as_ref(),
+            cur: self.cur,
+            idx: self.idx,
+        })
     }
 }
 
@@ -877,51 +972,45 @@ impl<'a> Iterator for Range<'a> {
     type Item = (&'a [u8], u64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.leaf == NIL || self.done {
+        if self.stopped || self.exhausted {
+            return None;
+        }
+        while self.idx >= self.cur.keys.len() {
+            if !self.cur.next_leaf() {
+                self.exhausted = true;
                 return None;
             }
-            let Node::Leaf {
-                keys, vals, next, ..
-            } = &self.tree.nodes[self.leaf as usize]
-            else {
-                unreachable!()
-            };
-            if self.idx >= keys.len() {
-                self.leaf = *next;
-                self.idx = 0;
-                if self.leaf != NIL {
-                    BTree::bump(&self.tree.leaf_scans);
-                }
-                continue;
-            }
-            let key = keys[self.idx].as_slice();
-            if let Some((upper, inclusive)) = &self.upper {
-                let in_range = if *inclusive {
-                    key <= upper.as_slice()
-                } else {
-                    key < upper.as_slice()
-                };
-                if !in_range {
-                    // Keep leaf/idx: they are the finger the next
-                    // key-ordered range resumes from.
-                    self.done = true;
-                    return None;
-                }
-            }
-            let val = vals[self.idx];
-            self.idx += 1;
-            return Some((key, val));
+            self.idx = 0;
+            BTree::bump(&self.tree.leaf_scans);
         }
+        let keys: &'a Keys = self.cur.keys;
+        let key = keys.get(self.idx);
+        if let Some((upper, inclusive)) = &self.upper {
+            let in_range = if *inclusive {
+                key <= upper.as_slice()
+            } else {
+                key < upper.as_slice()
+            };
+            if !in_range {
+                // Keep cur/idx: they are the finger the next key-ordered
+                // range resumes from.
+                self.stopped = true;
+                return None;
+            }
+        }
+        let val = self.cur.vals[self.idx];
+        self.idx += 1;
+        Some((key, val))
     }
 }
 
 /// Descending range iterator. See [`BTree::range_rev`].
 pub struct RangeRev<'a> {
     tree: &'a BTree,
-    leaf: u32,
+    cur: Cursor<'a>,
     /// One past the next entry to yield.
     idx: usize,
+    exhausted: bool,
     lower: Option<(Vec<u8>, bool)>,
 }
 
@@ -929,40 +1018,33 @@ impl<'a> Iterator for RangeRev<'a> {
     type Item = (&'a [u8], u64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.leaf == NIL {
+        if self.exhausted {
+            return None;
+        }
+        while self.idx == 0 {
+            if !self.cur.prev_leaf() {
+                self.exhausted = true;
                 return None;
             }
-            let Node::Leaf {
-                keys, vals, prev, ..
-            } = &self.tree.nodes[self.leaf as usize]
-            else {
-                unreachable!()
-            };
-            if self.idx == 0 {
-                self.leaf = *prev;
-                if self.leaf != NIL {
-                    self.idx = self.tree.node_len(self.leaf);
-                    BTree::bump(&self.tree.leaf_scans);
-                }
-                continue;
-            }
-            let key = keys[self.idx - 1].as_slice();
-            if let Some((lower, inclusive)) = &self.lower {
-                let in_range = if *inclusive {
-                    key >= lower.as_slice()
-                } else {
-                    key > lower.as_slice()
-                };
-                if !in_range {
-                    self.leaf = NIL;
-                    return None;
-                }
-            }
-            let val = vals[self.idx - 1];
-            self.idx -= 1;
-            return Some((key, val));
+            self.idx = self.cur.keys.len();
+            BTree::bump(&self.tree.leaf_scans);
         }
+        let keys: &'a Keys = self.cur.keys;
+        let key = keys.get(self.idx - 1);
+        if let Some((lower, inclusive)) = &self.lower {
+            let in_range = if *inclusive {
+                key >= lower.as_slice()
+            } else {
+                key > lower.as_slice()
+            };
+            if !in_range {
+                self.exhausted = true;
+                return None;
+            }
+        }
+        let val = self.cur.vals[self.idx - 1];
+        self.idx -= 1;
+        Some((key, val))
     }
 }
 
@@ -986,6 +1068,18 @@ mod tests {
         assert_eq!(t.get(&key(3)), Some(30));
         assert_eq!(t.get(&key(4)), None);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn insert_new_never_overwrites() {
+        let mut t = BTree::new();
+        assert!(t.insert_new(&key(5), 50));
+        assert!(!t.insert_new(&key(5), 55), "present key is refused");
+        assert_eq!(t.get(&key(5)), Some(50), "and keeps its value");
+        assert_eq!(t.len(), 1);
+        let before = t.counters().descents;
+        assert!(t.insert_new(&key(6), 60));
+        assert_eq!(t.counters().descents - before, 1, "one descent per call");
     }
 
     #[test]
@@ -1077,6 +1171,51 @@ mod tests {
     }
 
     #[test]
+    fn finger_at_a_leaf_boundary_checks_the_previous_leaf() {
+        let mut t = BTree::new();
+        for i in 0..2000u64 {
+            t.insert(&key(i), i);
+        }
+        // Stop a scan exactly at the first slot of some non-first leaf:
+        // the predecessor then lives in the previous leaf.
+        let boundary = (1..2000u64)
+            .find(|&i| {
+                let mut scan = t.range(Included(&key(0)), Excluded(&key(i)));
+                let _ = scan.by_ref().count();
+                scan.finger().is_some_and(|f| f.idx == 0)
+            })
+            .expect("some leaf starts after key 0");
+        let mut scan = t.range(Included(&key(0)), Excluded(&key(boundary)));
+        let _ = scan.by_ref().count();
+        let finger = scan.finger();
+        let before = t.counters();
+        // Target exactly at the boundary: the previous leaf's last key
+        // (boundary - 1) is excluded, so the finger is reused.
+        let got: Vec<u64> = t
+            .range_from(
+                finger,
+                Included(&key(boundary)),
+                Excluded(&key(boundary + 2)),
+            )
+            .map(|(_, v)| v)
+            .collect();
+        assert_eq!(got, vec![boundary, boundary + 1]);
+        assert_eq!(t.counters().descent_reuses - before.descent_reuses, 1);
+        // Target one before it: the previous leaf's last key is in range,
+        // so the finger must be refused.
+        let got: Vec<u64> = t
+            .range_from(
+                finger,
+                Included(&key(boundary - 1)),
+                Excluded(&key(boundary + 1)),
+            )
+            .map(|(_, v)| v)
+            .collect();
+        assert_eq!(got, vec![boundary - 1, boundary]);
+        assert_eq!(t.counters().descents - before.descents, 1);
+    }
+
+    #[test]
     fn finger_survives_wide_gaps_by_descending() {
         let mut t = BTree::new();
         for i in 0..20_000u64 {
@@ -1087,7 +1226,7 @@ mod tests {
         let finger = scan.finger();
         let before = t.counters();
         // The next range is thousands of keys away — farther than the
-        // bounded sibling walk — so the seek falls back to a descent.
+        // bounded leaf walk — so the seek falls back to a descent.
         let got: Vec<u64> = t
             .range_from(finger, Included(&key(19_990)), Unbounded)
             .map(|(_, v)| v)
@@ -1104,14 +1243,18 @@ mod tests {
         for i in 0..500u64 {
             t.insert(&key(i * 2), i);
         }
-        let mut scan = t.range(Included(&key(100)), Excluded(&key(120)));
+        // A finger can only outlive a mutation through a snapshot: take it
+        // on a clone, then mutate the original heavily (deletions merge
+        // and path-copy nodes).
+        let snapshot = t.clone();
+        let mut scan = snapshot.range(Included(&key(100)), Excluded(&key(120)));
         let _ = scan.by_ref().count();
         let finger = scan.finger();
-        // Mutate heavily: deletions free and repurpose nodes.
         for i in 0..400u64 {
             t.remove(&key(i * 2));
         }
         t.check_invariants();
+        let before = t.counters();
         // The stale finger must never produce wrong rows.
         let got: Vec<u64> = t
             .range_from(finger, Included(&key(800)), Excluded(&key(820)))
@@ -1122,6 +1265,13 @@ mod tests {
             .map(|(_, v)| v)
             .collect();
         assert_eq!(got, want);
+        assert_eq!(t.counters().descent_reuses, before.descent_reuses);
+        // On the unchanged snapshot the same finger is still good.
+        let got: Vec<u64> = snapshot
+            .range_from(finger, Included(&key(120)), Excluded(&key(130)))
+            .map(|(_, v)| v)
+            .collect();
+        assert_eq!(got, vec![60, 61, 62, 63, 64]);
     }
 
     #[test]
@@ -1192,10 +1342,43 @@ mod tests {
     }
 
     #[test]
+    fn clone_shares_nodes_and_a_write_copies_one_path() {
+        let mut t = BTree::new();
+        for i in 0..20_000u64 {
+            t.insert(&key(i * 2), i);
+        }
+        let snapshot = t.clone();
+        let (nodes, shared) = t.node_sharing(&snapshot);
+        assert_eq!(nodes, shared, "a clone copies no node");
+        assert!(t.height() >= 3, "deep enough to have a path to copy");
+        t.insert(&key(777), 1);
+        let (nodes, shared) = t.node_sharing(&snapshot);
+        assert!(
+            nodes - shared <= t.height() + 1,
+            "{} unshared nodes for one insert at height {}",
+            nodes - shared,
+            t.height()
+        );
+        t.remove(&key(20_000));
+        t.check_invariants();
+        snapshot.check_invariants();
+        assert_eq!(
+            snapshot.get(&key(777)),
+            None,
+            "the snapshot never sees writes"
+        );
+        assert_eq!(snapshot.get(&key(20_000)), Some(10_000));
+        assert_eq!(snapshot.len(), 20_000);
+        assert_eq!(t.len(), 20_000);
+    }
+
+    #[test]
     fn model_check_against_btreemap() {
-        // Deterministic pseudo-random workload vs std BTreeMap.
+        // Deterministic pseudo-random workload vs std BTreeMap, with
+        // snapshots taken along the way that must never change.
         let mut t = BTree::new();
         let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        let mut snapshots = Vec::new();
         let mut state = 0x12345678u64;
         let mut rng = move || {
             state = state
@@ -1220,9 +1403,16 @@ mod tests {
                 let expect: Vec<(Vec<u8>, u64)> =
                     model.iter().map(|(k, v)| (k.clone(), *v)).collect();
                 assert_eq!(got, expect, "step {step}");
+                snapshots.push((t.clone(), model.clone()));
             }
         }
         assert_eq!(t.len(), model.len() as u64);
+        for (snap, want) in &snapshots {
+            snap.check_invariants();
+            let got: Vec<(Vec<u8>, u64)> = snap.iter().map(|(k, v)| (k.to_vec(), v)).collect();
+            let expect: Vec<(Vec<u8>, u64)> = want.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            assert_eq!(got, expect);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::btree::{BTree, BTreeCounters};
 use crate::error::{DbError, DbResult};
 use crate::schema::{ColumnDef, IndexDef, TableSchema};
 use crate::storage::{HeapFile, PageId, Pager, RowId};
-use crate::value::{decode_row, encode_key, encode_row, DataType, Row, Value};
+use crate::value::{decode_row, encode_key, encode_key_value, encode_row, DataType, Row, Value};
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -23,11 +23,23 @@ use std::sync::Arc;
 /// executor's multi-range batching (see [`Table::index_range_multi`]).
 pub type KeyRange = (Bound<Vec<u8>>, Bound<Vec<u8>>);
 
+/// The order-preserving key of `row`'s `cols` (see [`encode_key`]),
+/// encoded straight from the row without copying its values.
+fn encode_columns(row: &[Value], cols: &[usize]) -> Vec<u8> {
+    let mut key = Vec::with_capacity(cols.len() * 9 + 8);
+    for &i in cols {
+        encode_key_value(&row[i], &mut key);
+    }
+    key
+}
+
 /// A table: schema + heap + indexes.
 ///
-/// `Clone` is a deep copy (heap page list + full index trees); the catalog
-/// shares tables behind `Arc` so cloning only happens copy-on-write, when a
-/// writer first touches a table that a published snapshot still references.
+/// `Clone` copies the schema and the heap's page list and shares every
+/// index: a [`BTree`] clone is one root pointer, and later writes path-copy
+/// only the nodes they touch. The catalog shares tables behind `Arc`, so a
+/// clone happens copy-on-write, when a writer first touches a table that a
+/// published snapshot still references.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// The logical schema.
@@ -62,54 +74,59 @@ impl Table {
     }
 
     fn pk_key(&self, row: &[Value]) -> Vec<u8> {
-        let cols: Vec<Value> = self
-            .schema
-            .primary_key
-            .iter()
-            .map(|&i| row[i].clone())
-            .collect();
-        encode_key(&cols)
+        encode_columns(row, &self.schema.primary_key)
     }
 
     fn index_key(def: &IndexDef, row: &[Value], rowid: RowId) -> Vec<u8> {
-        let cols: Vec<Value> = def.columns.iter().map(|&i| row[i].clone()).collect();
-        let mut key = encode_key(&cols);
+        let mut key = encode_columns(row, &def.columns);
         if !def.unique {
             key.extend_from_slice(&rowid.pack().to_be_bytes());
         }
         key
     }
 
-    /// Inserts a validated row, maintaining every index. Returns the row id.
-    pub fn insert_row(&mut self, pager: &Pager, row: Row) -> DbResult<RowId> {
-        let row = self.schema.check_row(row)?;
-        if let Some(pk) = &self.pk_index {
-            let key = self.pk_key(&row);
-            if pk.contains(&key) {
-                return Err(DbError::Constraint(format!(
-                    "duplicate primary key in table `{}`",
-                    self.schema.name
-                )));
-            }
-        }
-        let mut buf = Vec::new();
-        encode_row(&row, &mut buf);
-        let rowid = self.heap.insert(pager, &buf)?;
-        let pk_key = self.pk_index.is_some().then(|| self.pk_key(&row));
-        if let (Some(pk), Some(key)) = (&mut self.pk_index, pk_key) {
-            pk.insert(&key, rowid.pack());
-        }
-        for (def, tree) in &mut self.indexes {
-            let key = Table::index_key(def, &row, rowid);
-            if def.unique && tree.insert(&key, rowid.pack()).is_some() {
+    /// Fails if `row` would collide in a unique secondary index. `old` is
+    /// the row being replaced, whose own keys do not count as collisions.
+    fn check_unique_indexes(&self, row: &[Value], old: Option<&[Value]>) -> DbResult<()> {
+        for (def, tree) in self.indexes.iter().filter(|(def, _)| def.unique) {
+            let key = encode_columns(row, &def.columns);
+            let own = old.is_some_and(|old| encode_columns(old, &def.columns) == key);
+            if !own && tree.contains(&key) {
                 return Err(DbError::Constraint(format!(
                     "duplicate key in unique index `{}`",
                     def.name
                 )));
             }
-            if !def.unique {
-                tree.insert(&key, rowid.pack());
+        }
+        Ok(())
+    }
+
+    fn duplicate_pk(&self) -> DbError {
+        DbError::Constraint(format!(
+            "duplicate primary key in table `{}`",
+            self.schema.name
+        ))
+    }
+
+    /// Inserts a validated row, maintaining every index. Returns the row id.
+    /// A constraint violation leaves the heap and every index unchanged.
+    pub fn insert_row(&mut self, pager: &Pager, row: Row) -> DbResult<RowId> {
+        let row = self.schema.check_row(row)?;
+        self.check_unique_indexes(&row, None)?;
+        let mut buf = Vec::new();
+        encode_row(&row, &mut buf);
+        let rowid = self.heap.insert(pager, &buf)?;
+        // The primary key is checked by the insert itself (one descent);
+        // a duplicate takes the just-written heap row back out.
+        let pk_key = self.pk_index.is_some().then(|| self.pk_key(&row));
+        if let (Some(pk), Some(key)) = (&mut self.pk_index, pk_key) {
+            if !pk.insert_new(&key, rowid.pack()) {
+                self.heap.delete(pager, rowid)?;
+                return Err(self.duplicate_pk());
             }
+        }
+        for (def, tree) in &mut self.indexes {
+            tree.insert(&Table::index_key(def, &row, rowid), rowid.pack());
         }
         Ok(rowid)
     }
@@ -122,14 +139,9 @@ impl Table {
     /// Deletes the row at `rowid`, maintaining every index.
     pub fn delete_row(&mut self, pager: &Pager, rowid: RowId) -> DbResult<()> {
         let row = self.get_row(pager, rowid)?;
-        if let Some(pk) = &mut self.pk_index {
-            let cols: Vec<Value> = self
-                .schema
-                .primary_key
-                .iter()
-                .map(|&i| row[i].clone())
-                .collect();
-            pk.remove(&encode_key(&cols));
+        let pk_key = self.pk_index.is_some().then(|| self.pk_key(&row));
+        if let (Some(pk), Some(key)) = (&mut self.pk_index, pk_key) {
+            pk.remove(&key);
         }
         for (def, tree) in &mut self.indexes {
             tree.remove(&Table::index_key(def, &row, rowid));
@@ -139,30 +151,29 @@ impl Table {
     }
 
     /// Replaces the row at `rowid` with `new_row`, maintaining every index.
-    /// Returns the (possibly relocated) row id.
+    /// Returns the (possibly relocated) row id. Every constraint is checked
+    /// before the first write, so a violation leaves the row as it was.
     pub fn update_row(&mut self, pager: &Pager, rowid: RowId, new_row: Row) -> DbResult<RowId> {
         let new_row = self.schema.check_row(new_row)?;
         let old_row = self.get_row(pager, rowid)?;
         // Primary-key change: check uniqueness against the *other* rows.
-        if let Some(pk) = &self.pk_index {
-            let old_key = self.pk_key(&old_row);
-            let new_key = self.pk_key(&new_row);
-            if old_key != new_key && pk.contains(&new_key) {
-                return Err(DbError::Constraint(format!(
-                    "duplicate primary key in table `{}`",
-                    self.schema.name
-                )));
-            }
-        }
-        let mut buf = Vec::new();
-        encode_row(&new_row, &mut buf);
-        let new_rowid = self.heap.update(pager, rowid, &buf)?;
-        let keys = self
+        let pk_keys = self
             .pk_index
             .is_some()
             .then(|| (self.pk_key(&old_row), self.pk_key(&new_row)));
-        if let (Some(pk), Some((old_key, new_key))) = (&mut self.pk_index, keys) {
-            pk.remove(&old_key);
+        if let (Some(pk), Some((old_key, new_key))) = (&self.pk_index, &pk_keys) {
+            if old_key != new_key && pk.contains(new_key) {
+                return Err(self.duplicate_pk());
+            }
+        }
+        self.check_unique_indexes(&new_row, Some(&old_row))?;
+        let mut buf = Vec::new();
+        encode_row(&new_row, &mut buf);
+        let new_rowid = self.heap.update(pager, rowid, &buf)?;
+        if let (Some(pk), Some((old_key, new_key))) = (&mut self.pk_index, pk_keys) {
+            if old_key != new_key {
+                pk.remove(&old_key);
+            }
             pk.insert(&new_key, new_rowid.pack());
         }
         for (def, tree) in &mut self.indexes {
@@ -170,15 +181,7 @@ impl Table {
             let new_key = Table::index_key(def, &new_row, new_rowid);
             if old_key != new_key {
                 tree.remove(&old_key);
-                if def.unique && tree.insert(&new_key, new_rowid.pack()).is_some() {
-                    return Err(DbError::Constraint(format!(
-                        "duplicate key in unique index `{}`",
-                        def.name
-                    )));
-                }
-                if !def.unique {
-                    tree.insert(&new_key, new_rowid.pack());
-                }
+                tree.insert(&new_key, new_rowid.pack());
             } else if new_rowid != rowid {
                 tree.insert(&new_key, new_rowid.pack());
             }
@@ -225,7 +228,7 @@ impl Table {
 
     /// Row ids for a *batch* of ranges over one index, scanned in order
     /// with descent-finger reuse: each range after the first resumes from
-    /// where the previous scan stopped (a short leaf-link walk) instead of
+    /// where the previous scan stopped (a short leaf-to-leaf walk) instead of
     /// descending from the root — see [`BTree::range_from`]. The executor's
     /// multi-range scans pass their ascending disjoint range list here,
     /// which is what turns `btree_descents` from "one per range" into "one
@@ -286,9 +289,11 @@ impl Table {
 /// The set of tables in a database.
 ///
 /// Tables live behind `Arc` so that `Catalog::clone` (used to publish MVCC
-/// snapshots) is cheap: it copies the name map and bumps refcounts. Writers
-/// mutate through [`Catalog::table_mut`], which copy-on-writes a table the
-/// first time it is touched while a snapshot still shares it.
+/// snapshots and to keep a transaction's rollback image) is cheap: it copies
+/// the name map and bumps refcounts. Writers mutate through
+/// [`Catalog::table_mut`], which copy-on-writes a table the first time it is
+/// touched while a snapshot still shares it — a copy whose indexes share all
+/// their nodes with the snapshot's (see [`Table`]).
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: Vec<Arc<Table>>,
@@ -361,15 +366,13 @@ impl Catalog {
         for idx in 0..t.heap.page_count() {
             for (rowid, rec) in t.heap.page_rows(pager, idx)? {
                 let row = decode_row(&rec)?;
-                let key = Table::index_key(&def, &row, rowid);
-                if def.unique && tree.insert(&key, rowid.pack()).is_some() {
+                // Non-unique keys carry the row id, so only a unique index
+                // can refuse an entry.
+                if !tree.insert_new(&Table::index_key(&def, &row, rowid), rowid.pack()) {
                     return Err(DbError::Constraint(format!(
                         "existing rows violate unique index `{}`",
                         def.name
                     )));
-                }
-                if !def.unique {
-                    tree.insert(&key, rowid.pack());
                 }
             }
         }
@@ -747,11 +750,126 @@ mod tests {
             )
             .unwrap();
         let t = catalog.table_mut("node").unwrap();
-        t.insert_row(&pager, vec![Value::Int(1), Value::Int(1), Value::text("a")])
+        let first = t
+            .insert_row(&pager, vec![Value::Int(1), Value::Int(1), Value::text("a")])
             .unwrap();
-        assert!(t
-            .insert_row(&pager, vec![Value::Int(1), Value::Int(2), Value::text("a")])
-            .is_err());
+        let second = t
+            .insert_row(&pager, vec![Value::Int(1), Value::Int(2), Value::text("b")])
+            .unwrap();
+        let err = t
+            .insert_row(&pager, vec![Value::Int(1), Value::Int(3), Value::text("a")])
+            .unwrap_err();
+        assert!(matches!(err, DbError::Constraint(_)));
+        // The refused row left no trace: no heap row, no PK entry, and the
+        // unique index still maps "a" to the first row.
+        let by_tag = |t: &Table, tag: &str| {
+            let k = encode_key(&[Value::text(tag)]);
+            t.index_range(
+                Some(0),
+                Bound::Included(k.as_slice()),
+                Bound::Included(k.as_slice()),
+                false,
+            )
+        };
+        assert_eq!(t.row_count(), 2);
+        assert!(t.pk_lookup(&[Value::Int(1), Value::Int(3)]).is_none());
+        assert_eq!(by_tag(t, "a"), vec![first]);
+        // An update into a taken key is refused the same way.
+        let err = t
+            .update_row(
+                &pager,
+                second,
+                vec![Value::Int(1), Value::Int(2), Value::text("a")],
+            )
+            .unwrap_err();
+        assert!(matches!(err, DbError::Constraint(_)));
+        assert_eq!(t.row_count(), 2);
+        assert_eq!(by_tag(t, "a"), vec![first]);
+        assert_eq!(by_tag(t, "b"), vec![second]);
+        assert_eq!(t.get_row(&pager, second).unwrap()[2], Value::text("b"));
+        // Rewriting a row with its own unique key is not a collision.
+        t.update_row(
+            &pager,
+            first,
+            vec![Value::Int(1), Value::Int(1), Value::text("a")],
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn a_write_copies_one_path_per_touched_index() {
+        let pager = Arc::new(Pager::in_memory());
+        let mut catalog = Catalog::new();
+        catalog.create_table(node_schema()).unwrap();
+        for (name, col) in [("node_pos", 1), ("node_tag", 2)] {
+            let def = IndexDef {
+                name: name.into(),
+                columns: vec![col],
+                unique: false,
+            };
+            catalog.create_index(&pager, "node", def).unwrap();
+        }
+        let tag = |i: i64| Value::text(format!("t{i:06}"));
+        let t = catalog.table_mut("node").unwrap();
+        let mut target = None;
+        for i in 0..20_000 {
+            let rid = t
+                .insert_row(&pager, vec![Value::Int(1), Value::Int(i), tag(2 * i)])
+                .unwrap();
+            if i == 7_777 {
+                target = Some(rid);
+            }
+        }
+        let rid = target.unwrap();
+        // Hold the table as a published snapshot does, then update one row
+        // through the copy-on-write path.
+        let snapshot = catalog.clone();
+        let view = Pager::view(&pager);
+        let new_row = vec![Value::Int(1), Value::Int(7_777), tag(2 * 7_777 + 1)];
+        let t = catalog.table_mut("node").unwrap();
+        assert_eq!(t.update_row(&pager, rid, new_row.clone()).unwrap(), rid);
+        let (live, old) = (
+            catalog.table("node").unwrap(),
+            snapshot.table("node").unwrap(),
+        );
+        let trees = [(
+            live.pk_index.as_ref().unwrap(),
+            old.pk_index.as_ref().unwrap(),
+        )]
+        .into_iter()
+        .chain(
+            live.indexes
+                .iter()
+                .map(|(_, t)| t)
+                .zip(old.indexes.iter().map(|(_, t)| t)),
+        );
+        for (new_tree, old_tree) in trees {
+            let (nodes, shared) = new_tree.node_sharing(old_tree);
+            assert!(new_tree.height() >= 3, "a path worth copying");
+            assert!(
+                nodes - shared <= new_tree.height() + 1,
+                "{} of {nodes} nodes unshared at height {}",
+                nodes - shared,
+                new_tree.height()
+            );
+        }
+        // The snapshot still returns the old row, through its own index.
+        let key = |v: &Value| {
+            let mut k = encode_key(std::slice::from_ref(v));
+            k.extend_from_slice(&rid.pack().to_be_bytes());
+            k
+        };
+        let find = |t: &Table, v: &Value| {
+            let k = key(v);
+            let k = Bound::Included(k.as_slice());
+            t.index_range(Some(1), k, k, false)
+        };
+        assert_eq!(find(old, &tag(2 * 7_777)), vec![rid]);
+        assert!(find(old, &new_row[2]).is_empty());
+        assert_eq!(find(live, &new_row[2]), vec![rid]);
+        assert!(find(live, &tag(2 * 7_777)).is_empty());
+        let _pin = view.install();
+        assert_eq!(old.get_row(&pager, rid).unwrap()[2], tag(2 * 7_777));
     }
 
     #[test]

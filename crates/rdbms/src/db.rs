@@ -112,9 +112,10 @@ pub enum Durability {
 
 /// Database-level transaction state (the pager holds the page pre-images).
 struct DbTxn {
-    /// Serialized catalog at `begin`, for rebuilding heaps and indexes on
-    /// rollback.
-    catalog_blob: Vec<u8>,
+    /// The catalog at `begin`, restored on rollback. Holding it costs one
+    /// `Arc` per table: the transaction's writes copy-on-write the tables
+    /// (and path-copy the index nodes) they touch.
+    catalog: Catalog,
     /// Catalog page list at `begin`.
     catalog_pages: Vec<PageId>,
 }
@@ -514,7 +515,7 @@ impl Database {
         }
         self.pager.begin_txn()?;
         self.txn = Some(DbTxn {
-            catalog_blob: self.catalog.encode(),
+            catalog: self.catalog.clone(),
             catalog_pages: self.catalog_pages.clone(),
         });
         Ok(())
@@ -561,20 +562,20 @@ impl Database {
     }
 
     /// Rolls the open transaction back: pages revert to their pre-images and
-    /// the catalog, heaps, and indexes are rebuilt from the restored state.
+    /// the catalog — schemas, heaps, and indexes — reverts to the version
+    /// kept at `begin`, in O(tables).
     pub fn rollback(&mut self) -> DbResult<()> {
         let st = self
             .txn
             .take()
             .ok_or_else(|| DbError::Txn("no active transaction".into()))?;
-        let had_writes = self.pager.rollback_txn()?;
-        if had_writes {
-            self.catalog = Catalog::decode(&st.catalog_blob, &self.pager)?;
-            self.catalog_pages = st.catalog_pages;
-            self.invalidate_plans();
-        }
+        self.pager.rollback_txn()?;
+        self.catalog = st.catalog;
+        self.catalog_pages = st.catalog_pages;
+        // Plans cached inside the transaction may name its DDL.
+        self.invalidate_plans();
         // Republish the restored state: content-identical to the previous
-        // version, but snapshots taken from now on carry the rebuilt
+        // version, but snapshots taken from now on carry the restored
         // catalog (and a fresh page view, releasing the aborted epoch).
         self.publish_committed();
         obs::registry().record_txn(false);
@@ -2701,6 +2702,46 @@ mod tests {
             .unwrap();
         assert_eq!(r.rows.len(), 1);
         assert!(r.stats.index_scans >= 1);
+    }
+
+    #[test]
+    fn rollback_undoes_ddl_without_page_writes() {
+        let mut db = Database::in_memory();
+        db.begin().unwrap();
+        db.execute("CREATE TABLE scratch (a INTEGER)", &[]).unwrap();
+        assert_eq!(count(&mut db, "SELECT COUNT(*) FROM scratch"), 0);
+        db.rollback().unwrap();
+        assert!(db.query("SELECT COUNT(*) FROM scratch", &[]).is_err());
+    }
+
+    #[test]
+    fn unique_violation_leaves_no_phantom_row() {
+        let mut db = Database::in_memory();
+        db.execute("CREATE TABLE t (a INTEGER, b TEXT, PRIMARY KEY (a))", &[])
+            .unwrap();
+        db.execute("CREATE UNIQUE INDEX tb ON t (b)", &[]).unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'x')", &[]).unwrap();
+        let err = db
+            .execute("INSERT INTO t VALUES (2, 'x')", &[])
+            .unwrap_err();
+        assert!(matches!(err, DbError::Constraint(_)), "{err}");
+        assert_eq!(count(&mut db, "SELECT COUNT(*) FROM t"), 1);
+        let hits = db.query("SELECT a FROM t WHERE b = 'x'", &[]).unwrap();
+        assert_eq!(hits, vec![vec![Value::Int(1)]]);
+        assert!(db
+            .query("SELECT b FROM t WHERE a = 2", &[])
+            .unwrap()
+            .is_empty());
+        // An update into the taken key is refused without touching the row.
+        db.execute("INSERT INTO t VALUES (2, 'y')", &[]).unwrap();
+        let err = db
+            .execute("UPDATE t SET b = 'x' WHERE a = 2", &[])
+            .unwrap_err();
+        assert!(matches!(err, DbError::Constraint(_)), "{err}");
+        let hits = db.query("SELECT a FROM t WHERE b = 'y'", &[]).unwrap();
+        assert_eq!(hits, vec![vec![Value::Int(2)]]);
+        let hits = db.query("SELECT a FROM t WHERE b = 'x'", &[]).unwrap();
+        assert_eq!(hits, vec![vec![Value::Int(1)]]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct ExecStats {
     /// B+tree root-to-leaf descents (lookups, writes, range-scan seeks).
     pub btree_descents: u64,
     /// B+tree range positionings that reused the previous range's finger
-    /// (leaf-link walk) instead of descending from the root.
+    /// (a short leaf walk) instead of descending from the root.
     pub btree_descent_reuses: u64,
     /// B+tree leaf nodes visited by range scans.
     pub btree_leaf_scans: u64,
@@ -507,7 +507,7 @@ fn run_access(
             let mut out = Vec::new();
             // The ranges are merged and ascending, so scanning them as one
             // fingered batch yields the union already in key order — one
-            // root descent for the first range, a leaf-link walk for each
+            // root descent for the first range, a short leaf walk for each
             // range after it (`btree_descent_reuses`).
             for rowids in table.index_range_multi(*index, &ranges) {
                 stats.index_rows += rowids.len() as u64;

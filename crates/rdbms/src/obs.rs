@@ -748,7 +748,7 @@ pub struct ObsSnapshot {
     pub plan_cache_misses: u64,
     /// B+tree root-to-leaf descents.
     pub btree_descents: u64,
-    /// B+tree range positionings that reused a descent finger (leaf-link
+    /// B+tree range positionings that reused a descent finger (a short leaf
     /// walk) instead of descending from the root.
     pub btree_descent_reuses: u64,
     /// Page-image frames appended to any write-ahead log.

@@ -858,9 +858,7 @@ impl Pager {
 
     /// Rolls the open transaction back: restores every pre-image, drops
     /// pages allocated inside the transaction, and resets the page count.
-    /// Returns `true` if the transaction had modified anything (callers use
-    /// this to know whether derived in-memory state must be rebuilt).
-    pub fn rollback_txn(&self) -> DbResult<bool> {
+    pub fn rollback_txn(&self) -> DbResult<()> {
         let txn = latch::lock(&self.txn, WaitSite::Txn)
             .take()
             .ok_or_else(|| DbError::Txn("no active transaction".into()))?;
@@ -946,7 +944,7 @@ impl Pager {
                 let _ = wal.abort(txn.id, &self.faults);
             }
         }
-        Ok(had_writes)
+        Ok(())
     }
 
     /// Fsyncs the database file and truncates the WAL (the checkpoint's I/O
@@ -1512,7 +1510,7 @@ mod tests {
                 p.insert(b"new page").unwrap();
             })
             .unwrap();
-        assert!(pager.rollback_txn().unwrap());
+        pager.rollback_txn().unwrap();
         assert_eq!(pager.page_count(), 1);
         let live = pager.with_page(a, |p| p.live_count()).unwrap();
         assert_eq!(live, 1, "only the pre-transaction record remains");
@@ -1640,7 +1638,7 @@ mod tests {
         assert!(matches!(pager.begin_txn(), Err(DbError::Txn(_))));
         // ...until rollback (from this thread — not the dead writer's)
         // restores the pre-image and reopens the write path.
-        assert!(pager.rollback_txn().unwrap());
+        pager.rollback_txn().unwrap();
         assert_eq!(pager.with_page(a, |p| p.live_count()).unwrap(), 1);
         pager.begin_txn().unwrap();
         pager.commit_txn().unwrap();

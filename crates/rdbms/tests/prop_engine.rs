@@ -15,19 +15,59 @@ enum Op {
     Remove(Vec<u8>),
     Get(Vec<u8>),
     Range(Vec<u8>, Vec<u8>),
+    RangeRev(Vec<u8>, Vec<u8>),
+    /// Ascending disjoint ranges (bounds sorted, then paired) scanned in
+    /// one `range_from` chain.
+    Fingered(Vec<Vec<u8>>),
+    /// Keep a clone of the tree with a copy of the model; it must never
+    /// change, whatever the tree does next.
+    Snapshot,
+    /// Insert (or remove) `n` consecutive keys from `from`: enough to grow
+    /// the tree to depth 3 and to drive merges there.
+    Bulk {
+        from: u16,
+        n: u16,
+        remove: bool,
+    },
 }
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..8, 1..5)
 }
 
+/// The `i`-th four-digit key of [`key_strategy`]'s space (base 8), so bulk
+/// keys interleave with the random ones.
+fn bulk_key(i: u16) -> Vec<u8> {
+    let i = i % 4096;
+    vec![
+        (i >> 9) as u8,
+        (i >> 6 & 7) as u8,
+        (i >> 3 & 7) as u8,
+        (i & 7) as u8,
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (key_strategy(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        2 => key_strategy().prop_map(Op::Remove),
-        1 => key_strategy().prop_map(Op::Get),
-        1 => (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::Range(a, b)),
+        30 => (key_strategy(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
+        20 => key_strategy().prop_map(Op::Remove),
+        10 => key_strategy().prop_map(Op::Get),
+        10 => (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::Range(a, b)),
+        10 => (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::RangeRev(a, b)),
+        10 => proptest::collection::vec(key_strategy(), 2..12).prop_map(Op::Fingered),
+        5 => Just(Op::Snapshot),
+        1 => (0u16..4096, 500u16..4096, any::<bool>())
+            .prop_map(|(from, n, remove)| Op::Bulk { from, n, remove }),
     ]
+}
+
+type Entries = Vec<(Vec<u8>, u64)>;
+
+fn model_range(model: &BTreeMap<Vec<u8>, u64>, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Entries {
+    model
+        .range::<[u8], _>((lo, hi))
+        .map(|(k, v)| (k.clone(), *v))
+        .collect()
 }
 
 proptest! {
@@ -37,6 +77,7 @@ proptest! {
     fn btree_matches_btreemap(ops in proptest::collection::vec(op_strategy(), 1..400)) {
         let mut tree = BTree::new();
         let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        let mut snapshots = Vec::new();
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
@@ -50,15 +91,56 @@ proptest! {
                 }
                 Op::Range(a, b) => {
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                    let got: Vec<(Vec<u8>, u64)> = tree
-                        .range(Bound::Included(&lo[..]), Bound::Excluded(&hi[..]))
-                        .map(|(k, v)| (k.to_vec(), v))
-                        .collect();
-                    let want: Vec<(Vec<u8>, u64)> = model
-                        .range::<[u8], _>((Bound::Included(&lo[..]), Bound::Excluded(&hi[..])))
-                        .map(|(k, v)| (k.clone(), *v))
-                        .collect();
-                    prop_assert_eq!(got, want);
+                    let (lo, hi) = (Bound::Included(&lo[..]), Bound::Excluded(&hi[..]));
+                    let got: Entries = tree.range(lo, hi).map(|(k, v)| (k.to_vec(), v)).collect();
+                    prop_assert_eq!(got, model_range(&model, lo, hi));
+                }
+                Op::RangeRev(a, b) => {
+                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                    let (lo, hi) = (Bound::Excluded(&lo[..]), Bound::Included(&hi[..]));
+                    let mut got: Entries =
+                        tree.range_rev(lo, hi).map(|(k, v)| (k.to_vec(), v)).collect();
+                    got.reverse();
+                    prop_assert_eq!(got, model_range(&model, lo, hi));
+                }
+                Op::Fingered(mut bounds) => {
+                    bounds.sort();
+                    bounds.dedup();
+                    let before = tree.counters();
+                    let mut finger = None;
+                    let mut ranges = 0;
+                    for (i, pair) in bounds.chunks_exact(2).enumerate() {
+                        // Alternate the lower bound's kind to exercise both
+                        // predecessor proofs.
+                        let lo = if i % 2 == 0 {
+                            Bound::Included(&pair[0][..])
+                        } else {
+                            Bound::Excluded(&pair[0][..])
+                        };
+                        let hi = Bound::Excluded(&pair[1][..]);
+                        let mut scan = tree.range_from(finger.take(), lo, hi);
+                        let got: Entries = scan.by_ref().map(|(k, v)| (k.to_vec(), v)).collect();
+                        finger = scan.finger();
+                        prop_assert_eq!(got, model_range(&model, lo, hi));
+                        ranges += 1;
+                    }
+                    let after = tree.counters();
+                    prop_assert_eq!(
+                        after.descents + after.descent_reuses,
+                        before.descents + before.descent_reuses + ranges,
+                        "each range positions exactly once"
+                    );
+                }
+                Op::Snapshot => snapshots.push((tree.clone(), model.clone())),
+                Op::Bulk { from, n, remove } => {
+                    for i in from..from.saturating_add(n) {
+                        let k = bulk_key(i);
+                        if remove {
+                            prop_assert_eq!(tree.remove(&k), model.remove(&k));
+                        } else {
+                            prop_assert_eq!(tree.insert(&k, u64::from(i)), model.insert(k, u64::from(i)));
+                        }
+                    }
                 }
             }
         }
@@ -66,6 +148,11 @@ proptest! {
         let all: Vec<Vec<u8>> = tree.iter().map(|(k, _)| k.to_vec()).collect();
         let want: Vec<Vec<u8>> = model.keys().cloned().collect();
         prop_assert_eq!(all, want);
+        for (snap, want) in &snapshots {
+            prop_assert_eq!(snap.len(), want.len() as u64);
+            let got: Entries = snap.iter().map(|(k, v)| (k.to_vec(), v)).collect();
+            prop_assert_eq!(got, model_range(want, Bound::Unbounded, Bound::Unbounded));
+        }
     }
 }
 

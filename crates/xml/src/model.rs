@@ -15,7 +15,8 @@ use std::fmt;
 /// Identifier of a node inside a [`Document`] arena.
 ///
 /// Ids are stable for the lifetime of the node: removing a subtree leaves
-/// tombstones in the arena rather than shifting ids.
+/// tombstones in the arena rather than shifting ids. Later insertions reuse
+/// tombstoned slots, so a removed node's id may come to name a new node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
 
@@ -103,6 +104,9 @@ impl Node {
 pub struct Document {
     nodes: Vec<Node>,
     root: NodeId,
+    /// Tombstoned slots, reused by the next insertions: a document that
+    /// inserts and deletes in balance stays the same size.
+    free: Vec<NodeId>,
 }
 
 impl Document {
@@ -120,6 +124,7 @@ impl Document {
         Document {
             nodes: vec![root],
             root: NodeId(0),
+            free: Vec::new(),
         }
     }
 
@@ -269,14 +274,18 @@ impl Document {
     // ---------------------------------------------------------------
 
     fn alloc(&mut self, kind: NodeKind, parent: Option<NodeId>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
+        let node = Node {
             kind,
             parent,
             children: Vec::new(),
             dead: false,
-        });
-        id
+        };
+        if let Some(id) = self.free.pop() {
+            self.nodes[id.index()] = node;
+            return id;
+        }
+        self.nodes.push(node);
+        NodeId(self.nodes.len() as u32 - 1)
     }
 
     /// Appends a new element child under `parent` and returns its id.
@@ -367,7 +376,8 @@ impl Document {
     }
 
     /// Detaches the subtree rooted at `id` from the document, tombstoning
-    /// every node in it. Returns the number of nodes removed.
+    /// every node in it (its payload is dropped and its slot is reused by
+    /// later insertions). Returns the number of nodes removed.
     ///
     /// # Panics
     /// Panics when asked to remove the document root.
@@ -383,8 +393,10 @@ impl Document {
         while let Some(n) = stack.pop() {
             let node = &mut self.nodes[n.index()];
             node.dead = true;
+            node.kind = NodeKind::Text(String::new());
             removed += 1;
-            stack.append(&mut node.children);
+            stack.extend(std::mem::take(&mut node.children));
+            self.free.push(n);
         }
         removed
     }
@@ -593,6 +605,22 @@ mod tests {
         assert!(doc.is_live(x));
         assert_eq!(doc.children(doc.root()), &[b]);
         assert_eq!(doc.len(), 3);
+    }
+
+    #[test]
+    fn insertions_reuse_removed_slots() {
+        let (mut doc, ids) = sample();
+        let arena = doc.nodes.len();
+        // Balanced delete/insert churn keeps the arena the same size.
+        let mut victim = ids[2];
+        for round in 0..50 {
+            doc.remove_subtree(victim);
+            victim = doc.append_element(doc.root(), format!("c{round}"));
+            doc.append_element(victim, "d");
+        }
+        assert_eq!(doc.nodes.len(), arena);
+        assert_eq!(doc.len(), 5);
+        assert_eq!(doc.to_xml(), "<a><b>x</b><c49><d/></c49></a>");
     }
 
     #[test]
