@@ -22,7 +22,7 @@ use ordxml_rdbms::{
 use ordxml_xml::{Document, NodePath};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Errors of the store layer.
 #[derive(Debug)]
@@ -391,7 +391,7 @@ pub struct StoreSnapshot {
 /// threads and across crashes.
 pub struct XmlStore {
     encoding: Encoding,
-    inner: RwLock<StoreInner>,
+    inner: Mutex<StoreInner>,
     /// The last committed version. Republished every time a write latch is
     /// released; readers load it with one epoch-cell read (a latch no
     /// writer ever holds across real work, so loads never wait).
@@ -405,7 +405,7 @@ pub struct XmlStore {
 /// writes made through it become visible to readers.
 pub struct DbGuard<'a> {
     store: &'a XmlStore,
-    guard: RwLockWriteGuard<'a, StoreInner>,
+    guard: MutexGuard<'a, StoreInner>,
 }
 
 impl Deref for DbGuard<'_> {
@@ -432,7 +432,7 @@ impl Drop for DbGuard<'_> {
 /// refreshed the moment the writer is done — readers never wait for it.
 struct StoreWriteGuard<'a> {
     store: &'a XmlStore,
-    guard: RwLockWriteGuard<'a, StoreInner>,
+    guard: MutexGuard<'a, StoreInner>,
 }
 
 impl Deref for StoreWriteGuard<'_> {
@@ -467,7 +467,7 @@ impl XmlStore {
         let published = latch::EpochCell::new(Arc::new(inner.capture()));
         XmlStore {
             encoding,
-            inner: RwLock::new(inner),
+            inner: Mutex::new(inner),
             published,
         }
     }
@@ -504,7 +504,7 @@ impl XmlStore {
 
     /// Exclusive access with the schema guaranteed to exist.
     fn write_inner(&self) -> StoreResult<StoreWriteGuard<'_>> {
-        let mut guard = latch::write(&self.inner, WaitSite::Store);
+        let mut guard = latch::lock(&self.inner, WaitSite::Store);
         guard.ensure_schema()?;
         Ok(StoreWriteGuard { store: self, guard })
     }
@@ -637,7 +637,7 @@ impl XmlStore {
     pub fn try_restore(&self) -> StoreResult<()> {
         let mut guard = StoreWriteGuard {
             store: self,
-            guard: latch::write(&self.inner, WaitSite::Store),
+            guard: latch::lock(&self.inner, WaitSite::Store),
         };
         guard.db.try_restore().map_err(StoreError::from)
     }
@@ -649,7 +649,7 @@ impl XmlStore {
     pub fn db(&self) -> DbGuard<'_> {
         DbGuard {
             store: self,
-            guard: latch::write(&self.inner, WaitSite::Store),
+            guard: latch::lock(&self.inner, WaitSite::Store),
         }
     }
 

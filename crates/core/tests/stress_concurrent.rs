@@ -15,8 +15,9 @@
 use ordxml::{Encoding, OrderConfig, XmlStore};
 use ordxml_rdbms::Database;
 use ordxml_xml::{parse as parse_xml, NodePath};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 const ITEMS: usize = 12;
 
@@ -61,6 +62,37 @@ fn read_pass(store: &XmlStore, d: i64, committed: &[ordxml_xml::Document]) {
     );
 }
 
+/// Spawns `n` reader threads, each calling `pass` (which returns the reads
+/// it made) until `stop` is set, and returns once every reader has
+/// finished one warm-up pass (or one has died). A writer's whole run can
+/// be shorter than one pass; without the wait a busy scheduler can leave
+/// it no reader to overlap. The warm-up pass is not counted, so a nonzero
+/// total means readers read while the writer ran.
+fn spawn_readers<F>(n: usize, stop: &Arc<AtomicBool>, pass: F) -> Vec<JoinHandle<u64>>
+where
+    F: Fn() -> u64 + Clone + Send + 'static,
+{
+    let ready = Arc::new(AtomicUsize::new(0));
+    let handles: Vec<_> = (0..n)
+        .map(|_| {
+            let (stop, ready, pass) = (Arc::clone(stop), Arc::clone(&ready), pass.clone());
+            std::thread::spawn(move || {
+                pass();
+                ready.fetch_add(1, Ordering::SeqCst);
+                let mut reads = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    reads += pass();
+                }
+                reads
+            })
+        })
+        .collect();
+    while ready.load(Ordering::SeqCst) < n && !handles.iter().any(JoinHandle::is_finished) {
+        std::thread::yield_now();
+    }
+    handles
+}
+
 /// Runs the stress matrix cell: `readers` threads loop over the query set
 /// while the writer inserts and deletes the marker `writes` times.
 fn stress(store: XmlStore, readers: usize, writes: usize) {
@@ -87,21 +119,13 @@ fn stress(store: XmlStore, readers: usize, writes: usize) {
         .unwrap();
     read_pass(&store, d, &committed); // sanity before any concurrency
     let stop = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = (0..readers)
-        .map(|_| {
-            let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            let committed = Arc::clone(&committed);
-            std::thread::spawn(move || {
-                let mut passes = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    read_pass(&store, d, &committed);
-                    passes += 1;
-                }
-                passes
-            })
+    let handles = {
+        let (store, committed) = (Arc::clone(&store), Arc::clone(&committed));
+        spawn_readers(readers, &stop, move || {
+            read_pass(&store, d, &committed);
+            1
         })
-        .collect();
+    };
     let root = NodePath(vec![]);
     for i in 0..writes {
         // Alternate insert position so the small sparse gaps erode and
@@ -299,34 +323,26 @@ fn mvcc_snapshot_torture_all_encodings_both_backends() {
                 .load_document_with(&doc, "mvcc", OrderConfig::with_gap(8))
                 .unwrap();
             let stop = Arc::new(AtomicBool::new(false));
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let store = Arc::clone(&store);
-                    let stop = Arc::clone(&stop);
-                    let committed = Arc::clone(&committed);
-                    std::thread::spawn(move || {
-                        let mut passes = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            let snap = store.snapshot().unwrap();
-                            let first = snap.reconstruct_document(d).unwrap();
-                            let second = snap.reconstruct_document(d).unwrap();
-                            assert!(
-                                first.tree_eq(&second),
-                                "one snapshot served two versions:\n{}\nvs\n{}",
-                                first.to_xml(),
-                                second.to_xml()
-                            );
-                            assert!(
-                                committed.iter().any(|c| c.tree_eq(&first)),
-                                "snapshot holds a non-committed state:\n{}",
-                                first.to_xml()
-                            );
-                            passes += 1;
-                        }
-                        passes
-                    })
+            let handles = {
+                let (store, committed) = (Arc::clone(&store), Arc::clone(&committed));
+                spawn_readers(8, &stop, move || {
+                    let snap = store.snapshot().unwrap();
+                    let first = snap.reconstruct_document(d).unwrap();
+                    let second = snap.reconstruct_document(d).unwrap();
+                    assert!(
+                        first.tree_eq(&second),
+                        "one snapshot served two versions:\n{}\nvs\n{}",
+                        first.to_xml(),
+                        second.to_xml()
+                    );
+                    assert!(
+                        committed.iter().any(|c| c.tree_eq(&first)),
+                        "snapshot holds a non-committed state:\n{}",
+                        first.to_xml()
+                    );
+                    1
                 })
-                .collect();
+            };
             let writes = if file_backed { 6 } else { 24 };
             let root = NodePath(vec![]);
             for i in 0..writes {
@@ -514,27 +530,19 @@ fn writer_never_blocks_readers() {
     store.xpath(d, "/catalog/item/name").unwrap();
     let before = obs::snapshot().lock_waits_at(WaitSite::Store);
     let stop = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = (0..8)
-        .map(|_| {
-            let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            let committed = Arc::clone(&committed);
-            std::thread::spawn(move || {
-                let mut reads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    assert_eq!(store.xpath(d, "/catalog/item/name").unwrap().len(), ITEMS);
-                    let rebuilt = store.reconstruct_document(d).unwrap();
-                    assert!(
-                        committed.iter().any(|c| c.tree_eq(&rebuilt)),
-                        "read a non-committed state:\n{}",
-                        rebuilt.to_xml()
-                    );
-                    reads += 2;
-                }
-                reads
-            })
+    let handles = {
+        let store = Arc::clone(&store);
+        spawn_readers(8, &stop, move || {
+            assert_eq!(store.xpath(d, "/catalog/item/name").unwrap().len(), ITEMS);
+            let rebuilt = store.reconstruct_document(d).unwrap();
+            assert!(
+                committed.iter().any(|c| c.tree_eq(&rebuilt)),
+                "read a non-committed state:\n{}",
+                rebuilt.to_xml()
+            );
+            2
         })
-        .collect();
+    };
     let root = NodePath(vec![]);
     for i in 0..60 {
         let at = if i % 2 == 0 { 0 } else { ITEMS / 2 };

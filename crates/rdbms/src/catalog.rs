@@ -13,7 +13,7 @@
 use crate::btree::{BTree, BTreeCounters};
 use crate::error::{DbError, DbResult};
 use crate::schema::{ColumnDef, IndexDef, TableSchema};
-use crate::storage::{HeapFile, PageId, Pager, RowId};
+use crate::storage::{HeapFile, PageId, PageSource, Pager, RowId};
 use crate::value::{decode_row, encode_key, encode_key_value, encode_row, DataType, Row, Value};
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -132,8 +132,8 @@ impl Table {
     }
 
     /// Reads and decodes the row at `rowid`.
-    pub fn get_row(&self, pager: &Pager, rowid: RowId) -> DbResult<Row> {
-        decode_row(&self.heap.get(pager, rowid)?)
+    pub fn get_row<'p>(&self, pages: impl Into<PageSource<'p>>, rowid: RowId) -> DbResult<Row> {
+        decode_row(&self.heap.get(pages, rowid)?)
     }
 
     /// Deletes the row at `rowid`, maintaining every index.
@@ -868,8 +868,8 @@ mod tests {
         assert!(find(old, &new_row[2]).is_empty());
         assert_eq!(find(live, &new_row[2]), vec![rid]);
         assert!(find(live, &tag(2 * 7_777)).is_empty());
-        let _pin = view.install();
-        assert_eq!(old.get_row(&pager, rid).unwrap()[2], tag(2 * 7_777));
+        let old_row = old.get_row(PageSource::View(&view), rid).unwrap();
+        assert_eq!(old_row[2], tag(2 * 7_777));
     }
 
     #[test]

@@ -11,7 +11,14 @@
 //! update this way). [`Durability::Checkpoint`] preserves the legacy
 //! journal-less mode — durability only at [`Database::checkpoint`] — for
 //! overhead ablations.
+//!
+//! Every read statement — `SELECT`, or `EXPLAIN [ANALYZE]` of one — runs
+//! through one body, `ReadCtx::run`, whether it reads the live database
+//! ([`Database::run`] / [`Database::run_read`]) or a committed snapshot
+//! ([`DbSnapshot::run_read`]); the two differ only in the catalog and page
+//! source they hand it.
 
+use crate::btree::BTreeCounters;
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::exec::{run_select, scan_for_update, Env, ExecStats, Profiler, SharedExecStats};
@@ -24,9 +31,11 @@ use crate::plan::{plan_select, plan_table_access, render_plan, render_table_acce
 use crate::schema::{ColumnDef, IndexDef, TableSchema};
 use crate::sql::ast::{ParsedStmt, Stmt};
 use crate::sql::parse;
-use crate::storage::{wal, FaultInjector, PageId, Pager, RowId, Wal};
+use crate::storage::pager::PagerSnapshot;
+use crate::storage::{wal, FaultInjector, PageId, PageSource, PageView, Pager, Wal};
 use crate::trace;
 use crate::value::{Row, Value};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -48,6 +57,16 @@ pub struct QueryResult {
     pub rows_affected: u64,
     /// Execution counters for this statement.
     pub stats: ExecStats,
+}
+
+/// A result whose rows are plan lines (`EXPLAIN` output).
+fn plan_result(lines: Vec<String>, rows_affected: u64, stats: ExecStats) -> QueryResult {
+    QueryResult {
+        columns: vec!["plan".to_string()],
+        rows: lines.into_iter().map(|l| vec![Value::text(l)]).collect(),
+        rows_affected,
+        stats,
+    }
 }
 
 /// One executed statement as recorded between [`Database::start_trace`] and
@@ -203,11 +222,7 @@ impl PlanCache {
         let parsed = parse(sql)?;
         // EXPLAIN shares the wrapped statement's plan slot, so EXPLAIN
         // renders exactly the plan the bare statement would run.
-        let planned = match &parsed.stmt {
-            Stmt::Explain { inner, .. } => inner.as_ref(),
-            other => other,
-        };
-        let plan = match planned {
+        let plan = match explained(&parsed.stmt) {
             Stmt::Select(s) => Some(plan_select(catalog, s, &parsed.subqueries, None)?),
             _ => None,
         };
@@ -239,9 +254,9 @@ impl PlanCache {
     }
 }
 
-/// Governance knobs shared between a live [`Database`] and every
-/// [`DbSnapshot`] taken from it: a deadline or budget set on either side
-/// governs both, and one cancel flag stops reads and writes alike.
+/// Governance knobs: a per-statement deadline, a work budget, and a
+/// cancel flag.
+#[derive(Default)]
 struct GovState {
     /// Per-statement deadline in milliseconds (0 = none).
     deadline_ms: AtomicU64,
@@ -253,14 +268,6 @@ struct GovState {
 }
 
 impl GovState {
-    fn new() -> GovState {
-        GovState {
-            deadline_ms: AtomicU64::new(0),
-            work_budget: AtomicU64::new(0),
-            cancel: OnceLock::new(),
-        }
-    }
-
     fn cancel_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(self.cancel.get_or_init(|| Arc::new(AtomicBool::new(false))))
     }
@@ -276,14 +283,293 @@ impl GovState {
     }
 }
 
+/// What a live [`Database`] shares with every [`DbSnapshot`] taken from
+/// it: snapshot reads reuse — and warm — the same prepared plans, merge
+/// into the same cumulative counters, and obey the same governance knobs
+/// (a deadline set on either side governs both, and one cancel flag stops
+/// reads and writes alike).
+#[derive(Default)]
+struct Shared {
+    plans: PlanCache,
+    /// Cumulative execution counters across all statements. An atomic
+    /// cell, not a latch: concurrent readers merge their statement stats
+    /// without serializing.
+    total_stats: SharedExecStats,
+    gov: GovState,
+}
+
+/// A statement past its preamble: its plan pinned, inside its trace span
+/// and governance scope, both of which end when this is dropped.
+struct Opened {
+    cached: Arc<Cached>,
+    _gov: governance::Scope,
+    _span: trace::Span,
+}
+
+impl Shared {
+    /// Opens one statement — the preamble every read and write shares: the
+    /// statement span, then governance (which covers planning too; when an
+    /// outer scope is already installed, e.g. an XPath query issuing many
+    /// statements under one deadline, entering is a no-op and the outer
+    /// limits keep governing), then the plan-cache lookup.
+    fn open(&self, catalog: &Catalog, sql: &str) -> DbResult<Opened> {
+        let span = trace::span_with("statement", || truncate_sql(sql));
+        let gov = governance::Scope::enter(self.gov.limits());
+        Ok(Opened {
+            cached: self.plans.lookup(catalog, sql)?,
+            _gov: gov,
+            _span: span,
+        })
+    }
+
+    /// Records one failed statement: the generic error counter, plus the
+    /// governance counters (registry and cumulative stats) when the failure
+    /// was a tripped deadline or cancellation.
+    fn record_failure(&self, e: &DbError) {
+        obs::registry().record_statement_error();
+        let mut s = ExecStats::default();
+        match e {
+            DbError::Timeout(_) => {
+                obs::registry().record_query_timeout();
+                s.queries_timed_out = 1;
+            }
+            DbError::Canceled(_) => {
+                obs::registry().record_query_cancel();
+                s.queries_canceled = 1;
+            }
+            _ => return,
+        }
+        self.total_stats.merge(&s);
+    }
+}
+
+/// One handle's statement trace: while on, every statement the handle runs
+/// appends a [`StatementTrace`].
+#[derive(Default)]
+struct StatementLog {
+    /// Checked with one relaxed load per statement, so the `trace` latch is
+    /// never touched on the (hot, concurrent) untraced path.
+    on: AtomicBool,
+    trace: Mutex<Option<Vec<StatementTrace>>>,
+}
+
+impl StatementLog {
+    /// Starts recording; replaces any trace already being recorded.
+    fn start(&self) {
+        *latch::lock(&self.trace, WaitSite::Trace) = Some(Vec::new());
+        self.on.store(true, Ordering::Relaxed);
+    }
+
+    /// Stops recording and returns the statements (empty if never started).
+    fn take(&self) -> Vec<StatementTrace> {
+        self.on.store(false, Ordering::Relaxed);
+        latch::lock(&self.trace, WaitSite::Trace)
+            .take()
+            .unwrap_or_default()
+    }
+
+    /// The start time of a statement someone will record: this log, or the
+    /// global registry.
+    fn clock(&self) -> Option<Instant> {
+        (self.on.load(Ordering::Relaxed) || obs::registry().enabled()).then(Instant::now)
+    }
+
+    /// Feeds one finished statement into the global registry and, while
+    /// on, this log.
+    fn record(
+        &self,
+        sql: &str,
+        params: &[Value],
+        is_read: bool,
+        started: Instant,
+        result: &QueryResult,
+    ) {
+        let elapsed = started.elapsed();
+        let rows = if result.rows.is_empty() {
+            result.rows_affected
+        } else {
+            result.rows.len() as u64
+        };
+        obs::registry().record_statement(
+            sql,
+            is_read,
+            &obs::SlowQuery {
+                sql: String::new(),
+                elapsed,
+                rows,
+                stats: result.stats,
+            },
+        );
+        if self.on.load(Ordering::Relaxed) {
+            if let Some(trace) = latch::lock(&self.trace, WaitSite::Trace).as_mut() {
+                trace.push(StatementTrace {
+                    sql: sql.to_string(),
+                    params: params.to_vec(),
+                    rows: result.rows.len() as u64,
+                    rows_affected: result.rows_affected,
+                    elapsed,
+                    stats: result.stats,
+                });
+            }
+        }
+    }
+}
+
+/// The shared pager and B+tree counters as a statement starts. Folding
+/// their movement into the statement's stats leaves it carrying only its
+/// own page and index traffic.
+struct EngineCounters {
+    pages: PagerSnapshot,
+    trees: BTreeCounters,
+}
+
+impl EngineCounters {
+    fn read(catalog: &Catalog, pager: &Pager) -> EngineCounters {
+        EngineCounters {
+            pages: pager.stats().full(),
+            trees: catalog.btree_counters(),
+        }
+    }
+
+    /// Adds the counter movement since `self` into `s`.
+    fn fold_into(&self, catalog: &Catalog, pager: &Pager, s: &mut ExecStats) {
+        let now = EngineCounters::read(catalog, pager);
+        let (p0, p1) = (&self.pages, &now.pages);
+        let (t0, t1) = (&self.trees, &now.trees);
+        let logical = p1.logical_reads.saturating_sub(p0.logical_reads);
+        let physical = p1.physical_reads.saturating_sub(p0.physical_reads);
+        s.pages_read += logical;
+        s.cache_misses += physical;
+        s.cache_hits += logical.saturating_sub(physical);
+        s.pages_written += p1.physical_writes.saturating_sub(p0.physical_writes);
+        s.evictions += p1.evictions.saturating_sub(p0.evictions);
+        s.read_retries += p1.read_retries.saturating_sub(p0.read_retries);
+        // saturating_sub: DROP TABLE discards that table's trees (and their
+        // counts), so the totals are not strictly monotonic.
+        s.btree_descents += t1.descents.saturating_sub(t0.descents);
+        s.btree_descent_reuses += t1.descent_reuses.saturating_sub(t0.descent_reuses);
+        s.btree_leaf_scans += t1.leaf_scans.saturating_sub(t0.leaf_scans);
+        s.btree_splits += t1.splits.saturating_sub(t0.splits);
+    }
+}
+
+/// One read statement's context: the catalog it plans and runs against,
+/// where its pages come from, and where its work is accounted. The live
+/// database (whose writer reads its own uncommitted rows) and a snapshot
+/// (one committed version) differ only in the values they put here.
+struct ReadCtx<'a> {
+    catalog: &'a Catalog,
+    pages: PageSource<'a>,
+    shared: &'a Shared,
+    log: &'a StatementLog,
+}
+
+impl ReadCtx<'_> {
+    /// Runs one read statement (`SELECT`, or `EXPLAIN [ANALYZE]` of one);
+    /// write statements are refused with [`DbError::Unsupported`].
+    fn run(&self, sql: &str, params: &[Value]) -> DbResult<QueryResult> {
+        let stmt = self.shared.open(self.catalog, sql)?;
+        self.execute(sql, &stmt.cached, params)
+    }
+
+    /// Executes a looked-up read statement and accounts for it: the body
+    /// of [`ReadCtx::run`], entered directly by [`Database::run`].
+    fn execute(&self, sql: &str, cached: &Cached, params: &[Value]) -> DbResult<QueryResult> {
+        let pager = self.pages.pager();
+        let before = EngineCounters::read(self.catalog, pager);
+        let started = self.log.clock();
+        // Borrow the statement and plan straight out of the pinned cache
+        // entry: the read hot path never deep-clones a SelectPlan.
+        let mut result = self
+            .dispatch(&cached.parsed.stmt, cached.plan.as_ref(), params)
+            .inspect_err(|e| self.shared.record_failure(e))?;
+        before.fold_into(self.catalog, pager, &mut result.stats);
+        self.shared.total_stats.merge(&result.stats);
+        if let Some(started) = started {
+            self.log.record(sql, params, true, started, &result);
+        }
+        Ok(result)
+    }
+
+    /// `SELECT`, and `EXPLAIN` / `EXPLAIN ANALYZE` of a `SELECT` (profiling
+    /// a read is itself a read). Everything else is a write and is refused.
+    fn dispatch(
+        &self,
+        stmt: &Stmt,
+        plan: Option<&SelectPlan>,
+        params: &[Value],
+    ) -> DbResult<QueryResult> {
+        let explain = match stmt {
+            Stmt::Select(_) => None,
+            Stmt::Explain { analyze, inner } if matches!(**inner, Stmt::Select(_)) => {
+                Some(*analyze)
+            }
+            _ => {
+                return Err(DbError::Unsupported(
+                    "write statements need exclusive database access (use `run`)".into(),
+                ))
+            }
+        };
+        let plan = plan.expect("SELECT statements are planned at cache time");
+        let mut stats = ExecStats::default();
+        let env = Env {
+            catalog: self.catalog,
+            pages: self.pages,
+            params,
+            prof: None,
+        };
+        let lines = match explain {
+            None => {
+                let rows = run_select(&env, &mut stats, plan, None)?;
+                return Ok(QueryResult {
+                    columns: plan.columns.clone(),
+                    rows,
+                    rows_affected: 0,
+                    stats,
+                });
+            }
+            Some(false) => render_plan(self.catalog, plan, None),
+            Some(true) => {
+                let prof = RefCell::new(Profiler::default());
+                let (rows, spans) = trace::capture(|| {
+                    let _exec = trace::span("exec");
+                    let env = Env {
+                        prof: Some(&prof),
+                        ..env
+                    };
+                    run_select(&env, &mut stats, plan, None)
+                });
+                let rows = rows?;
+                let mut lines = render_plan(self.catalog, plan, Some(&prof.into_inner()));
+                lines.push(format!("Rows returned: {}", rows.len()));
+                lines.push("Span tree:".to_string());
+                for line in trace::render_tree(&spans) {
+                    lines.push(format!("  {line}"));
+                }
+                lines
+            }
+        };
+        Ok(plan_result(lines, 0, stats))
+    }
+}
+
 /// One committed version of the database: the catalog as of a commit,
-/// paired with a [`crate::storage::PageView`] of exactly the pages that
-/// commit produced. Published as a unit by the writer (which holds
-/// `&mut Database`, so the pair can never be torn) and shared by `Arc`
-/// clone with every reader.
+/// paired with a [`PageView`] of exactly the pages that commit produced.
+/// Published as a unit by the writer (which holds `&mut Database`, so the
+/// pair can never be torn) and shared by `Arc` clone with every reader.
 struct CommittedState {
     catalog: Arc<Catalog>,
-    view: crate::storage::PageView,
+    view: PageView,
+}
+
+impl CommittedState {
+    /// The version `pager` and `catalog` hold now.
+    fn capture(catalog: &Catalog, pager: &Arc<Pager>) -> Arc<CommittedState> {
+        Arc::new(CommittedState {
+            catalog: Arc::new(catalog.clone()),
+            view: Pager::view(pager),
+        })
+    }
 }
 
 /// An embedded relational database.
@@ -294,33 +580,25 @@ struct CommittedState {
 /// and the statistics sinks. Everything that mutates the database — write
 /// statements via [`Database::run`], transactions, checkpoints — takes
 /// `&mut self`, so Rust's aliasing rules serialize writers against readers
-/// at compile time (one writer XOR any readers). Multi-threaded callers
-/// who need interleaved reads and writes put the database behind an
-/// `RwLock` (see `XmlStore` in the core crate).
+/// at compile time (one writer XOR any readers). Readers that must run
+/// beside a writer take a [`DbSnapshot`] instead: it reads the last
+/// committed version without touching the database, so the writer can sit
+/// behind a plain `Mutex` (see `XmlStore` in the core crate) and still
+/// never block a reader.
 pub struct Database {
     pager: Arc<Pager>,
     catalog: Catalog,
-    /// Shared with published snapshots ([`DbSnapshot`]), so snapshot reads
-    /// reuse — and warm — the same prepared plans as live statements.
-    plan_cache: Arc<PlanCache>,
-    /// Cumulative execution counters across all statements. An atomic cell,
-    /// not a latch: concurrent readers merge their statement stats without
-    /// serializing. Shared with snapshots, so their reads land here too.
-    total_stats: Arc<SharedExecStats>,
-    /// `true` while a statement trace is being recorded — checked with one
-    /// relaxed load per statement so the `trace` latch is never touched on
-    /// the (hot, concurrent) untraced path.
-    trace_on: AtomicBool,
-    /// When `Some`, every statement appends a [`StatementTrace`].
-    trace: Mutex<Option<Vec<StatementTrace>>>,
+    /// Plan cache, cumulative counters, and governance, shared with every
+    /// snapshot.
+    shared: Arc<Shared>,
+    /// This handle's statement trace ([`Database::start_trace`]).
+    log: StatementLog,
     /// Pages holding the serialized catalog (file mode only; page 0 is the
     /// meta page pointing at them).
     catalog_pages: Vec<PageId>,
     file_backed: bool,
     /// Open explicit or auto-commit transaction, if any.
     txn: Option<DbTxn>,
-    /// Governance knobs, shared with every snapshot.
-    gov: Arc<GovState>,
     /// The last committed version, republished by every commit, rollback,
     /// and auto-commit write. [`Database::snapshot`] loads it; readers run
     /// against it while a writer proceeds.
@@ -330,25 +608,7 @@ pub struct Database {
 impl Database {
     /// A fresh, fully in-memory database.
     pub fn in_memory() -> Database {
-        let pager = Arc::new(Pager::in_memory());
-        let catalog = Catalog::new();
-        let committed = latch::EpochCell::new(Arc::new(CommittedState {
-            catalog: Arc::new(catalog.clone()),
-            view: Pager::view(&pager),
-        }));
-        Database {
-            pager,
-            catalog,
-            plan_cache: Arc::new(PlanCache::default()),
-            total_stats: Arc::new(SharedExecStats::default()),
-            trace_on: AtomicBool::new(false),
-            trace: Mutex::new(None),
-            catalog_pages: Vec::new(),
-            file_backed: false,
-            txn: None,
-            gov: Arc::new(GovState::new()),
-            committed,
-        }
+        Database::assemble(Pager::in_memory(), Catalog::new(), Vec::new(), false)
     }
 
     /// Opens (or creates) a file-backed database with a buffer pool of
@@ -398,24 +658,28 @@ impl Database {
             }
             (Catalog::decode(&blob, &pager)?, pages)
         };
+        Ok(Database::assemble(pager, catalog, catalog_pages, true))
+    }
+
+    /// A database over `pager` whose committed state is `catalog`.
+    fn assemble(
+        pager: Pager,
+        catalog: Catalog,
+        catalog_pages: Vec<PageId>,
+        file_backed: bool,
+    ) -> Database {
         let pager = Arc::new(pager);
-        let committed = latch::EpochCell::new(Arc::new(CommittedState {
-            catalog: Arc::new(catalog.clone()),
-            view: Pager::view(&pager),
-        }));
-        Ok(Database {
+        let committed = latch::EpochCell::new(CommittedState::capture(&catalog, &pager));
+        Database {
             pager,
             catalog,
-            plan_cache: Arc::new(PlanCache::default()),
-            total_stats: Arc::new(SharedExecStats::default()),
-            trace_on: AtomicBool::new(false),
-            trace: Mutex::new(None),
+            shared: Arc::default(),
+            log: StatementLog::default(),
             catalog_pages,
-            file_backed: true,
+            file_backed,
             txn: None,
-            gov: Arc::new(GovState::new()),
             committed,
-        })
+        }
     }
 
     /// Sets a per-statement deadline (0 clears it). Every subsequent
@@ -424,14 +688,14 @@ impl Database {
     /// checkpoint and the statement unwinds like any other error
     /// (transactions roll back, latches release).
     pub fn set_deadline_ms(&self, ms: u64) {
-        self.gov.deadline_ms.store(ms, Ordering::Relaxed);
+        self.shared.gov.deadline_ms.store(ms, Ordering::Relaxed);
     }
 
     /// Sets a per-statement work budget in units of rows visited + pages
     /// read (0 clears it); exceeding it surfaces
     /// [`DbError::ResourceExhausted`].
     pub fn set_work_budget(&self, units: u64) {
-        self.gov.work_budget.store(units, Ordering::Relaxed);
+        self.shared.gov.work_budget.store(units, Ordering::Relaxed);
     }
 
     /// The shared cancel flag for this database's statements. Setting it
@@ -440,7 +704,7 @@ impl Database {
     /// check; clear it to resume normal service. The flag is created on
     /// first call — until then statements pay nothing for cancellation.
     pub fn cancel_flag(&self) -> Arc<AtomicBool> {
-        self.gov.cancel_flag()
+        self.shared.gov.cancel_flag()
     }
 
     /// The governance limits a statement starting *now* would run under.
@@ -448,7 +712,7 @@ impl Database {
     /// `xpath()`) enter one [`governance::Scope`] with these limits up
     /// front, so the whole call shares a single deadline and budget.
     pub fn limits(&self) -> governance::Limits {
-        self.gov.limits()
+        self.shared.gov.limits()
     }
 
     /// Sets this database's operator-facing identity. Multi-store
@@ -588,11 +852,8 @@ impl Database {
     /// so readers only ever pair a catalog with exactly its pages. Cheap:
     /// the catalog clone shares every table by `Arc` (copy-on-write).
     fn publish_committed(&self) {
-        let state = CommittedState {
-            catalog: Arc::new(self.catalog.clone()),
-            view: Pager::view(&self.pager),
-        };
-        self.committed.publish(Arc::new(state), WaitSite::Snapshot);
+        let state = CommittedState::capture(&self.catalog, &self.pager);
+        self.committed.publish(state, WaitSite::Snapshot);
     }
 
     /// A read-only [`DbSnapshot`] of the last committed version. Cheap
@@ -603,12 +864,8 @@ impl Database {
         let (_, state) = self.committed.load(WaitSite::Snapshot);
         DbSnapshot {
             state,
-            pager: Arc::clone(&self.pager),
-            plans: Arc::clone(&self.plan_cache),
-            total_stats: Arc::clone(&self.total_stats),
-            gov: Arc::clone(&self.gov),
-            trace_on: AtomicBool::new(false),
-            trace: Mutex::new(None),
+            shared: Arc::clone(&self.shared),
+            log: StatementLog::default(),
         }
     }
 
@@ -639,28 +896,24 @@ impl Database {
 
     /// Cumulative execution counters across all statements so far.
     pub fn total_stats(&self) -> ExecStats {
-        self.total_stats.snapshot()
+        self.shared.total_stats.snapshot()
     }
 
     /// Resets the cumulative counters (useful between benchmark phases).
     pub fn reset_stats(&mut self) {
-        self.total_stats.reset();
+        self.shared.total_stats.reset();
     }
 
     /// Starts recording a [`StatementTrace`] for every statement run from
     /// now on. Replaces any trace already being recorded.
     pub fn start_trace(&mut self) {
-        *latch::lock(&self.trace, WaitSite::Trace) = Some(Vec::new());
-        self.trace_on.store(true, Ordering::Relaxed);
+        self.log.start();
     }
 
     /// Stops tracing and returns the recorded statements (empty if tracing
     /// was never started).
     pub fn take_trace(&mut self) -> Vec<StatementTrace> {
-        self.trace_on.store(false, Ordering::Relaxed);
-        latch::lock(&self.trace, WaitSite::Trace)
-            .take()
-            .unwrap_or_default()
+        self.log.take()
     }
 
     /// Renders the plan for `sql` (equivalent to running it with an
@@ -700,17 +953,12 @@ impl Database {
         Ok(self.run_read(sql, params)?.rows)
     }
 
-    /// Looks `sql` up in the shared plan cache, planning it against the
-    /// live catalog on a miss (see [`PlanCache::lookup`]).
-    fn lookup_plan(&self, sql: &str) -> DbResult<Arc<Cached>> {
-        self.plan_cache.lookup(&self.catalog, sql)
-    }
-
     /// Per-shard `(hits, misses)` counters for the plan cache, in shard
     /// order. Sums across shards match the registry's aggregate plan-cache
     /// counters for this database.
     pub fn plan_cache_shard_stats(&self) -> Vec<(u64, u64)> {
-        self.plan_cache
+        self.shared
+            .plans
             .shards
             .iter()
             .map(|s| {
@@ -725,7 +973,8 @@ impl Database {
     /// Total number of cached plans across all shards (test visibility).
     #[cfg(test)]
     fn plan_cache_len(&self) -> usize {
-        self.plan_cache
+        self.shared
+            .plans
             .shards
             .iter()
             .map(|s| latch::read(&s.map, WaitSite::PlanCache).len())
@@ -735,72 +984,37 @@ impl Database {
     /// Whether `sql` currently has a cached plan (test visibility).
     #[cfg(test)]
     fn plan_cache_contains(&self, sql: &str) -> bool {
-        latch::read(&self.plan_cache.shard(sql).map, WaitSite::PlanCache).contains_key(sql)
+        latch::read(&self.shared.plans.shard(sql).map, WaitSite::PlanCache).contains_key(sql)
+    }
+
+    /// The live read context: this database's catalog and pager, so a
+    /// writer reads its own uncommitted rows.
+    fn read_ctx(&self) -> ReadCtx<'_> {
+        ReadCtx {
+            catalog: &self.catalog,
+            pages: PageSource::Live(&self.pager),
+            shared: &self.shared,
+            log: &self.log,
+        }
     }
 
     /// Runs one SQL statement. Statements are parsed and (for SELECT)
     /// planned once, then cached by SQL text, so parameterized statements
-    /// behave as prepared statements.
+    /// behave as prepared statements. Reads run through the same body as
+    /// [`Database::run_read`].
     pub fn run(&mut self, sql: &str, params: &[Value]) -> DbResult<QueryResult> {
-        let _stmt_span = trace::span_with("statement", || truncate_sql(sql));
-        // Governance covers the whole statement, planning included. When an
-        // outer scope is already installed (an XPath query issuing many
-        // statements under one deadline), entering is a no-op and the outer
-        // limits keep governing.
-        let _gov = governance::Scope::enter(self.limits());
-        let cached = self.lookup_plan(sql)?;
-        // The write path's dispatch consumes the statement (and may mutate
-        // the database out from under the cache), so it gets clones; only
-        // the read path borrows straight from the cache entry.
-        let stmt = cached.parsed.stmt.clone();
-        let has_subqueries = !cached.parsed.subqueries.is_empty();
-        let plan = cached.plan.clone();
-        drop(cached);
-        let is_read = matches!(&stmt, Stmt::Select(_) | Stmt::Explain { .. });
-        // Snapshot the shared pager/B+tree counters so the statement's
-        // QueryResult carries only its own page and index traffic.
-        let pages_before = self.pager.stats().full();
-        let trees_before = self.catalog.btree_counters();
-        let observing = self.tracing() || obs::registry().enabled();
-        let started = observing.then(Instant::now);
-        // Standalone write statements auto-commit under WAL durability, so
-        // every write is atomic and durable on its own; statements inside an
-        // explicit transaction ride on its commit.
-        let is_write = stmt_writes(&stmt);
-        let auto_txn = self.pager.wal_enabled() && !self.in_transaction() && is_write;
-        if auto_txn {
-            self.begin()?;
+        let opened = self.shared.open(&self.catalog, sql)?;
+        let cached = &opened.cached;
+        let stmt = &cached.parsed.stmt;
+        if matches!(explained(stmt), Stmt::Select(_)) {
+            return self.read_ctx().execute(sql, cached, params);
         }
-        let mut result = match self.dispatch(stmt, has_subqueries, plan, params) {
-            Ok(r) => {
-                if auto_txn {
-                    if let Err(e) = self.commit() {
-                        self.record_failure(&e);
-                        return Err(e);
-                    }
-                }
-                r
-            }
-            Err(e) => {
-                if auto_txn {
-                    let _ = self.rollback();
-                }
-                self.record_failure(&e);
-                return Err(e);
-            }
-        };
-        // Writes that commit without a transaction (no WAL: the in-memory
-        // backend, legacy checkpoint durability) republish here; auto-commit
-        // and explicit transactions republish inside `commit`.
-        if is_write && !auto_txn && !self.in_transaction() {
-            self.publish_committed();
-        }
-        self.fold_engine_deltas(&mut result.stats, &pages_before, &trees_before);
-        self.total_stats.merge(&result.stats);
-        if let Some(started) = started {
-            self.record_statement(sql, params, is_read, started, &result);
-        }
-        Ok(result)
+        // EXPLAIN of a write is recorded as a read, like every EXPLAIN.
+        let is_read = matches!(stmt, Stmt::Explain { .. });
+        let label = || Cow::Borrowed(sql);
+        self.write_envelope(label, params, is_read, stmt_writes(stmt), |db| {
+            db.dispatch(&cached.parsed, params)
+        })
     }
 
     /// Runs one *read* statement (`SELECT`, or `EXPLAIN` of a `SELECT`)
@@ -810,125 +1024,76 @@ impl Database {
     /// [`DbError::Unsupported`] — route them through [`Database::run`],
     /// which takes `&mut self` and therefore excludes concurrent readers.
     pub fn run_read(&self, sql: &str, params: &[Value]) -> DbResult<QueryResult> {
-        let _stmt_span = trace::span_with("statement", || truncate_sql(sql));
-        let _gov = governance::Scope::enter(self.limits());
-        let cached = self.lookup_plan(sql)?;
-        let pages_before = self.pager.stats().full();
-        let trees_before = self.catalog.btree_counters();
-        let observing = self.tracing() || obs::registry().enabled();
-        let started = observing.then(Instant::now);
-        // Borrow the statement and plan straight out of the pinned cache
-        // entry: the read hot path never deep-clones a SelectPlan.
-        let mut result = match self.dispatch_read(&cached.parsed.stmt, cached.plan.as_ref(), params)
-        {
-            Ok(r) => r,
+        self.read_ctx().run(sql, params)
+    }
+
+    /// The envelope every write statement runs in — [`Database::run`]'s
+    /// writes and [`Database::insert_many`] alike. Standalone writes
+    /// auto-commit under WAL durability, so each is atomic and durable on
+    /// its own; statements inside an explicit transaction ride on its
+    /// commit. Failures (the body's or the commit's) are counted, and the
+    /// result's stats carry only the statement's own page and index traffic.
+    /// `sql` names the statement in traces; it is only called when
+    /// something records.
+    fn write_envelope<'s>(
+        &mut self,
+        sql: impl FnOnce() -> Cow<'s, str>,
+        params: &[Value],
+        is_read: bool,
+        is_write: bool,
+        body: impl FnOnce(&mut Database) -> DbResult<QueryResult>,
+    ) -> DbResult<QueryResult> {
+        let before = EngineCounters::read(&self.catalog, &self.pager);
+        let started = self.log.clock();
+        let auto_txn = is_write && self.pager.wal_enabled() && !self.in_transaction();
+        if auto_txn {
+            self.begin()?;
+        }
+        let outcome = match body(self) {
+            Ok(r) if auto_txn => self.commit().map(|()| r),
+            Ok(r) => Ok(r),
             Err(e) => {
-                self.record_failure(&e);
-                return Err(e);
+                if auto_txn {
+                    let _ = self.rollback();
+                }
+                Err(e)
             }
         };
-        self.fold_engine_deltas(&mut result.stats, &pages_before, &trees_before);
-        self.total_stats.merge(&result.stats);
+        let mut result = outcome.inspect_err(|e| self.shared.record_failure(e))?;
+        // Writes that commit without a transaction (no WAL: the in-memory
+        // backend, legacy checkpoint durability) republish here; auto-commit
+        // and explicit transactions republish inside `commit`.
+        if is_write && !auto_txn && !self.in_transaction() {
+            self.publish_committed();
+        }
+        before.fold_into(&self.catalog, &self.pager, &mut result.stats);
+        self.shared.total_stats.merge(&result.stats);
         if let Some(started) = started {
-            self.record_statement(sql, params, true, started, &result);
+            self.log.record(&sql(), params, is_read, started, &result);
         }
         Ok(result)
     }
 
-    /// Records one failed statement: the generic error counter, plus the
-    /// governance counters (registry and cumulative stats) when the failure
-    /// was a tripped deadline or cancellation.
-    fn record_failure(&self, e: &DbError) {
-        record_failure_to(&self.total_stats, e);
-    }
-
-    /// `true` while a statement trace is being recorded (one relaxed load —
-    /// the untraced path never touches the trace latch).
-    fn tracing(&self) -> bool {
-        self.trace_on.load(Ordering::Relaxed)
-    }
-
-    /// Feeds one finished statement into the global registry and the
-    /// in-flight trace, if any.
-    fn record_statement(
-        &self,
-        sql: &str,
-        params: &[Value],
-        is_read: bool,
-        started: Instant,
-        result: &QueryResult,
-    ) {
-        record_statement_to(
-            &self.trace_on,
-            &self.trace,
-            sql,
-            params,
-            is_read,
-            started,
-            result,
-        );
-    }
-
-    /// The read-only subset of [`Database::dispatch`]: `SELECT`, and
-    /// `EXPLAIN` / `EXPLAIN ANALYZE` of a `SELECT` (profiling a read is
-    /// itself a read). Everything else is a write and is refused.
-    fn dispatch_read(
-        &self,
-        stmt: &Stmt,
-        plan: Option<&SelectPlan>,
-        params: &[Value],
-    ) -> DbResult<QueryResult> {
-        dispatch_read_at(&self.catalog, &self.pager, stmt, plan, params)
-    }
-
-    /// Folds buffer-pool and B+tree counter movement since the given
-    /// snapshots into `s`, so a statement's stats carry only its own page
-    /// and index traffic.
-    fn fold_engine_deltas(
-        &self,
-        s: &mut ExecStats,
-        pages_before: &crate::storage::pager::PagerSnapshot,
-        trees_before: &crate::btree::BTreeCounters,
-    ) {
-        fold_engine_deltas_at(&self.catalog, &self.pager, s, pages_before, trees_before);
-    }
-
-    /// Executes one already-parsed statement (the body of [`Database::run`],
-    /// split out so `run` can fold counter deltas around it uniformly).
-    fn dispatch(
-        &mut self,
-        stmt: Stmt,
-        has_subqueries: bool,
-        plan: Option<SelectPlan>,
-        params: &[Value],
-    ) -> DbResult<QueryResult> {
-        let mut stats = ExecStats::default();
-        let result = match stmt {
-            Stmt::Explain { analyze, inner } => {
-                let (lines, rows_affected) =
-                    self.run_explain(*inner, analyze, plan, has_subqueries, params, &mut stats)?;
-                QueryResult {
-                    columns: vec!["plan".to_string()],
-                    rows: lines.into_iter().map(|l| vec![Value::text(l)]).collect(),
-                    rows_affected,
-                    stats,
-                }
+    /// Executes one write statement: DDL, DML, or `EXPLAIN` of DML. Reads
+    /// never get here — [`Database::run`] sends them through the read
+    /// context.
+    fn dispatch(&mut self, parsed: &ParsedStmt, params: &[Value]) -> DbResult<QueryResult> {
+        if !parsed.subqueries.is_empty() {
+            let kind = match explained(&parsed.stmt) {
+                Stmt::Insert { .. } => Some("INSERT"),
+                Stmt::Update { .. } => Some("UPDATE"),
+                Stmt::Delete { .. } => Some("DELETE"),
+                _ => None,
+            };
+            if let Some(kind) = kind {
+                return Err(DbError::Unsupported(format!("subqueries in {kind}")));
             }
-            Stmt::Select(_) => {
-                let plan = plan.expect("SELECT statements are planned at cache time");
-                let env = Env {
-                    catalog: &self.catalog,
-                    pager: &self.pager,
-                    params,
-                    prof: None,
-                };
-                let rows = run_select(&env, &mut stats, &plan, None)?;
-                QueryResult {
-                    columns: plan.columns.clone(),
-                    rows,
-                    rows_affected: 0,
-                    stats,
-                }
+        }
+        let mut stats = ExecStats::default();
+        let rows_affected = match &parsed.stmt {
+            Stmt::Explain { analyze, inner } => {
+                let (lines, affected) = self.run_explain(inner, *analyze, params, &mut stats)?;
+                return Ok(plan_result(lines, affected, stats));
             }
             Stmt::CreateTable {
                 name,
@@ -954,7 +1119,7 @@ impl Database {
                             "both inline and table-level PRIMARY KEY".into(),
                         ));
                     }
-                    for name in &primary_key {
+                    for name in primary_key {
                         let idx = cols
                             .iter()
                             .position(|c| c.name.eq_ignore_ascii_case(name))
@@ -971,12 +1136,7 @@ impl Database {
                     columns: cols,
                     primary_key: pk,
                 })?;
-                QueryResult {
-                    columns: vec![],
-                    rows: vec![],
-                    rows_affected: 0,
-                    stats,
-                }
+                0
             }
             Stmt::CreateIndex {
                 name,
@@ -985,7 +1145,7 @@ impl Database {
                 unique,
             } => {
                 self.invalidate_plans();
-                let t = self.catalog.table(&table)?;
+                let t = self.catalog.table(table)?;
                 let cols = columns
                     .iter()
                     .map(|c| {
@@ -996,272 +1156,138 @@ impl Database {
                     .collect::<DbResult<Vec<_>>>()?;
                 self.catalog.create_index(
                     &self.pager,
-                    &table,
+                    table,
                     IndexDef {
                         name: name.to_ascii_lowercase(),
                         columns: cols,
-                        unique,
+                        unique: *unique,
                     },
                 )?;
-                QueryResult {
-                    columns: vec![],
-                    rows: vec![],
-                    rows_affected: 0,
-                    stats,
-                }
+                0
             }
             Stmt::DropTable { name, if_exists } => {
                 self.invalidate_plans();
-                match self.catalog.drop_table(&name) {
+                match self.catalog.drop_table(name) {
                     Ok(()) => {}
-                    Err(DbError::Unknown(_)) if if_exists => {}
+                    Err(DbError::Unknown(_)) if *if_exists => {}
                     Err(e) => return Err(e),
                 }
-                QueryResult {
-                    columns: vec![],
-                    rows: vec![],
-                    rows_affected: 0,
-                    stats,
-                }
+                0
             }
+            dml => self.run_dml(dml, params, &mut stats)?,
+        };
+        Ok(QueryResult {
+            columns: vec![],
+            rows: vec![],
+            rows_affected,
+            stats,
+        })
+    }
+
+    /// Executes an `INSERT`, `UPDATE`, or `DELETE`; returns the rows it
+    /// wrote.
+    fn run_dml(&mut self, stmt: &Stmt, params: &[Value], stats: &mut ExecStats) -> DbResult<u64> {
+        match stmt {
             Stmt::Insert {
                 table,
                 columns,
                 rows,
-            } => {
-                if has_subqueries {
-                    return Err(DbError::Unsupported("subqueries in INSERT".into()));
-                }
-                let n = self.run_insert(&table, columns.as_deref(), &rows, params, &mut stats)?;
-                QueryResult {
-                    columns: vec![],
-                    rows: vec![],
-                    rows_affected: n,
-                    stats,
-                }
-            }
+            } => self.run_insert(table, columns.as_deref(), rows, params, stats),
             Stmt::Update {
                 table,
                 sets,
                 where_clause,
-            } => {
-                if has_subqueries {
-                    return Err(DbError::Unsupported("subqueries in UPDATE".into()));
-                }
-                let n =
-                    self.run_update(&table, &sets, where_clause.as_ref(), params, &mut stats)?;
-                QueryResult {
-                    columns: vec![],
-                    rows: vec![],
-                    rows_affected: n,
-                    stats,
-                }
-            }
+            } => self.run_update(table, sets, where_clause.as_ref(), params, stats),
             Stmt::Delete {
                 table,
                 where_clause,
-            } => {
-                if has_subqueries {
-                    return Err(DbError::Unsupported("subqueries in DELETE".into()));
-                }
-                let n = self.run_delete(&table, where_clause.as_ref(), params, &mut stats)?;
-                QueryResult {
-                    columns: vec![],
-                    rows: vec![],
-                    rows_affected: n,
-                    stats,
-                }
-            }
-        };
-        Ok(result)
+            } => self.run_delete(table, where_clause.as_ref(), params, stats),
+            _ => unreachable!("only DML reaches run_dml"),
+        }
     }
 
-    /// Renders (and under ANALYZE, executes and profiles) the wrapped
-    /// statement. Returns the plan lines and the affected-row count (nonzero
-    /// only for ANALYZE of a write statement).
+    /// Renders (and under ANALYZE, executes) an `EXPLAIN` of a write.
+    /// Returns the plan lines and the affected-row count (nonzero only
+    /// under ANALYZE).
     fn run_explain(
         &mut self,
-        inner: Stmt,
+        inner: &Stmt,
         analyze: bool,
-        plan: Option<SelectPlan>,
-        has_subqueries: bool,
         params: &[Value],
         stats: &mut ExecStats,
     ) -> DbResult<(Vec<String>, u64)> {
-        match inner {
-            Stmt::Select(_) => {
-                let plan = plan.expect("EXPLAIN SELECT is planned at cache time");
-                if analyze {
-                    let prof = RefCell::new(Profiler::default());
-                    let (rows, spans) = trace::capture(|| {
-                        let _exec = trace::span("exec");
-                        let env = Env {
-                            catalog: &self.catalog,
-                            pager: &self.pager,
-                            params,
-                            prof: Some(&prof),
-                        };
-                        run_select(&env, stats, &plan, None)
-                    });
-                    let rows = rows?;
-                    let prof = prof.into_inner();
-                    let mut lines = render_plan(&self.catalog, &plan, Some(&prof));
-                    lines.push(format!("Rows returned: {}", rows.len()));
-                    lines.push("Span tree:".to_string());
-                    for line in trace::render_tree(&spans) {
-                        lines.push(format!("  {line}"));
-                    }
-                    Ok((lines, 0))
-                } else {
-                    Ok((render_plan(&self.catalog, &plan, None), 0))
-                }
-            }
-            Stmt::Insert {
-                table,
-                columns,
-                rows,
-            } => {
-                if has_subqueries {
-                    return Err(DbError::Unsupported("subqueries in INSERT".into()));
-                }
-                let mut lines = vec![format!("Insert on {table} ({} rows)", rows.len())];
-                let mut affected = 0;
-                if analyze {
-                    affected = self.run_insert(&table, columns.as_deref(), &rows, params, stats)?;
-                    lines.push(format!("Rows affected: {affected}"));
-                }
-                Ok((lines, affected))
+        let mut lines = match inner {
+            Stmt::Insert { table, rows, .. } => {
+                vec![format!("Insert on {table} ({} rows)", rows.len())]
             }
             Stmt::Update {
                 table,
                 sets,
                 where_clause,
             } => {
-                if has_subqueries {
-                    return Err(DbError::Unsupported("subqueries in UPDATE".into()));
-                }
-                let (path, residual, _scope) =
-                    plan_table_access(&self.catalog, &table, where_clause.as_ref())?;
                 let set_cols: Vec<&str> = sets.iter().map(|(n, _)| n.as_str()).collect();
-                let mut lines = vec![format!("Update on {table} [set {}]", set_cols.join(", "))];
-                lines.push(format!(
-                    "  {}",
-                    render_table_access(&self.catalog, &table, &path)
-                ));
-                if let Some(r) = residual {
-                    lines.push(format!("  Residual filter [{r}]"));
-                }
-                let mut affected = 0;
-                if analyze {
-                    affected =
-                        self.run_update(&table, &sets, where_clause.as_ref(), params, stats)?;
-                    lines.push(format!("Rows affected: {affected}"));
-                }
-                Ok((lines, affected))
+                let head = format!("Update on {table} [set {}]", set_cols.join(", "));
+                self.explain_access(head, table, where_clause.as_ref())?
             }
             Stmt::Delete {
                 table,
                 where_clause,
-            } => {
-                if has_subqueries {
-                    return Err(DbError::Unsupported("subqueries in DELETE".into()));
-                }
-                let (path, residual, _scope) =
-                    plan_table_access(&self.catalog, &table, where_clause.as_ref())?;
-                let mut lines = vec![format!("Delete on {table}")];
-                lines.push(format!(
-                    "  {}",
-                    render_table_access(&self.catalog, &table, &path)
-                ));
-                if let Some(r) = residual {
-                    lines.push(format!("  Residual filter [{r}]"));
-                }
-                let mut affected = 0;
-                if analyze {
-                    affected = self.run_delete(&table, where_clause.as_ref(), params, stats)?;
-                    lines.push(format!("Rows affected: {affected}"));
-                }
-                Ok((lines, affected))
-            }
-            Stmt::Explain { .. } => Err(DbError::Unsupported("nested EXPLAIN".into())),
-            _ => Err(DbError::Unsupported("EXPLAIN of DDL statements".into())),
+            } => self.explain_access(format!("Delete on {table}"), table, where_clause.as_ref())?,
+            Stmt::Explain { .. } => return Err(DbError::Unsupported("nested EXPLAIN".into())),
+            _ => return Err(DbError::Unsupported("EXPLAIN of DDL statements".into())),
+        };
+        if !analyze {
+            return Ok((lines, 0));
         }
+        let affected = self.run_dml(inner, params, stats)?;
+        lines.push(format!("Rows affected: {affected}"));
+        Ok((lines, affected))
+    }
+
+    /// `head`, then the access path an `UPDATE` / `DELETE` of `table` would
+    /// take and its residual filter.
+    fn explain_access(
+        &self,
+        head: String,
+        table: &str,
+        where_clause: Option<&Expr>,
+    ) -> DbResult<Vec<String>> {
+        let (path, residual, _scope) = plan_table_access(&self.catalog, table, where_clause)?;
+        let mut lines = vec![
+            head,
+            format!("  {}", render_table_access(&self.catalog, table, &path)),
+        ];
+        if let Some(r) = residual {
+            lines.push(format!("  Residual filter [{r}]"));
+        }
+        Ok(lines)
     }
 
     /// Bulk-inserts pre-built rows into a table, bypassing SQL parsing and
     /// per-statement overhead. This is the shredder's bulk-load path. It is
-    /// still a statement to the observability layer: it folds page/B+tree
-    /// deltas, counts as one write statement, and appears in traces as
-    /// `INSERT INTO <table> /* bulk */`.
+    /// still a statement: it runs in [`Database::run`]'s write envelope
+    /// (auto-commit, failure counting, page/B+tree deltas) and appears in
+    /// traces as `INSERT INTO <table> /* bulk */`.
     pub fn insert_many(&mut self, table: &str, rows: Vec<Row>) -> DbResult<u64> {
-        let pages_before = self.pager.stats().full();
-        let trees_before = self.catalog.btree_counters();
-        let observing = self.tracing() || obs::registry().enabled();
-        let started = observing.then(Instant::now);
-        let auto_txn = self.pager.wal_enabled() && !self.in_transaction();
-        if auto_txn {
-            self.begin()?;
-        }
-        let n = match self.insert_many_rows(table, rows) {
-            Ok(n) => {
-                if auto_txn {
-                    self.commit()?;
-                }
-                n
+        let label = || Cow::Owned(format!("INSERT INTO {table} /* bulk */"));
+        let result = self.write_envelope(label, &[], false, true, |db| {
+            let t = db.catalog.table_mut(table)?;
+            let mut n = 0;
+            for row in rows {
+                t.insert_row(&db.pager, row)?;
+                n += 1;
             }
-            Err(e) => {
-                if auto_txn {
-                    let _ = self.rollback();
-                }
-                return Err(e);
-            }
-        };
-        // Mirror `run`: commits republish inside `commit`; a bulk load that
-        // commits without a transaction (no WAL) republishes here.
-        if !auto_txn && !self.in_transaction() {
-            self.publish_committed();
-        }
-        let mut stats = ExecStats {
-            rows_written: n,
-            ..ExecStats::default()
-        };
-        self.fold_engine_deltas(&mut stats, &pages_before, &trees_before);
-        self.total_stats.merge(&stats);
-        if let Some(started) = started {
-            let elapsed = started.elapsed();
-            let sql = format!("INSERT INTO {table} /* bulk */");
-            obs::registry().record_statement(
-                &sql,
-                false,
-                &obs::SlowQuery {
-                    sql: String::new(),
-                    elapsed,
-                    rows: n,
-                    stats,
+            Ok(QueryResult {
+                columns: vec![],
+                rows: vec![],
+                rows_affected: n,
+                stats: ExecStats {
+                    rows_written: n,
+                    ..ExecStats::default()
                 },
-            );
-            if let Some(trace) = latch::lock(&self.trace, WaitSite::Trace).as_mut() {
-                trace.push(StatementTrace {
-                    sql,
-                    params: Vec::new(),
-                    rows: 0,
-                    rows_affected: n,
-                    elapsed,
-                    stats,
-                });
-            }
-        }
-        Ok(n)
-    }
-
-    fn insert_many_rows(&mut self, table: &str, rows: Vec<Row>) -> DbResult<u64> {
-        let t = self.catalog.table_mut(table)?;
-        let mut n = 0;
-        for row in rows {
-            t.insert_row(&self.pager, row)?;
-            n += 1;
-        }
-        Ok(n)
+            })
+        })?;
+        Ok(result.rows_affected)
     }
 
     fn run_insert(
@@ -1339,15 +1365,7 @@ impl Database {
             })
             .collect::<DbResult<Vec<_>>>()?;
         // Materialize targets first (no Halloween problem).
-        let victims = {
-            let env = Env {
-                catalog: &self.catalog,
-                pager: &self.pager,
-                params,
-                prof: None,
-            };
-            scan_for_update(&env, stats, table, &path)?
-        };
+        let victims = scan_for_update(&self.write_env(params), stats, table, &path)?;
         let mut count = 0;
         for (rid, row) in victims {
             if let Some(pred) = &residual {
@@ -1377,15 +1395,7 @@ impl Database {
         stats: &mut ExecStats,
     ) -> DbResult<u64> {
         let (path, residual, _scope) = plan_table_access(&self.catalog, table, where_clause)?;
-        let victims = {
-            let env = Env {
-                catalog: &self.catalog,
-                pager: &self.pager,
-                params,
-                prof: None,
-            };
-            scan_for_update(&env, stats, table, &path)?
-        };
+        let victims = scan_for_update(&self.write_env(params), stats, table, &path)?;
         let mut count = 0;
         for (rid, row) in victims {
             if let Some(pred) = &residual {
@@ -1402,8 +1412,19 @@ impl Database {
         Ok(count)
     }
 
+    /// The environment an `UPDATE` / `DELETE` finds its victims in: the
+    /// live catalog and pages.
+    fn write_env<'a>(&'a self, params: &'a [Value]) -> Env<'a> {
+        Env {
+            catalog: &self.catalog,
+            pages: PageSource::Live(&self.pager),
+            params,
+            prof: None,
+        }
+    }
+
     fn invalidate_plans(&mut self) {
-        for shard in &self.plan_cache.shards {
+        for shard in &self.shared.plans.shards {
             latch::write(&shard.map, WaitSite::PlanCache).clear();
         }
     }
@@ -1457,6 +1478,14 @@ impl Database {
     }
 }
 
+/// The statement an `EXPLAIN` wraps; any other statement itself.
+fn explained(stmt: &Stmt) -> &Stmt {
+    match stmt {
+        Stmt::Explain { inner, .. } => inner,
+        other => other,
+    }
+}
+
 /// `true` for statements that can modify the database (auto-commit wraps
 /// these). `EXPLAIN ANALYZE` executes its inner statement, so it counts.
 fn stmt_writes(stmt: &Stmt) -> bool {
@@ -1467,182 +1496,17 @@ fn stmt_writes(stmt: &Stmt) -> bool {
     }
 }
 
-/// The shared body of [`Database::dispatch_read`] and the snapshot read
-/// path: executes `SELECT` / `EXPLAIN [ANALYZE]` of a `SELECT` against the
-/// supplied catalog and pager; refuses writes.
-fn dispatch_read_at(
-    catalog: &Catalog,
-    pager: &Pager,
-    stmt: &Stmt,
-    plan: Option<&SelectPlan>,
-    params: &[Value],
-) -> DbResult<QueryResult> {
-    let mut stats = ExecStats::default();
-    match stmt {
-        Stmt::Select(_) => {
-            let plan = plan.expect("SELECT statements are planned at cache time");
-            let env = Env {
-                catalog,
-                pager,
-                params,
-                prof: None,
-            };
-            let rows = run_select(&env, &mut stats, plan, None)?;
-            Ok(QueryResult {
-                columns: plan.columns.clone(),
-                rows,
-                rows_affected: 0,
-                stats,
-            })
-        }
-        Stmt::Explain { analyze, inner } if matches!(**inner, Stmt::Select(_)) => {
-            let plan = plan.expect("EXPLAIN SELECT is planned at cache time");
-            let lines = if *analyze {
-                let prof = RefCell::new(Profiler::default());
-                let (rows, spans) = trace::capture(|| {
-                    let _exec = trace::span("exec");
-                    let env = Env {
-                        catalog,
-                        pager,
-                        params,
-                        prof: Some(&prof),
-                    };
-                    run_select(&env, &mut stats, plan, None)
-                });
-                let rows = rows?;
-                let prof = prof.into_inner();
-                let mut lines = render_plan(catalog, plan, Some(&prof));
-                lines.push(format!("Rows returned: {}", rows.len()));
-                lines.push("Span tree:".to_string());
-                for line in trace::render_tree(&spans) {
-                    lines.push(format!("  {line}"));
-                }
-                lines
-            } else {
-                render_plan(catalog, plan, None)
-            };
-            Ok(QueryResult {
-                columns: vec!["plan".to_string()],
-                rows: lines.into_iter().map(|l| vec![Value::text(l)]).collect(),
-                rows_affected: 0,
-                stats,
-            })
-        }
-        _ => Err(DbError::Unsupported(
-            "write statements need exclusive database access (use `run`)".into(),
-        )),
-    }
-}
-
-/// The shared body of [`Database::fold_engine_deltas`] and the snapshot
-/// read path: folds buffer-pool and B+tree counter movement since the
-/// given snapshots into `s`.
-fn fold_engine_deltas_at(
-    catalog: &Catalog,
-    pager: &Pager,
-    s: &mut ExecStats,
-    pages_before: &crate::storage::pager::PagerSnapshot,
-    trees_before: &crate::btree::BTreeCounters,
-) {
-    let pages_after = pager.stats().full();
-    let trees_after = catalog.btree_counters();
-    let logical = pages_after
-        .logical_reads
-        .saturating_sub(pages_before.logical_reads);
-    let physical = pages_after
-        .physical_reads
-        .saturating_sub(pages_before.physical_reads);
-    s.pages_read += logical;
-    s.cache_misses += physical;
-    s.cache_hits += logical.saturating_sub(physical);
-    s.pages_written += pages_after
-        .physical_writes
-        .saturating_sub(pages_before.physical_writes);
-    s.evictions += pages_after.evictions.saturating_sub(pages_before.evictions);
-    s.read_retries += pages_after
-        .read_retries
-        .saturating_sub(pages_before.read_retries);
-    // saturating_sub: DROP TABLE discards that table's trees (and their
-    // counts), so the totals are not strictly monotonic.
-    s.btree_descents += trees_after.descents.saturating_sub(trees_before.descents);
-    s.btree_descent_reuses += trees_after
-        .descent_reuses
-        .saturating_sub(trees_before.descent_reuses);
-    s.btree_leaf_scans += trees_after
-        .leaf_scans
-        .saturating_sub(trees_before.leaf_scans);
-    s.btree_splits += trees_after.splits.saturating_sub(trees_before.splits);
-}
-
-/// The shared body of [`Database::record_failure`].
-fn record_failure_to(total: &SharedExecStats, e: &DbError) {
-    obs::registry().record_statement_error();
-    let mut s = ExecStats::default();
-    match e {
-        DbError::Timeout(_) => {
-            obs::registry().record_query_timeout();
-            s.queries_timed_out = 1;
-        }
-        DbError::Canceled(_) => {
-            obs::registry().record_query_cancel();
-            s.queries_canceled = 1;
-        }
-        _ => return,
-    }
-    total.merge(&s);
-}
-
-/// The shared body of [`Database::record_statement`]: feeds one finished
-/// statement into the global registry and the supplied trace cells.
-fn record_statement_to(
-    trace_on: &AtomicBool,
-    trace_cell: &Mutex<Option<Vec<StatementTrace>>>,
-    sql: &str,
-    params: &[Value],
-    is_read: bool,
-    started: Instant,
-    result: &QueryResult,
-) {
-    let elapsed = started.elapsed();
-    let rows = if result.rows.is_empty() {
-        result.rows_affected
-    } else {
-        result.rows.len() as u64
-    };
-    obs::registry().record_statement(
-        sql,
-        is_read,
-        &obs::SlowQuery {
-            sql: String::new(),
-            elapsed,
-            rows,
-            stats: result.stats,
-        },
-    );
-    if trace_on.load(Ordering::Relaxed) {
-        if let Some(trace) = latch::lock(trace_cell, WaitSite::Trace).as_mut() {
-            trace.push(StatementTrace {
-                sql: sql.to_string(),
-                params: params.to_vec(),
-                rows: result.rows.len() as u64,
-                rows_affected: result.rows_affected,
-                elapsed,
-                stats: result.stats,
-            });
-        }
-    }
-}
-
 /// A read-only handle onto one *committed* version of a [`Database`] — the
 /// MVCC snapshot readers run against while a writer proceeds.
 ///
 /// Snapshots are cheap ([`Database::snapshot`] is one epoch-cell load) and
-/// self-contained: reads execute against the snapshot's own catalog and an
-/// installed [`crate::storage::PageView`] of exactly that commit's pages,
-/// taking **no** database-level latch — a writer mid-transaction neither
-/// blocks nor is blocked by any number of snapshot readers. The plan
-/// cache, cumulative statistics, and governance knobs are shared with the
-/// live database, so snapshot reads stay governed, observable, and warm.
+/// self-contained: reads execute against the snapshot's own catalog and a
+/// [`PageView`] of exactly that commit's pages, which each statement
+/// carries as its page source — taking **no** database-level latch, so a
+/// writer mid-transaction neither blocks nor is blocked by any number of
+/// snapshot readers, on any thread. The plan cache, cumulative statistics,
+/// and governance knobs are shared with the live database, so snapshot
+/// reads stay governed, observable, and warm.
 ///
 /// A snapshot holds its version for as long as it lives (in-memory: the
 /// published page map; file: registered pre-image deltas) — drop it to
@@ -1650,62 +1514,22 @@ fn record_statement_to(
 /// concurrent diagnostics never interleave their statement traces.
 pub struct DbSnapshot {
     state: Arc<CommittedState>,
-    pager: Arc<Pager>,
-    plans: Arc<PlanCache>,
-    total_stats: Arc<SharedExecStats>,
-    gov: Arc<GovState>,
-    trace_on: AtomicBool,
-    trace: Mutex<Option<Vec<StatementTrace>>>,
+    shared: Arc<Shared>,
+    log: StatementLog,
 }
 
 impl DbSnapshot {
     /// Runs one read statement (`SELECT`, or `EXPLAIN [ANALYZE]` of one)
-    /// against this snapshot's committed version. Mirrors
+    /// against this snapshot's committed version: the same body as
     /// [`Database::run_read`], but never waits on a writer.
     pub fn run_read(&self, sql: &str, params: &[Value]) -> DbResult<QueryResult> {
-        let _stmt_span = trace::span_with("statement", || truncate_sql(sql));
-        let _gov = governance::Scope::enter(self.gov.limits());
-        let cached = self.plans.lookup(&self.state.catalog, sql)?;
-        let pages_before = self.pager.stats().full();
-        let trees_before = self.state.catalog.btree_counters();
-        let observing = self.tracing() || obs::registry().enabled();
-        let started = observing.then(Instant::now);
-        // Route this thread's page reads through the snapshot's view for
-        // the duration of the statement.
-        let _view = self.state.view.install();
-        let mut result = match dispatch_read_at(
-            &self.state.catalog,
-            &self.pager,
-            &cached.parsed.stmt,
-            cached.plan.as_ref(),
-            params,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                record_failure_to(&self.total_stats, &e);
-                return Err(e);
-            }
-        };
-        fold_engine_deltas_at(
-            &self.state.catalog,
-            &self.pager,
-            &mut result.stats,
-            &pages_before,
-            &trees_before,
-        );
-        self.total_stats.merge(&result.stats);
-        if let Some(started) = started {
-            record_statement_to(
-                &self.trace_on,
-                &self.trace,
-                sql,
-                params,
-                true,
-                started,
-                &result,
-            );
+        ReadCtx {
+            catalog: &self.state.catalog,
+            pages: PageSource::View(&self.state.view),
+            shared: &self.shared,
+            log: &self.log,
         }
-        Ok(result)
+        .run(sql, params)
     }
 
     /// [`DbSnapshot::run_read`], returning only the rows.
@@ -1721,59 +1545,55 @@ impl DbSnapshot {
     /// The governance limits a statement starting now would run under
     /// (shared with the live database).
     pub fn limits(&self) -> governance::Limits {
-        self.gov.limits()
+        self.shared.gov.limits()
     }
 
     /// Sets the shared deadline (0 clears it) — governance state is shared
     /// with the live database, so this takes no database latch yet governs
     /// both sides.
     pub fn set_deadline_ms(&self, ms: u64) {
-        self.gov.deadline_ms.store(ms, Ordering::Relaxed);
+        self.shared.gov.deadline_ms.store(ms, Ordering::Relaxed);
     }
 
     /// Sets the shared work budget (0 clears it); see
     /// [`DbSnapshot::set_deadline_ms`] for the sharing story.
     pub fn set_work_budget(&self, units: u64) {
-        self.gov.work_budget.store(units, Ordering::Relaxed);
+        self.shared.gov.work_budget.store(units, Ordering::Relaxed);
     }
 
     /// The shared cancel flag (same cell as [`Database::cancel_flag`]).
     pub fn cancel_flag(&self) -> Arc<AtomicBool> {
-        self.gov.cancel_flag()
+        self.shared.gov.cancel_flag()
     }
 
     /// Labels the underlying store for operator-facing error messages
     /// (pager-level state, shared with the live database).
     pub fn set_identity(&self, label: &str) {
-        self.pager.set_identity(label);
+        self.state.view.pager().set_identity(label);
     }
 
     /// Health of the underlying store. Served from the pager's leaf latch —
     /// never from a database-level lock — so it answers during a commit.
     pub fn health(&self) -> StoreHealth {
-        self.pager.health()
+        self.state.view.pager().health()
     }
 
     /// Cumulative engine counters (the same sharded cells the live
     /// database merges into) — no database-level lock, so stats endpoints
     /// answer while a writer is mid-commit.
     pub fn total_stats(&self) -> ExecStats {
-        self.total_stats.snapshot()
+        self.shared.total_stats.snapshot()
     }
 
     /// Starts recording a [`StatementTrace`] for every statement run
     /// through *this snapshot handle* from now on.
     pub fn start_trace(&self) {
-        *latch::lock(&self.trace, WaitSite::Trace) = Some(Vec::new());
-        self.trace_on.store(true, Ordering::Relaxed);
+        self.log.start();
     }
 
     /// Stops tracing and returns the recorded statements.
     pub fn take_trace(&self) -> Vec<StatementTrace> {
-        self.trace_on.store(false, Ordering::Relaxed);
-        latch::lock(&self.trace, WaitSite::Trace)
-            .take()
-            .unwrap_or_default()
+        self.log.take()
     }
 
     /// A sibling handle onto the same committed version with fresh trace
@@ -1781,17 +1601,9 @@ impl DbSnapshot {
     pub fn fork(&self) -> DbSnapshot {
         DbSnapshot {
             state: Arc::clone(&self.state),
-            pager: Arc::clone(&self.pager),
-            plans: Arc::clone(&self.plans),
-            total_stats: Arc::clone(&self.total_stats),
-            gov: Arc::clone(&self.gov),
-            trace_on: AtomicBool::new(false),
-            trace: Mutex::new(None),
+            shared: Arc::clone(&self.shared),
+            log: StatementLog::default(),
         }
-    }
-
-    fn tracing(&self) -> bool {
-        self.trace_on.load(Ordering::Relaxed)
     }
 }
 
@@ -1894,10 +1706,6 @@ fn decode_meta(bytes: &[u8]) -> DbResult<Vec<PageId>> {
         .map(|i| u32::from_le_bytes(bytes[12 + i * 4..16 + i * 4].try_into().expect("4 bytes")))
         .collect())
 }
-
-// RowId is used in this module's public-ish surface via scan_for_update.
-#[allow(unused_imports)]
-use RowId as _RowIdUsed;
 
 #[cfg(test)]
 mod tests {
@@ -2900,5 +2708,120 @@ mod tests {
         assert_eq!(count(&mut db, "SELECT COUNT(*) FROM t"), 1);
         drop(db);
         cleanup(&path);
+    }
+
+    #[test]
+    fn failed_bulk_insert_is_counted_like_a_failed_insert() {
+        if !obs::registry().enabled() {
+            obs::registry().set_enabled(true);
+        }
+        let path = temp_db_path("bulk-dup.db");
+        for mut db in [Database::in_memory(), Database::open(&path, 16).unwrap()] {
+            db.execute("CREATE TABLE t (a INTEGER, PRIMARY KEY (a))", &[])
+                .unwrap();
+            let rows = |keys: &[i64]| keys.iter().map(|&k| vec![Value::Int(k)]).collect();
+            assert_eq!(db.insert_many("t", rows(&[0, 1])).unwrap(), 2);
+            // The registry is process-global, so assert on deltas.
+            let errors = || obs::snapshot().statement_errors;
+            let before = errors();
+            let err = db.execute("INSERT INTO t VALUES (1)", &[]).unwrap_err();
+            assert!(matches!(err, DbError::Constraint(_)), "{err}");
+            assert!(errors() > before, "a failed INSERT is counted");
+            let before = errors();
+            let err = db.insert_many("t", rows(&[1, 2])).unwrap_err();
+            assert!(matches!(err, DbError::Constraint(_)), "{err}");
+            assert!(errors() > before, "a failed bulk insert is counted");
+            assert_eq!(count(&mut db, "SELECT COUNT(*) FROM t"), 2);
+        }
+        cleanup(&path);
+    }
+
+    /// Inserts rows `from..to` into the one-column table `t`.
+    fn insert_range(db: &mut Database, from: i64, to: i64) {
+        for i in from..to {
+            db.execute("INSERT INTO t VALUES (?)", &[Value::Int(i)])
+                .unwrap();
+        }
+    }
+
+    fn read_count(reader: &dyn SqlRead) -> i64 {
+        let rows = reader.query_read("SELECT COUNT(*) FROM t", &[]).unwrap();
+        let n = rows[0][0].as_int().unwrap();
+        // The same version through an index range and EXPLAIN ANALYZE.
+        let plan = reader
+            .run_read("EXPLAIN ANALYZE SELECT a FROM t WHERE a >= 0", &[])
+            .unwrap();
+        let returned = format!("Rows returned: {n}");
+        assert!(
+            plan.rows.iter().any(|r| r[0] == Value::text(&returned)),
+            "{:?}",
+            plan.rows
+        );
+        n
+    }
+
+    #[test]
+    fn snapshots_read_their_committed_version_on_the_writers_thread() {
+        let path = temp_db_path("snapshot-isolation.db");
+        for mut db in [Database::in_memory(), Database::open(&path, 16).unwrap()] {
+            db.execute("CREATE TABLE t (a INTEGER, PRIMARY KEY (a))", &[])
+                .unwrap();
+            insert_range(&mut db, 0, 300);
+            let before_begin = db.snapshot();
+            db.begin().unwrap();
+            insert_range(&mut db, 300, 400);
+            db.execute("DELETE FROM t WHERE a < 10", &[]).unwrap();
+            let mid_txn = db.snapshot();
+            assert_eq!(read_count(&mid_txn), 300, "snapshot skips uncommitted rows");
+            assert_eq!(read_count(&before_begin), 300);
+            assert_eq!(read_count(&db), 390, "the writer reads its own rows");
+            db.rollback().unwrap();
+            assert_eq!(read_count(&db), 300);
+            assert_eq!(read_count(&mid_txn), 300);
+            db.begin().unwrap();
+            insert_range(&mut db, 300, 400);
+            db.commit().unwrap();
+            assert_eq!(read_count(&db), 400);
+            assert_eq!(read_count(&db.snapshot()), 400);
+            assert_eq!(
+                read_count(&mid_txn),
+                300,
+                "old snapshots keep their version"
+            );
+            assert_eq!(read_count(&before_begin), 300);
+        }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn live_and_snapshot_reads_take_one_path() {
+        let mut db = setup();
+        seed(&mut db, 500);
+        let sql = "SELECT pos, val FROM node WHERE doc = 1 AND parent = 7 ORDER BY pos";
+        let snap = db.snapshot();
+        let mut results = Vec::new();
+        for path in 0..3 {
+            let before = db.total_stats();
+            let r = match path {
+                0 => db.run(sql, &[]).unwrap(),
+                1 => db.run_read(sql, &[]).unwrap(),
+                _ => snap.run_read(sql, &[]).unwrap(),
+            };
+            let mut want = before;
+            want.merge(&r.stats);
+            assert_eq!(db.total_stats(), want, "path {path} merges one statement");
+            results.push(r);
+        }
+        assert_eq!(results[0].rows.len(), 10);
+        assert!(results[0].stats.pages_read > 0 && results[0].stats.btree_descents > 0);
+        for r in &results[1..] {
+            assert_eq!(r.rows, results[0].rows);
+            assert_eq!(r.stats.pages_read, results[0].stats.pages_read);
+            assert_eq!(r.stats.btree_descents, results[0].stats.btree_descents);
+        }
+        let explain = format!("EXPLAIN {sql}");
+        let plan = db.run(&explain, &[]).unwrap().rows;
+        assert_eq!(db.run_read(&explain, &[]).unwrap().rows, plan);
+        assert_eq!(snap.run_read(&explain, &[]).unwrap().rows, plan);
     }
 }

@@ -13,7 +13,7 @@ use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::expr::{eval, EvalContext, Expr};
 use crate::plan::{Access, AccessPath, AggCall, AggFunc, Node, SelectPlan};
-use crate::storage::Pager;
+use crate::storage::PageSource;
 use crate::value::{decode_range_batch, encode_key, encode_key_value, Row, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -217,8 +217,9 @@ impl Profiler {
 pub struct Env<'a> {
     /// Table catalog.
     pub catalog: &'a Catalog,
-    /// Page storage.
-    pub pager: &'a Pager,
+    /// Where the statement's pages come from: the live pager, or the
+    /// committed version a snapshot reads.
+    pub pages: PageSource<'a>,
     /// Statement parameters (`?` values).
     pub params: &'a [Value],
     /// Per-operator profiler, set only under `EXPLAIN ANALYZE`.
@@ -476,7 +477,7 @@ fn run_access(
         AccessPath::FullScan => {
             let mut out = Vec::with_capacity(table.row_count() as usize);
             for pi in 0..table.heap.page_count() {
-                for (_, rec) in table.heap.page_rows(env.pager, pi)? {
+                for (_, rec) in table.heap.page_rows(env.pages, pi)? {
                     crate::governance::checkpoint(1)?;
                     out.push(crate::value::decode_row(&rec)?);
                 }
@@ -497,7 +498,7 @@ fn run_access(
                 .into_iter()
                 .map(|rid| {
                     crate::governance::checkpoint(1)?;
-                    table.get_row(env.pager, rid)
+                    table.get_row(env.pages, rid)
                 })
                 .collect()
         }
@@ -514,7 +515,7 @@ fn run_access(
                 stats.rows_scanned += rowids.len() as u64;
                 for rid in rowids {
                     crate::governance::checkpoint(1)?;
-                    out.push(table.get_row(env.pager, rid)?);
+                    out.push(table.get_row(env.pages, rid)?);
                 }
             }
             Ok(out)
@@ -537,7 +538,7 @@ pub fn scan_for_update(
         AccessPath::FullScan => {
             let mut out = Vec::with_capacity(table.row_count() as usize);
             for pi in 0..table.heap.page_count() {
-                for (rid, rec) in table.heap.page_rows(env.pager, pi)? {
+                for (rid, rec) in table.heap.page_rows(env.pages, pi)? {
                     crate::governance::checkpoint(1)?;
                     out.push((rid, crate::value::decode_row(&rec)?));
                 }
@@ -576,7 +577,7 @@ pub fn scan_for_update(
                 .into_iter()
                 .map(|rid| {
                     crate::governance::checkpoint(1)?;
-                    Ok((rid, table.get_row(env.pager, rid)?))
+                    Ok((rid, table.get_row(env.pages, rid)?))
                 })
                 .collect()
         }
@@ -594,7 +595,7 @@ pub fn scan_for_update(
                 stats.rows_scanned += rowids.len() as u64;
                 for rid in rowids {
                     crate::governance::checkpoint(1)?;
-                    out.push((rid, table.get_row(env.pager, rid)?));
+                    out.push((rid, table.get_row(env.pages, rid)?));
                 }
             }
             Ok(out)

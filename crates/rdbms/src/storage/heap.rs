@@ -8,7 +8,7 @@
 //! happens.
 
 use super::page::{SlotId, PAGE_SIZE};
-use super::pager::{PageId, Pager};
+use super::pager::{PageId, PageSource, Pager};
 use crate::error::{DbError, DbResult};
 use std::fmt;
 
@@ -142,8 +142,9 @@ impl HeapFile {
     }
 
     /// Reads the record at `id`.
-    pub fn get(&self, pager: &Pager, id: RowId) -> DbResult<Vec<u8>> {
-        pager
+    pub fn get<'p>(&self, pages: impl Into<PageSource<'p>>, id: RowId) -> DbResult<Vec<u8>> {
+        pages
+            .into()
             .with_page(id.page, |p| p.get(id.slot).map(<[u8]>::to_vec))?
             .ok_or_else(|| DbError::Storage(format!("no record at {id}")))
     }
@@ -182,9 +183,13 @@ impl HeapFile {
 
     /// The live records of the `idx`-th page, with their row ids. Executors
     /// stream a heap one page at a time through this.
-    pub fn page_rows(&self, pager: &Pager, idx: usize) -> DbResult<Vec<(RowId, Vec<u8>)>> {
+    pub fn page_rows<'p>(
+        &self,
+        pages: impl Into<PageSource<'p>>,
+        idx: usize,
+    ) -> DbResult<Vec<(RowId, Vec<u8>)>> {
         let pid = self.pages[idx];
-        pager.with_page(pid, |p| {
+        pages.into().with_page(pid, |p| {
             p.iter()
                 .map(|(slot, rec)| (RowId { page: pid, slot }, rec.to_vec()))
                 .collect()

@@ -10,5 +10,5 @@ pub mod wal;
 pub use fault::{is_enospc, is_injected, FaultInjector};
 pub use heap::{HeapFile, RowId};
 pub use page::{Page, SlotId, PAGE_SIZE};
-pub use pager::{PageId, PageView, Pager, PagerStats, ViewGuard};
+pub use pager::{PageId, PageSource, PageView, Pager, PagerStats};
 pub use wal::{wal_path, RecoveryReport, Wal};

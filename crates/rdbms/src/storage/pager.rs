@@ -357,9 +357,9 @@ enum Backend {
 ///   deltas, which are pruned as soon as no registered reader needs them.
 ///   Reads serialize on the pool mutex like every file read.
 ///
-/// A view takes effect through [`PageView::install`]: while the returned
-/// guard lives, every [`Pager::with_page`] on the calling thread against
-/// this view's pager serves from the view instead of the live state.
+/// Reads go through [`PageView::read_page`]; a statement carries the view
+/// it reads as its [`PageSource`], so the version travels with the
+/// statement rather than with the thread.
 #[derive(Clone)]
 pub struct PageView {
     inner: Arc<ViewInner>,
@@ -394,42 +394,10 @@ impl Drop for ViewInner {
     }
 }
 
-thread_local! {
-    /// Stack of installed `(pager uid, view)` overrides for this thread.
-    /// [`Pager::with_page`] consults the top-most entry for its pager
-    /// before touching live state, so snapshot reads compose (a snapshot
-    /// executing on the writer thread still sees the snapshot, not the
-    /// writer's uncommitted pages).
-    static VIEW_STACK: std::cell::RefCell<Vec<(u64, PageView)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// RAII guard from [`PageView::install`]: pops the thread-local override
-/// when dropped.
-pub struct ViewGuard {
-    installed: bool,
-}
-
-impl Drop for ViewGuard {
-    fn drop(&mut self) {
-        if self.installed {
-            let _ = VIEW_STACK.try_with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-    }
-}
-
 impl PageView {
-    /// Routes this thread's reads of the view's pager through the view
-    /// until the returned guard drops. Guards nest (innermost wins).
-    pub fn install(&self) -> ViewGuard {
-        let installed = VIEW_STACK
-            .try_with(|s| {
-                s.borrow_mut().push((self.inner.pager.uid, self.clone()));
-            })
-            .is_ok();
-        ViewGuard { installed }
+    /// The pager this view reads (its statistics count the view's reads).
+    pub fn pager(&self) -> &Pager {
+        &self.inner.pager
     }
 
     /// The committed epoch this view reads at (file backend; the in-memory
@@ -441,9 +409,15 @@ impl PageView {
         }
     }
 
-    /// Serves one page read as of this view's epoch.
-    fn read_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> DbResult<R> {
+    /// Serves one page read as of this view's epoch — the snapshot
+    /// counterpart of [`Pager::with_page`], with the same span, governance
+    /// checkpoint, and logical-read count. Neither the writer's working
+    /// map nor its uncommitted frames are ever visible here, whichever
+    /// thread reads.
+    pub fn read_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> DbResult<R> {
+        let _span = trace::span("pager.read");
         let pager = &self.inner.pager;
+        pager.count_read()?;
         match &self.inner.core {
             ViewCore::Mem(map) => match map.get(id as usize) {
                 Some(page) => Ok(f(page)),
@@ -493,6 +467,40 @@ impl std::fmt::Debug for PageView {
     }
 }
 
+/// Where a read's pages come from: the pager's live state (a writer reads
+/// its own uncommitted pages), or one committed version's [`PageView`].
+#[derive(Clone, Copy)]
+pub enum PageSource<'a> {
+    /// [`Pager::with_page`].
+    Live(&'a Pager),
+    /// [`PageView::read_page`].
+    View(&'a PageView),
+}
+
+impl<'a> PageSource<'a> {
+    /// Runs `f` with shared access to page `id` as this source sees it.
+    pub fn with_page<R>(self, id: PageId, f: impl FnOnce(&Page) -> R) -> DbResult<R> {
+        match self {
+            PageSource::Live(pager) => pager.with_page(id, f),
+            PageSource::View(view) => view.read_page(id, f),
+        }
+    }
+
+    /// The pager underneath, whose statistics count this source's reads.
+    pub fn pager(self) -> &'a Pager {
+        match self {
+            PageSource::Live(pager) => pager,
+            PageSource::View(view) => view.pager(),
+        }
+    }
+}
+
+impl<'a> From<&'a Pager> for PageSource<'a> {
+    fn from(pager: &'a Pager) -> Self {
+        PageSource::Live(pager)
+    }
+}
+
 /// Per-transaction pager state: pre-images for rollback.
 struct TxnState {
     /// Monotonic id stamped into WAL frames.
@@ -519,8 +527,6 @@ struct TxnState {
 /// participate in no ordering. The in-memory *read* path takes none of
 /// these — it runs against the epoch-published snapshot.
 pub struct Pager {
-    /// Process-unique id keying thread-local [`PageView`] overrides.
-    uid: u64,
     backend: Backend,
     n_pages: AtomicU32,
     stats: Arc<PagerStats>,
@@ -541,17 +547,10 @@ pub struct Pager {
     identity: Mutex<Option<String>>,
 }
 
-/// Process-unique pager ids (see [`Pager::uid`]).
-fn next_pager_uid() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, AtomicOrdering::Relaxed)
-}
-
 impl Pager {
     /// A pager whose pages live entirely in memory.
     pub fn in_memory() -> Self {
         Pager {
-            uid: next_pager_uid(),
             backend: Backend::Mem(MemBackend::new()),
             n_pages: AtomicU32::new(0),
             stats: Arc::new(PagerStats::default()),
@@ -582,7 +581,6 @@ impl Pager {
         }
         let n_pages = (len / PAGE_SIZE as u64) as u32;
         Ok(Pager {
-            uid: next_pager_uid(),
             backend: Backend::File(Mutex::new(FileBackend {
                 file,
                 frames: Vec::new(),
@@ -1053,29 +1051,7 @@ impl Pager {
     /// buffer-pool latch (pinning mutates the frame table).
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> DbResult<R> {
         let _span = trace::span("pager.read");
-        crate::governance::checkpoint(1)?;
-        PagerStats::bump(&self.stats.logical_reads);
-        // An installed thread-local view overrides live state — checked
-        // before the writer-token routing so a snapshot executing on the
-        // writer's own thread still reads the snapshot. The read is served
-        // *inside* the shared TLS borrow: no per-read `Arc` clone, so
-        // concurrent readers sharing one view have nothing to contend on.
-        let mut f = Some(f);
-        let overridden = VIEW_STACK.try_with(|stack| {
-            let stack = stack.borrow();
-            stack
-                .iter()
-                .rev()
-                .find(|(uid, _)| *uid == self.uid)
-                .map(|(_, view)| {
-                    let g = f.take().expect("with_page closure consumed once");
-                    view.read_page(id, g)
-                })
-        });
-        if let Ok(Some(res)) = overridden {
-            return res;
-        }
-        let f = f.take().expect("closure unused without a view override");
+        self.count_read()?;
         match &self.backend {
             Backend::Mem(mem) => {
                 let w = mem.writer.load(AtomicOrdering::Acquire);
@@ -1164,6 +1140,14 @@ impl Pager {
                 Ok(f(&mut fb.frames[idx].page))
             }
         }
+    }
+
+    /// The per-read cost both read entries pay: a governance checkpoint
+    /// and one logical read.
+    fn count_read(&self) -> DbResult<()> {
+        crate::governance::checkpoint(1)?;
+        PagerStats::bump(&self.stats.logical_reads);
+        Ok(())
     }
 
     /// Dirty pages must stay pinned whenever they are protected by a WAL
