@@ -21,7 +21,7 @@
 
 use crate::diag::QueryDiagnostics;
 use crate::encoding::{Encoding, OrderConfig};
-use crate::store::{StoreError, StoreResult, XNode, XmlStore};
+use crate::store::{StoreError, StoreResult, StoreSnapshot, XNode, XmlStore};
 use crate::update::UpdateCost;
 use crate::xpath;
 use ordxml_rdbms::obs::WaitSite;
@@ -232,6 +232,20 @@ impl DocumentPool {
         Ok((Arc::clone(&self.shards[entry.shard]), entry.inner))
     }
 
+    /// The committed version of pool document `id`'s shard, with the
+    /// document's id inside that shard: one route plus one snapshot load.
+    /// Every read made on the pair sees that one version, however many
+    /// updates commit meanwhile — the serving layer pins one per request.
+    pub fn snapshot(&self, id: DocId) -> StoreResult<(Arc<StoreSnapshot>, i64)> {
+        let (store, doc) = self.route(id)?;
+        Ok((store.snapshot()?, doc))
+    }
+
+    /// Whether `id` names a pool document (one catalog read).
+    pub fn contains(&self, id: DocId) -> bool {
+        latch::read(&self.catalog, WaitSite::Store).contains_key(&id)
+    }
+
     /// Loads (shreds) a document into its home shard and returns its pool
     /// id. Concurrent loads to different shards proceed in parallel; a
     /// degraded home shard rejects the load with a typed
@@ -285,8 +299,8 @@ impl DocumentPool {
     /// [`DocumentPool::xpath`] with a pre-parsed path (the serving layer's
     /// per-session prepared-statement cache reuses parses across requests).
     pub fn xpath_parsed(&self, id: DocId, path: &xpath::Path) -> StoreResult<Vec<XNode>> {
-        let (store, doc) = self.route(id)?;
-        store.xpath_parsed(doc, path)
+        let (snap, doc) = self.snapshot(id)?;
+        snap.xpath_parsed(doc, path)
     }
 
     /// [`DocumentPool::xpath`] with full per-statement diagnostics.
@@ -308,8 +322,8 @@ impl DocumentPool {
 
     /// Serializes the subtree at `node` of pool document `id`.
     pub fn serialize(&self, id: DocId, node: &XNode) -> StoreResult<String> {
-        let (store, doc) = self.route(id)?;
-        store.serialize(doc, node)
+        let (snap, doc) = self.snapshot(id)?;
+        snap.serialize(doc, node)
     }
 
     /// Reconstructs a pool document from its relational image.

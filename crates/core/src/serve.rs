@@ -27,13 +27,18 @@
 //! another), its own current document, and its own prepared-XPath cache
 //! (parse once, evaluate per request). `.timeout 0` / `.budget 0` disarm.
 //!
+//! **A reply is one committed version.** An `xpath` request pins one
+//! snapshot of its document ([`DocumentPool::snapshot`]) and runs the query
+//! and the serialization of every hit on it, the hits' subtrees in one
+//! batched fetch — a writer committing mid-request never tears the reply.
+//!
 //! **Sessions are crash-proof.** Input is read lossily (invalid UTF-8
 //! becomes U+FFFD, never a panic) and a read error ends the session with a
 //! framed `err io:` reply — a malformed client line can never kill the
 //! process. See [`run_session`].
 
 use crate::pool::DocumentPool;
-use crate::store::{StoreError, XNode};
+use crate::store::StoreError;
 use crate::xpath;
 use ordxml_rdbms::{governance, obs, DbError, StoreHealth, Value};
 use std::collections::HashMap;
@@ -150,7 +155,7 @@ pub struct Session {
     deadline_ms: u64,
     work_budget: u64,
     cancel: Arc<AtomicBool>,
-    plans: HashMap<String, xpath::Path>,
+    plans: HashMap<String, Arc<xpath::Path>>,
     requests: u64,
     plan_hits: u64,
     plan_misses: u64,
@@ -196,39 +201,41 @@ impl Session {
             .ok_or_else(|| Reply::err("usage", "no document selected (.docs to list, .use <id>)"))
     }
 
-    /// Parses `expr` through the session's prepared-plan cache.
-    fn plan(&mut self, expr: &str) -> Result<xpath::Path, StoreError> {
+    /// Parses `expr` through the session's prepared-plan cache. A hit
+    /// shares the cached plan instead of copying it.
+    fn plan(&mut self, expr: &str) -> Result<Arc<xpath::Path>, StoreError> {
         if let Some(path) = self.plans.get(expr) {
             self.plan_hits += 1;
-            return Ok(path.clone());
+            return Ok(Arc::clone(path));
         }
-        let path = xpath::parse(expr)?;
+        let path = Arc::new(xpath::parse(expr)?);
         self.plan_misses += 1;
         if self.plans.len() >= PLAN_CACHE_CAP {
             self.plans.clear();
         }
-        self.plans.insert(expr.to_string(), path.clone());
+        self.plans.insert(expr.to_string(), Arc::clone(&path));
         Ok(path)
     }
 
+    /// Evaluates `expr` and serializes its hits on **one** committed
+    /// version of the document: the reply pins a single snapshot, so it
+    /// can never mix versions when a writer commits mid-request, and the
+    /// hits' subtrees come back in one batched fetch rather than one
+    /// query per hit.
     fn xpath_reply(&mut self, doc: u64, expr: &str) -> Reply {
         let path = match self.plan(expr) {
             Ok(p) => p,
             Err(e) => return Reply::err(error_code(&e), e.to_string()),
         };
         let _scope = governance::Scope::enter(self.limits());
-        let hits: Vec<XNode> = match self.pool.xpath_parsed(doc, &path) {
-            Ok(h) => h,
-            Err(e) => return Reply::err(error_code(&e), e.to_string()),
-        };
-        let mut lines = Vec::with_capacity(hits.len());
-        for hit in &hits {
-            match self.pool.serialize(doc, hit) {
-                Ok(s) => lines.push(s),
-                Err(e) => return Reply::err(error_code(&e), e.to_string()),
-            }
+        let lines = self.pool.snapshot(doc).and_then(|(snap, inner)| {
+            let hits = snap.xpath_parsed(inner, &path)?;
+            snap.serialize_many(inner, &hits)
+        });
+        match lines {
+            Ok(lines) => Reply::ok(format!("{} node(s)", lines.len()), lines),
+            Err(e) => Reply::err(error_code(&e), e.to_string()),
         }
-        Reply::ok(format!("{} node(s)", lines.len()), lines)
     }
 
     fn sql_reply(&mut self, doc: u64, sql: &str) -> Reply {
@@ -424,7 +431,7 @@ impl Session {
                 _ => Reply::err("usage", ".explain on|off"),
             },
             ".use" => match rest.parse::<u64>() {
-                Ok(id) if self.pool.documents().iter().any(|(d, _, _)| *d == id) => {
+                Ok(id) if self.pool.contains(id) => {
                     self.doc = Some(id);
                     Reply::ok(
                         format!("doc {id} (shard-{})", self.pool.shard_of(id)),

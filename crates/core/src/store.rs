@@ -1155,6 +1155,18 @@ impl StoreSnapshot {
         crate::reconstruct::serialize_subtree(&self.db, self.encoding, doc, node)
     }
 
+    /// Serializes every node of `nodes`, in order, exactly as
+    /// [`StoreSnapshot::serialize`] would one at a time — but the subtrees
+    /// of all element nodes come from one batched fetch on this version
+    /// (see [`crate::reconstruct::serialize_many`]), so a result set of any
+    /// size costs the same few statements.
+    pub fn serialize_many(&self, doc: i64, nodes: &[XNode]) -> StoreResult<Vec<String>> {
+        let _span = trace::span("store.serialize");
+        // One governance scope for the whole set, as for `xpath_parsed`.
+        let _gov = governance::Scope::enter(self.db.limits());
+        crate::reconstruct::serialize_many(&self.db, self.encoding, doc, nodes)
+    }
+
     /// Reconstructs the full document from this version's relational image.
     pub fn reconstruct_document(&self, doc: i64) -> StoreResult<Document> {
         reconstruct_at(&self.db, self.encoding, doc)

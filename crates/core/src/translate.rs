@@ -20,7 +20,7 @@
 //!   slice of a single multi-range scan — no joins. Ancestors are the key's
 //!   prefixes, fetched by primary key.
 //! * **Local** breaks on `descendant` (a level-by-level walk of child
-//!   queries), `ancestor` (a climb), and `following`/`preceding` (a climb,
+//!   batches), `ancestor` (a climb), and `following`/`preceding` (a climb,
 //!   the siblings of every level, then their subtrees) — each O(depth)
 //!   statements for the whole context set. Even when a query is a
 //!   single SQL segment, recovering *document order* requires either
@@ -128,6 +128,26 @@ pub fn execute_full(
     let mut result = ctx.unwrap_or_default();
     t.finalize(&mut result, ordered && i == steps.len())?;
     Ok(result)
+}
+
+/// The stored descendants of every root, one list per root, in document
+/// order with attribute rows included and the root itself excluded — the
+/// mediator's set-at-a-time descendant fetch with no node test. One
+/// statement for Dewey and Global however many roots there are (nested
+/// roots included); one per tree level for Local.
+pub(crate) fn subtrees(
+    db: &dyn SqlRead,
+    enc: Encoding,
+    doc: i64,
+    roots: &[XNode],
+) -> StoreResult<Vec<Vec<XNode>>> {
+    let mut t = Translator {
+        db,
+        enc,
+        doc,
+        strategy: PositionStrategy::default(),
+    };
+    t.descendants(roots, false, None)
 }
 
 /// A context-derived parameter of a per-context SQL statement.
@@ -1032,118 +1052,9 @@ impl<'a> Translator<'a> {
                 "positional predicate on the parent axis".into(),
             )),
             (Local, Axis::Following | Axis::Preceding) => self.local_following(ctxs, step),
-            (Dewey, Axis::Descendant | Axis::DescendantOrSelf) => {
+            (_, Axis::Descendant | Axis::DescendantOrSelf) => {
                 let include_self = step.axis == Axis::DescendantOrSelf || first;
-                let bounds: Vec<(Vec<u8>, Vec<u8>)> = ctxs
-                    .iter()
-                    .map(|c| {
-                        let NodeRef::Dewey { key } = &c.node else {
-                            unreachable!()
-                        };
-                        (key.to_bytes(), key.subtree_upper_bound())
-                    })
-                    .collect();
-                let specs = bounds
-                    .iter()
-                    .map(|(lo, hi)| RangeSpec {
-                        lo: Value::Bytes(lo.clone()),
-                        lo_inclusive: include_self,
-                        hi: Value::Bytes(hi.clone()),
-                        hi_inclusive: false,
-                    })
-                    .collect();
-                let rows = self.multirange_query("key", &["key"], specs, Some(step))?;
-                let keys: Vec<Vec<u8>> = rows.iter().map(dewey_bytes).collect();
-                Ok(demux_ranges(rows, &bounds, |(lo, hi)| {
-                    let start =
-                        keys.partition_point(|k| if include_self { k < lo } else { k <= lo });
-                    let end = keys.partition_point(|k| k < hi);
-                    (start, end)
-                }))
-            }
-            (Global, Axis::Descendant | Axis::DescendantOrSelf) => {
-                let include_self = step.axis == Axis::DescendantOrSelf || first;
-                let bounds: Vec<(i64, i64)> = ctxs
-                    .iter()
-                    .map(|c| {
-                        let NodeRef::Global { pos, desc_max, .. } = &c.node else {
-                            unreachable!()
-                        };
-                        (*pos, *desc_max)
-                    })
-                    .collect();
-                let specs = bounds
-                    .iter()
-                    .map(|&(pos, desc_max)| RangeSpec {
-                        lo: Value::Int(pos),
-                        lo_inclusive: include_self,
-                        hi: Value::Int(desc_max),
-                        hi_inclusive: true,
-                    })
-                    .collect();
-                let rows = self.multirange_query("pos", &["pos"], specs, Some(step))?;
-                let ps: Vec<i64> = rows.iter().map(global_pos).collect();
-                Ok(demux_ranges(rows, &bounds, |&(pos, desc_max)| {
-                    let start =
-                        ps.partition_point(|&p| if include_self { p < pos } else { p <= pos });
-                    let end = ps.partition_point(|&p| p <= desc_max);
-                    (start, end)
-                }))
-            }
-            (Local, Axis::Descendant | Axis::DescendantOrSelf) => {
-                let include_self = step.axis == Axis::DescendantOrSelf || first;
-                // Batched BFS: one statement per tree level fetches the
-                // next generation of every context's subtree at once; each
-                // context's pre-order (document order) is rebuilt in memory.
-                let mut children: HashMap<i64, Vec<XNode>> = HashMap::new();
-                let mut seen: HashSet<i64> = HashSet::new();
-                let mut frontier: Vec<i64> = Vec::new();
-                for c in ctxs {
-                    let NodeRef::Local { id, .. } = &c.node else {
-                        unreachable!()
-                    };
-                    if seen.insert(*id) {
-                        frontier.push(*id);
-                    }
-                }
-                while !frontier.is_empty() {
-                    let specs = frontier
-                        .iter()
-                        .map(|id| RangeSpec::point(Value::Int(*id)))
-                        .collect();
-                    let rows =
-                        self.multirange_query("parent_id", &["parent_id", "ord"], specs, None)?;
-                    frontier = Vec::new();
-                    for n in rows {
-                        let NodeRef::Local { id, parent, .. } = &n.node else {
-                            unreachable!()
-                        };
-                        if seen.insert(*id) {
-                            frontier.push(*id);
-                        }
-                        children.entry(*parent).or_default().push(n);
-                    }
-                }
-                let mut sets = Vec::with_capacity(ctxs.len());
-                for c in ctxs {
-                    let mut out = Vec::new();
-                    let mut stack = vec![(c.clone(), include_self)];
-                    while let Some((node, emit)) = stack.pop() {
-                        if emit && self.test_matches(&node, step) {
-                            out.push(node.clone());
-                        }
-                        let NodeRef::Local { id, .. } = &node.node else {
-                            unreachable!()
-                        };
-                        if let Some(kids) = children.get(id) {
-                            for k in kids.iter().rev() {
-                                stack.push((k.clone(), true));
-                            }
-                        }
-                    }
-                    sets.push(out);
-                }
-                Ok(sets)
+                self.descendants(ctxs, include_self, Some(step))
             }
             (Dewey, Axis::Ancestor) => {
                 // Ancestors are the key's proper prefixes: one point batch
@@ -1421,6 +1332,145 @@ impl<'a> Translator<'a> {
                         }
                     })
                     .collect())
+            }
+        }
+    }
+
+    /// Set-at-a-time subtree fetch: one list per root holding its
+    /// descendants (and the root itself when `include_self`) in document
+    /// order, filtered by `test` when given — `None` keeps every row,
+    /// attributes included, as reconstruction needs.
+    ///
+    /// Dewey and Global ship every root's subtree range in one
+    /// `MULTIRANGE` statement and demux the key-ordered rows by binary
+    /// search (nested roots share rows). Local walks the subtrees
+    /// level-synchronously — one statement per tree level for all roots —
+    /// and rebuilds each root's pre-order in memory.
+    fn descendants(
+        &mut self,
+        roots: &[XNode],
+        include_self: bool,
+        test: Option<&Step>,
+    ) -> StoreResult<Vec<Vec<XNode>>> {
+        match self.enc {
+            Encoding::Dewey => {
+                let keys: Vec<&DeweyKey> = roots.iter().map(dewey_key).collect();
+                let specs = keys
+                    .iter()
+                    .map(|key| RangeSpec {
+                        lo: Value::Bytes(key.to_bytes()),
+                        lo_inclusive: include_self,
+                        hi: Value::Bytes(key.subtree_upper_bound()),
+                        hi_inclusive: false,
+                    })
+                    .collect();
+                let rows = self.multirange_query("key", &["key"], specs, test)?;
+                // Component order is key order. A root's subtree is the run
+                // of rows after it (from it, with `include_self`) whose keys
+                // extend its key.
+                Ok(demux_ranges(rows, &keys, |rows, root| {
+                    let root = root.components();
+                    let start = rows.partition_point(|r| {
+                        let k = dewey_key(r).components();
+                        if include_self {
+                            k < root
+                        } else {
+                            k <= root
+                        }
+                    });
+                    let end = rows.partition_point(|r| {
+                        let k = dewey_key(r).components();
+                        k <= root || k.starts_with(root)
+                    });
+                    (start, end)
+                }))
+            }
+            Encoding::Global => {
+                let bounds: Vec<(i64, i64)> = roots
+                    .iter()
+                    .map(|c| {
+                        let NodeRef::Global { pos, desc_max, .. } = &c.node else {
+                            unreachable!()
+                        };
+                        (*pos, *desc_max)
+                    })
+                    .collect();
+                let specs = bounds
+                    .iter()
+                    .map(|&(pos, desc_max)| RangeSpec {
+                        lo: Value::Int(pos),
+                        lo_inclusive: include_self,
+                        hi: Value::Int(desc_max),
+                        hi_inclusive: true,
+                    })
+                    .collect();
+                let rows = self.multirange_query("pos", &["pos"], specs, test)?;
+                Ok(demux_ranges(rows, &bounds, |rows, &(pos, desc_max)| {
+                    let start = rows.partition_point(|r| {
+                        let p = global_pos(r);
+                        if include_self {
+                            p < pos
+                        } else {
+                            p <= pos
+                        }
+                    });
+                    let end = rows.partition_point(|r| global_pos(r) <= desc_max);
+                    (start, end)
+                }))
+            }
+            Encoding::Local => {
+                // Batched BFS: one statement per tree level fetches the
+                // next generation of every root's subtree at once; each
+                // root's pre-order (document order) is rebuilt in memory.
+                let mut children: HashMap<i64, Vec<XNode>> = HashMap::new();
+                let mut seen: HashSet<i64> = HashSet::new();
+                let mut frontier: Vec<i64> = Vec::new();
+                for c in roots {
+                    let NodeRef::Local { id, .. } = &c.node else {
+                        unreachable!()
+                    };
+                    if seen.insert(*id) {
+                        frontier.push(*id);
+                    }
+                }
+                while !frontier.is_empty() {
+                    let specs = frontier
+                        .iter()
+                        .map(|id| RangeSpec::point(Value::Int(*id)))
+                        .collect();
+                    let rows =
+                        self.multirange_query("parent_id", &["parent_id", "ord"], specs, None)?;
+                    frontier = Vec::new();
+                    for n in rows {
+                        let NodeRef::Local { id, parent, .. } = &n.node else {
+                            unreachable!()
+                        };
+                        if seen.insert(*id) {
+                            frontier.push(*id);
+                        }
+                        children.entry(*parent).or_default().push(n);
+                    }
+                }
+                let mut sets = Vec::with_capacity(roots.len());
+                for c in roots {
+                    let mut out = Vec::new();
+                    let mut stack = vec![(c, include_self)];
+                    while let Some((node, emit)) = stack.pop() {
+                        if emit && test.is_none_or(|step| self.test_matches(node, step)) {
+                            out.push(node.clone());
+                        }
+                        let NodeRef::Local { id, .. } = &node.node else {
+                            unreachable!()
+                        };
+                        if let Some(kids) = children.get(id) {
+                            for k in kids.iter().rev() {
+                                stack.push((k, true));
+                            }
+                        }
+                    }
+                    sets.push(out);
+                }
+                Ok(sets)
             }
         }
     }
@@ -1729,20 +1779,21 @@ enum CountSide {
 }
 
 /// Splits the key-ordered result `rows` of one batched range scan into one
-/// candidate set per context. `slice_of` maps a context's bound to its
-/// `(start, end)` row range. When the slices are disjoint and in order —
-/// the common case: contexts rooted in sibling subtrees — rows are *moved*
-/// into their sets without cloning; overlapping slices (nested contexts,
-/// which legitimately share candidates) fall back to per-slice clones.
+/// candidate set per context. `slice_of` maps the rows and a context's
+/// bound to its `(start, end)` row range. When the slices are disjoint and
+/// in order — the common case: contexts rooted in sibling subtrees — rows
+/// are *moved* into their sets without cloning; overlapping slices (nested
+/// contexts, which legitimately share candidates) fall back to per-slice
+/// clones.
 fn demux_ranges<B>(
     mut rows: Vec<XNode>,
     bounds: &[B],
-    slice_of: impl Fn(&B) -> (usize, usize),
+    slice_of: impl Fn(&[XNode], &B) -> (usize, usize),
 ) -> Vec<Vec<XNode>> {
     let slices: Vec<(usize, usize)> = bounds
         .iter()
         .map(|b| {
-            let (s, e) = slice_of(b);
+            let (s, e) = slice_of(&rows, b);
             (s, e.max(s))
         })
         .collect();
@@ -1765,12 +1816,17 @@ fn demux_ranges<B>(
         .collect()
 }
 
-/// Raw Dewey key bytes of a node (demux sort key; byte order = doc order).
-fn dewey_bytes(n: &XNode) -> Vec<u8> {
+/// The Dewey key of a node.
+fn dewey_key(n: &XNode) -> &DeweyKey {
     let NodeRef::Dewey { key } = &n.node else {
         unreachable!()
     };
-    key.to_bytes()
+    key
+}
+
+/// Raw Dewey key bytes of a node (demux sort key; byte order = doc order).
+fn dewey_bytes(n: &XNode) -> Vec<u8> {
+    dewey_key(n).to_bytes()
 }
 
 /// Global position of a node (demux sort key).

@@ -1,10 +1,18 @@
 //! Serving-layer integration tests: the session protocol over in-memory
 //! buffers (framing, typed errors, `.timeout 0` disarm regression, hostile
-//! input) and a real TCP round-trip against the accept loop.
+//! input), a real TCP round-trip against the accept loop, and the
+//! torn-reply regression: every `xpath` reply is one committed version of
+//! its document, however many updates commit while it is being served.
 
-use ordxml::{run_session, serve, DocumentPool, Encoding, Session, Status};
+use ordxml::naive::{DomNode, NaiveEvaluator};
+use ordxml::{
+    run_session, serve, DocumentPool, Encoding, OrderConfig, Session, Status, UpdateCost,
+};
+use ordxml_xml::{Document, NodePath};
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn pool_with_docs(n: usize) -> Arc<DocumentPool> {
@@ -166,4 +174,205 @@ fn tcp_round_trip_with_concurrent_clients() {
         assert!(out.contains("ok 1 node(s)"), "{out}");
         assert!(out.contains("ok bye"), "{out}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Torn replies: one committed version per reply
+// ---------------------------------------------------------------------
+
+/// A catalog of `items` top-level `<item>`s; every third one nests another
+/// `<item>`, so `//item` has nested hits.
+fn catalog(items: usize) -> Document {
+    let mut xml = String::from("<catalog>");
+    for i in 0..items {
+        if i % 3 == 2 {
+            xml.push_str(&format!(
+                "<item id=\"i{i}\"><name>n{i}</name>\
+                 <parts><item id=\"p{i}\"><name>part {i}</name></item></parts></item>"
+            ));
+        } else {
+            xml.push_str(&format!(
+                "<item id=\"i{i}\"><name>n{i}</name><price>{i}</price></item>"
+            ));
+        }
+    }
+    xml.push_str("</catalog>");
+    ordxml_xml::parse(&xml).unwrap()
+}
+
+/// Sparse-numbering gap the catalogs are loaded with: small enough that a
+/// few inserts at the front of the item list exhaust it and renumber.
+const TIGHT_GAP: u64 = 4;
+
+/// The `//item` reply the DOM oracle gives for `dom`.
+fn expected_items(dom: &Document) -> Vec<String> {
+    let path = ordxml::xpath::parse("//item").unwrap();
+    NaiveEvaluator::new(dom)
+        .eval(&path)
+        .into_iter()
+        .map(|v| match v {
+            DomNode::Node(id) => dom.subtree_to_xml(id),
+            DomNode::Attr(..) => unreachable!("//item selects elements"),
+        })
+        .collect()
+}
+
+/// An ordered update of the top-level item list.
+#[derive(Debug, Clone, Copy)]
+enum Update {
+    /// Insert a fresh item (numbered by the payload) in front of the list.
+    FrontInsert(u64),
+    /// Delete the item at this index.
+    Delete(usize),
+    /// Move the item at `.0` so that it becomes the `.1`-th.
+    Move(usize, usize),
+}
+
+/// Applies `update` through the pool, then to the DOM mirror.
+fn apply(pool: &DocumentPool, id: u64, dom: &mut Document, update: Update) -> UpdateCost {
+    let root = dom.root();
+    match update {
+        Update::FrontInsert(n) => {
+            let fragment =
+                ordxml_xml::parse(&format!("<item id=\"f{n}\"><name>new {n}</name></item>"))
+                    .unwrap();
+            let cost = pool
+                .insert_fragment(id, &NodePath(vec![]), 0, &fragment)
+                .unwrap();
+            dom.graft(root, 0, &fragment, fragment.root());
+            cost
+        }
+        Update::Delete(index) => {
+            let cost = pool.delete_subtree(id, &NodePath(vec![index])).unwrap();
+            dom.remove_subtree(dom.children(root)[index]);
+            cost
+        }
+        Update::Move(from, to) => {
+            let cost = pool
+                .move_subtree(id, &NodePath(vec![from]), &NodePath(vec![]), to)
+                .unwrap();
+            let src = dom.children(root)[from];
+            let mut copy = Document::new("tmp");
+            let tmp = copy.root();
+            copy.graft(tmp, 0, dom, src);
+            dom.remove_subtree(src);
+            dom.graft(root, to, &copy, copy.children(tmp)[0]);
+            cost
+        }
+    }
+}
+
+/// Runs `body` on a fresh two-shard pool for every encoding, on both
+/// backends: in memory, and file-backed with WAL durability.
+fn for_each_backend(tag: &str, body: impl Fn(&str, Arc<DocumentPool>)) {
+    for enc in Encoding::all() {
+        body(
+            &format!("mem/{enc}"),
+            Arc::new(DocumentPool::in_memory(2, enc)),
+        );
+        let dir = std::env::temp_dir().join(format!(
+            "ordxml-serve-{tag}-{enc}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pool = Arc::new(DocumentPool::open(&dir, 2, enc, 64).unwrap());
+        body(&format!("file/{enc}"), pool);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_pinned_snapshot_serializes_its_own_version_across_updates() {
+    for_each_backend("pinned", |label, pool| {
+        let mut dom = catalog(9);
+        let id = pool
+            .load_with(&dom, "c", OrderConfig::with_gap(TIGHT_GAP))
+            .unwrap();
+        let before = expected_items(&dom);
+        let (snap, inner) = pool.snapshot(id).unwrap();
+        let hits = snap.xpath(inner, "//item").unwrap();
+        // A delete, a move, then front inserts until one renumbers.
+        apply(&pool, id, &mut dom, Update::Delete(1));
+        apply(&pool, id, &mut dom, Update::Move(0, 5));
+        let relabeled: u64 = (0..4)
+            .map(|n| apply(&pool, id, &mut dom, Update::FrontInsert(n)).relabeled)
+            .sum();
+        assert!(relabeled > 0, "{label}: the front inserts never renumbered");
+        // The document moved on...
+        let mut session = Session::new(Arc::clone(&pool));
+        session.handle(&format!(".use {id}"));
+        let live = session.handle("xpath //item").lines;
+        assert_eq!(live, expected_items(&dom), "{label}");
+        assert_ne!(live, before, "{label}");
+        // ...and the pinned version did not.
+        assert_eq!(
+            snap.serialize_many(inner, &hits).unwrap(),
+            before,
+            "{label}"
+        );
+    });
+}
+
+#[test]
+fn concurrent_replies_are_each_one_committed_version() {
+    const UPDATES: u64 = 60;
+    for_each_backend("torn", |label, pool| {
+        let mut dom = catalog(9);
+        let id = pool
+            .load_with(&dom, "c", OrderConfig::with_gap(TIGHT_GAP))
+            .unwrap();
+        let mut versions: HashSet<Vec<String>> = HashSet::from([expected_items(&dom)]);
+        let done = Arc::new(AtomicBool::new(false));
+        let served = Arc::new(AtomicU64::new(0));
+        let reader = {
+            let (pool, done, served) = (Arc::clone(&pool), Arc::clone(&done), Arc::clone(&served));
+            std::thread::spawn(move || {
+                let mut session = Session::new(pool);
+                session.handle(&format!(".use {id}"));
+                // Distinct replies (payload, or error text), with counts.
+                let mut replies: HashMap<Result<Vec<String>, String>, u64> = HashMap::new();
+                loop {
+                    let last = done.load(Ordering::Acquire);
+                    let reply = session.handle("xpath //item");
+                    let key = match reply.status {
+                        Status::Ok(_) => Ok(reply.lines),
+                        Status::Err { code, message } => Err(format!("{code}: {message}")),
+                    };
+                    *replies.entry(key).or_default() += 1;
+                    served.fetch_add(1, Ordering::Release);
+                    if last {
+                        return replies;
+                    }
+                }
+            })
+        };
+        // Update only once the reader is serving, so the two overlap.
+        while served.load(Ordering::Acquire) == 0 && !reader.is_finished() {
+            std::thread::yield_now();
+        }
+        for n in 0..UPDATES {
+            let items = dom.children(dom.root()).len();
+            let update = match n % 3 {
+                0 => Update::FrontInsert(n),
+                1 => Update::Delete((n as usize * 5) % items),
+                _ => Update::Move((n as usize * 7) % items, (n as usize * 3) % (items - 1)),
+            };
+            apply(&pool, id, &mut dom, update);
+            versions.insert(expected_items(&dom));
+        }
+        done.store(true, Ordering::Release);
+        let replies = reader.join().unwrap();
+        let total: u64 = replies.values().sum();
+        let torn: Vec<_> = replies
+            .iter()
+            .filter(|(reply, _)| !matches!(reply, Ok(lines) if versions.contains(lines)))
+            .collect();
+        assert!(
+            torn.is_empty(),
+            "{label}: {} of {total} replies match no committed version, e.g. {:?}",
+            torn.iter().map(|(_, n)| **n).sum::<u64>(),
+            torn[0]
+        );
+    });
 }

@@ -412,16 +412,24 @@ pub fn decode_range_batch(buf: &[u8]) -> DbResult<Vec<RangeSpec>> {
             "bad inclusivity flag {v:?} in range batch"
         ))),
     };
-    flat.chunks_exact(4)
-        .map(|c| {
-            Ok(RangeSpec {
-                lo: c[0].clone(),
-                lo_inclusive: flag(&c[1])?,
-                hi: c[2].clone(),
-                hi_inclusive: flag(&c[3])?,
-            })
+    let mut fields = flat.into_iter();
+    std::iter::from_fn(|| {
+        Some([
+            fields.next()?,
+            fields.next()?,
+            fields.next()?,
+            fields.next()?,
+        ])
+    })
+    .map(|[lo, lo_inclusive, hi, hi_inclusive]| {
+        Ok(RangeSpec {
+            lo,
+            lo_inclusive: flag(&lo_inclusive)?,
+            hi,
+            hi_inclusive: flag(&hi_inclusive)?,
         })
-        .collect()
+    })
+    .collect()
 }
 
 // ---------------------------------------------------------------------
