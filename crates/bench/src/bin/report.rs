@@ -1,6 +1,6 @@
-//! The experiment runner: prints the paper-style tables for E1–E10 plus
-//! E12 (concurrent read throughput) and writes the same results — plus
-//! per-experiment engine counters — to `BENCH_report.json`.
+//! The experiment runner: prints the paper-style tables for E1–E10 and
+//! writes the same results — plus per-experiment engine counters — to
+//! `BENCH_report.json`.
 //!
 //! ```text
 //! report              # all experiments, quick scale
@@ -9,9 +9,6 @@
 //! report --no-json    # skip writing BENCH_report.json
 //! report --obs-off    # disable the engine's global observability registry
 //!                     # (overhead spot checks; counters then read as zero)
-//! report --durable   # also run E11: file-backed update latency under WAL
-//!                     # vs checkpoint durability (wal_frames_written deltas
-//!                     # land in BENCH_report.json like any other experiment)
 //! report --trace      # collect structured spans for the whole run and
 //!                     # export them as BENCH_trace.json (Chrome trace-event
 //!                     # format) plus BENCH_trace.folded (flamegraph stacks)
@@ -41,14 +38,11 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .collect();
-    let mut ids: Vec<&str> = if selected.is_empty() || selected.iter().any(|s| s == "all") {
+    let ids: Vec<&str> = if selected.is_empty() || selected.iter().any(|s| s == "all") {
         experiments::ALL.to_vec()
     } else {
         selected.iter().map(String::as_str).collect()
     };
-    if args.iter().any(|a| a == "--durable") && !ids.contains(&"e11") {
-        ids.push("e11");
-    }
     println!("ordxml experiment report — scale: {scale:?} (pass --full for paper-scale runs)");
     let mut records = Vec::new();
     for id in ids {
@@ -64,7 +58,7 @@ fn main() {
                 records.push(r);
             }
             None => {
-                eprintln!("unknown experiment `{id}` (expected e1..e14 or `all`)");
+                eprintln!("unknown experiment `{id}` (expected e1..e10 or `all`)");
                 std::process::exit(2);
             }
         }

@@ -1,5 +1,6 @@
-//! The experiment suite (E1–E14). See `DESIGN.md` §5 for the index and
-//! `EXPERIMENTS.md` for recorded results vs the paper's claims.
+//! The experiment suite (E1–E10), one per table of the paper's
+//! evaluation. See `DESIGN.md` §5 for the index and `EXPERIMENTS.md` for
+//! recorded results vs the paper's claims.
 
 pub mod e01_storage;
 pub mod e02_load;
@@ -11,17 +12,13 @@ pub mod e07_updates;
 pub mod e08_gaps;
 pub mod e09_mixed;
 pub mod e10_scale;
-pub mod e11_durability;
-pub mod e12_concurrency;
-pub mod e13_governance;
-pub mod e14_serving;
 
 use crate::report::{self, EngineDelta, ExperimentRecord};
 use crate::Scale;
 use ordxml_rdbms::obs;
 use std::time::Instant;
 
-/// Runs one experiment by id (`"e1"`..`"e14"`), bracketing it with engine
+/// Runs one experiment by id (`"e1"`..`"e10"`), bracketing it with engine
 /// counter snapshots; returns its record for the machine-readable report,
 /// or `None` for an unknown id.
 pub fn run(id: &str, scale: Scale) -> Option<ExperimentRecord> {
@@ -39,10 +36,6 @@ pub fn run(id: &str, scale: Scale) -> Option<ExperimentRecord> {
         "e8" => e08_gaps::run(scale),
         "e9" => e09_mixed::run(scale),
         "e10" => e10_scale::run(scale),
-        "e11" => e11_durability::run(scale),
-        "e12" => e12_concurrency::run(scale),
-        "e13" => e13_governance::run(scale),
-        "e14" => e14_serving::run(scale),
         _ => return None,
     }
     let elapsed = started.elapsed();
@@ -55,14 +48,5 @@ pub fn run(id: &str, scale: Scale) -> Option<ExperimentRecord> {
     })
 }
 
-/// The default experiment ids, in order. E11 (file-backed durability) is
-/// not in the default sweep; the report binary adds it with `--durable`,
-/// or run it explicitly by id. E12 (concurrent read throughput) runs by
-/// default: it is in-memory and its quick windows are sub-second. E13
-/// (governance overhead + fault absorption) runs by default too: its
-/// file-backed half uses a tiny cache and finishes quickly.
-/// E14 (serving layer) runs by default: its windows are bounded and its
-/// file-backed half uses a small pool.
-pub const ALL: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e12", "e13", "e14",
-];
+/// Every experiment id, in order.
+pub const ALL: &[&str] = &["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"];

@@ -14,7 +14,8 @@
 //! cargo run --release -p ordxml-bench --bin report -- e7 --full
 //! ```
 //!
-//! Criterion micro-benchmarks over the same workloads live in `benches/`.
+//! Throughput, durability and serving are measured end to end by the
+//! standalone package in `benchmark/` (see its `README.md`), not here.
 
 pub mod datagen;
 pub mod experiments;

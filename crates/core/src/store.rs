@@ -223,7 +223,8 @@ pub(crate) fn decode_node_row(enc: Encoding, doc: i64, row: &Row) -> StoreResult
 }
 
 /// Fetches all stored children of `node` (attributes included), in sibling
-/// order, via one indexed query. Shared by the facade and node resolution.
+/// order, via one indexed query. Shared by the facade, node resolution and
+/// the update layer; a live [`Database`] reads its open transaction's rows.
 pub(crate) fn fetch_children(
     db: &dyn SqlRead,
     enc: Encoding,

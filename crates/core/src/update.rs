@@ -22,7 +22,9 @@ use crate::shred::{
     fragment_dewey_rows, fragment_global_rows, fragment_local_rows, vnode_count, KIND_ATTR,
     KIND_TEXT, NO_PARENT,
 };
-use crate::store::{decode_node_row, select_list, NodeRef, StoreError, StoreResult, XNode};
+use crate::store::{
+    decode_node_row, fetch_children, select_list, NodeRef, StoreError, StoreResult, XNode,
+};
 use ordxml_rdbms::{Database, Value};
 use ordxml_xml::Document;
 
@@ -52,43 +54,6 @@ impl UpdateCost {
         self.relabeled += other.relabeled;
         self.maintenance += other.maintenance;
     }
-}
-
-/// Fetches all stored children of `parent` in sibling order.
-fn children_of(
-    db: &mut Database,
-    enc: Encoding,
-    doc: i64,
-    parent: &XNode,
-) -> StoreResult<Vec<XNode>> {
-    let (sql, params) = match &parent.node {
-        NodeRef::Global { pos, .. } => (
-            format!(
-                "SELECT {} FROM global_node n \
-                 WHERE n.doc = ? AND n.parent_pos = ? ORDER BY n.pos",
-                select_list(enc, "n")
-            ),
-            vec![Value::Int(doc), Value::Int(*pos)],
-        ),
-        NodeRef::Local { id, .. } => (
-            format!(
-                "SELECT {} FROM local_node n \
-                 WHERE n.doc = ? AND n.parent_id = ? ORDER BY n.ord",
-                select_list(enc, "n")
-            ),
-            vec![Value::Int(doc), Value::Int(*id)],
-        ),
-        NodeRef::Dewey { key } => (
-            format!(
-                "SELECT {} FROM dewey_node n \
-                 WHERE n.doc = ? AND n.parent = ? ORDER BY n.key",
-                select_list(enc, "n")
-            ),
-            vec![Value::Int(doc), Value::Bytes(key.to_bytes())],
-        ),
-    };
-    let rows = db.query(&sql, &params)?;
-    rows.iter().map(|r| decode_node_row(enc, doc, r)).collect()
 }
 
 /// Typed failure for updates that run out of integer order-key space. Only
@@ -177,7 +142,7 @@ pub fn insert_fragment(
         ));
     }
     let gap = doc_gap(db, enc, doc)?;
-    let children = children_of(db, enc, doc, parent)?;
+    let children = fetch_children(db, enc, doc, parent)?;
     let n_attrs = children.iter().filter(|c| c.kind == KIND_ATTR).count();
     let non_attr: Vec<&XNode> = children.iter().filter(|c| c.kind != KIND_ATTR).collect();
     let index = index.min(non_attr.len());
@@ -632,7 +597,7 @@ pub fn move_subtree(
             let gap = doc_gap(db, enc, doc)?;
             // Destination child list, with the target excluded (it may
             // already be a child of the destination).
-            let children: Vec<XNode> = children_of(db, enc, doc, new_parent)?
+            let children: Vec<XNode> = fetch_children(db, enc, doc, new_parent)?
                 .into_iter()
                 .filter(|c| !matches!(&c.node, NodeRef::Local { id: cid, .. } if cid == id))
                 .collect();

@@ -8,6 +8,7 @@
 
 use ordxml::{DocumentPool, Encoding, StoreError};
 use ordxml_rdbms::{DbError, StoreHealth};
+use ordxml_xml::generate::sample_catalog;
 use ordxml_xml::{parse as parse_xml, Document, NodePath};
 
 fn doc(i: usize) -> Document {
@@ -127,6 +128,34 @@ fn enospc_on_one_shard_never_blocks_siblings() {
     pool.insert_fragment(victim_doc, &NodePath(vec![]), 0, &fragment())
         .unwrap();
 
+    drop(pool);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fault-isolation gate on catalog documents: with one shard degraded,
+/// every sibling read AND write must succeed — a shared lock, WAL, or
+/// health flag between shards would fail this instantly.
+#[test]
+fn degraded_shard_never_blocks_siblings() {
+    let dir = temp_dir("gate");
+    let pool = DocumentPool::open(&dir, 4, Encoding::Global, 64).unwrap();
+    let ids: Vec<u64> = (0..12)
+        .map(|i| pool.load(&sample_catalog(10), &format!("d{i}")).unwrap())
+        .collect();
+    let victim = pool.shard_of(ids[0]);
+    pool.shard(victim).db().faults().fail_writes_with_enospc();
+    let _ = pool.insert_fragment(ids[0], &NodePath(vec![]), 0, &fragment());
+    for &id in &ids {
+        assert!(!pool.xpath(id, "/catalog/item[1]").unwrap().is_empty());
+        if pool.shard_of(id) != victim {
+            pool.insert_fragment(id, &NodePath(vec![]), 0, &fragment())
+                .expect("sibling writes must keep working");
+        }
+    }
+    pool.shard(victim).db().faults().reset();
+    pool.try_restore(victim).unwrap();
+    pool.insert_fragment(ids[0], &NodePath(vec![]), 0, &fragment())
+        .expect("victim heals after restore");
     drop(pool);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,16 +1,13 @@
 //! The embedded database facade: statement execution, plan caching,
 //! transactions, and file-backed persistence.
 //!
-//! Durability model: write-ahead logging by default
-//! ([`Durability::Wal`]). Each transaction's dirty pages are appended to a
-//! sidecar WAL as checksummed frames and fsynced at commit; opening a
-//! database replays committed transactions from the WAL and discards torn
-//! or uncommitted tails. Standalone write statements auto-commit; explicit
-//! [`Database::begin`] / [`Database::commit`] / [`Database::rollback`]
-//! group multi-statement updates (the XML layer wraps every logical XML
-//! update this way). [`Durability::Checkpoint`] preserves the legacy
-//! journal-less mode — durability only at [`Database::checkpoint`] — for
-//! overhead ablations.
+//! Durability model: a file-backed database always writes ahead. Each
+//! transaction's dirty pages are appended to a sidecar WAL as checksummed
+//! frames and fsynced at commit; opening a database replays committed
+//! transactions from the WAL and discards torn or uncommitted tails.
+//! Standalone write statements auto-commit; explicit [`Database::begin`] /
+//! [`Database::commit`] / [`Database::rollback`] group multi-statement
+//! updates (the XML layer wraps every logical XML update this way).
 //!
 //! Every read statement — `SELECT`, or `EXPLAIN [ANALYZE]` of one — runs
 //! through one body, `ReadCtx::run`, whether it reads the live database
@@ -115,19 +112,6 @@ const PLAN_CACHE_CAP: usize = 256;
 /// When a commit leaves this many frames in the WAL, an opportunistic
 /// checkpoint (database fsync + log reset) runs so the log stays bounded.
 const WAL_AUTOCHECKPOINT_FRAMES: u64 = 512;
-
-/// How a file-backed database makes writes durable.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum Durability {
-    /// Write-ahead logging: transactions are durable at commit, recovery on
-    /// open replays the log. The default for [`Database::open`].
-    #[default]
-    Wal,
-    /// Legacy journal-less mode: pages are durable only after
-    /// [`Database::checkpoint`]; a crash in between loses or tears recent
-    /// writes. Kept for durability-overhead ablations.
-    Checkpoint,
-}
 
 /// Database-level transaction state (the pager holds the page pre-images).
 struct DbTxn {
@@ -612,30 +596,16 @@ impl Database {
     }
 
     /// Opens (or creates) a file-backed database with a buffer pool of
-    /// `cache_pages` frames and write-ahead logging ([`Durability::Wal`]):
-    /// recovery runs first, replaying committed transactions from the WAL
-    /// and discarding torn or uncommitted tails. Indexes are rebuilt from
-    /// the heaps on open.
+    /// `cache_pages` frames and write-ahead logging: recovery runs first,
+    /// replaying committed transactions from the WAL and discarding torn or
+    /// uncommitted tails. Indexes are rebuilt from the heaps on open.
     pub fn open(path: &Path, cache_pages: usize) -> DbResult<Database> {
-        Self::open_with(path, cache_pages, Durability::Wal)
-    }
-
-    /// [`Database::open`] with an explicit durability mode.
-    pub fn open_with(
-        path: &Path,
-        cache_pages: usize,
-        durability: Durability,
-    ) -> DbResult<Database> {
-        if durability == Durability::Wal {
-            let report = wal::recover(path, &wal::wal_path(path))?;
-            if report.ran {
-                obs::registry().record_recovery();
-            }
+        let report = wal::recover(path, &wal::wal_path(path))?;
+        if report.ran {
+            obs::registry().record_recovery();
         }
         let pager = Pager::open_file(path, cache_pages)?;
-        if durability == Durability::Wal {
-            pager.attach_wal(Wal::open(&wal::wal_path(path))?);
-        }
+        pager.attach_wal(Wal::open(&wal::wal_path(path))?);
         let (catalog, catalog_pages) = if pager.page_count() == 0 {
             // Fresh file: page 0 is the meta page.
             let meta = pager.allocate()?;
@@ -786,10 +756,9 @@ impl Database {
     }
 
     /// Commits the open transaction: persists the catalog alongside the data
-    /// pages (so recovery sees a consistent pair) and, under
-    /// [`Durability::Wal`], appends every dirty page to the WAL with an
-    /// fsync barrier. On failure the transaction is rolled back before the
-    /// error is returned.
+    /// pages (so recovery sees a consistent pair) and, on the file backend,
+    /// appends every dirty page to the WAL with an fsync barrier. On failure
+    /// the transaction is rolled back before the error is returned.
     pub fn commit(&mut self) -> DbResult<()> {
         if self.txn.is_none() {
             return Err(DbError::Txn("no active transaction".into()));
@@ -1045,7 +1014,7 @@ impl Database {
     ) -> DbResult<QueryResult> {
         let before = EngineCounters::read(&self.catalog, &self.pager);
         let started = self.log.clock();
-        let auto_txn = is_write && self.pager.wal_enabled() && !self.in_transaction();
+        let auto_txn = is_write && self.file_backed && !self.in_transaction();
         if auto_txn {
             self.begin()?;
         }
@@ -1060,9 +1029,9 @@ impl Database {
             }
         };
         let mut result = outcome.inspect_err(|e| self.shared.record_failure(e))?;
-        // Writes that commit without a transaction (no WAL: the in-memory
-        // backend, legacy checkpoint durability) republish here; auto-commit
-        // and explicit transactions republish inside `commit`.
+        // Writes that commit without a transaction (the in-memory backend)
+        // republish here; auto-commit and explicit transactions republish
+        // inside `commit`.
         if is_write && !auto_txn && !self.in_transaction() {
             self.publish_committed();
         }
@@ -1429,11 +1398,10 @@ impl Database {
         }
     }
 
-    /// Persists the catalog and makes everything durable (file mode; a no-op
-    /// for in-memory databases). Under [`Durability::Wal`] the catalog is
-    /// already persisted by every commit, so this fsyncs the database file
-    /// and resets the WAL; in [`Durability::Checkpoint`] mode it is the only
-    /// durability barrier. Refused inside a transaction.
+    /// Folds the WAL into the database file: fsyncs it and resets the log
+    /// (a no-op for in-memory databases). Every commit already persists the
+    /// catalog, so nothing else needs writing. Refused inside a
+    /// transaction.
     pub fn checkpoint(&mut self) -> DbResult<()> {
         if !self.file_backed {
             return Ok(());
@@ -1441,15 +1409,11 @@ impl Database {
         if self.txn.is_some() {
             return Err(DbError::Txn("checkpoint inside a transaction".into()));
         }
-        if self.pager.wal_enabled() {
-            return self.pager.checkpoint_wal();
-        }
-        self.write_catalog()?;
-        self.pager.flush()
+        self.pager.checkpoint_wal()
     }
 
     /// Serializes the catalog into its chunk pages and updates the meta
-    /// page. Durability is the caller's job (WAL commit or flush).
+    /// page. Durability is the caller's job (the WAL commit).
     fn write_catalog(&mut self) -> DbResult<()> {
         let blob = self.catalog.encode();
         let chunks: Vec<&[u8]> = blob.chunks(CATALOG_CHUNK).collect();
@@ -2685,27 +2649,6 @@ mod tests {
         let _ = std::fs::remove_file(wal::wal_path(&path));
         let mut db = Database::open(&path, 16).unwrap();
         assert_eq!(count(&mut db, "SELECT COUNT(*) FROM t"), 50);
-        drop(db);
-        cleanup(&path);
-    }
-
-    #[test]
-    fn checkpoint_durability_mode_skips_wal_entirely() {
-        let path = temp_db_path("legacy.db");
-        {
-            let mut db = Database::open_with(&path, 16, Durability::Checkpoint).unwrap();
-            db.execute("CREATE TABLE t (a INTEGER, PRIMARY KEY (a))", &[])
-                .unwrap();
-            db.execute("INSERT INTO t VALUES (7)", &[]).unwrap();
-            assert_eq!(db.wal_frames_in_log(), 0, "no WAL attached");
-            db.checkpoint().unwrap();
-        }
-        assert!(
-            !wal::wal_path(&path).exists(),
-            "checkpoint-mode database never creates a WAL sidecar"
-        );
-        let mut db = Database::open_with(&path, 16, Durability::Checkpoint).unwrap();
-        assert_eq!(count(&mut db, "SELECT COUNT(*) FROM t"), 1);
         drop(db);
         cleanup(&path);
     }

@@ -55,7 +55,7 @@ pub mod trace;
 pub mod value;
 
 pub use btree::BTreeCounters;
-pub use db::{Database, DbSnapshot, Durability, QueryResult, SqlRead, StatementTrace, StoreHealth};
+pub use db::{Database, DbSnapshot, QueryResult, SqlRead, StatementTrace, StoreHealth};
 pub use error::{DbError, DbResult};
 pub use exec::{ExecStats, OpProfile, Profiler};
 pub use schema::{ColumnDef, IndexDef, TableSchema};

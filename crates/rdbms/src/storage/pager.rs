@@ -21,9 +21,10 @@
 //! images (and the page count). With a WAL attached ([`Pager::attach_wal`])
 //! the pager runs a no-steal policy — dirty pages are never evicted to the
 //! database file — and commit appends every dirty page to the WAL (fsync =
-//! the durability barrier) before writing it home. Without a WAL the legacy
-//! checkpoint-based behavior is preserved: evictions may steal dirty pages,
-//! and rollback rewrites stolen pre-images directly.
+//! the durability barrier) before writing it home. A file-backed `Database`
+//! always attaches one. A bare pager without a WAL is durable only at
+//! [`Pager::flush`]: evictions may steal dirty pages, and rollback rewrites
+//! stolen pre-images directly.
 //!
 //! All file I/O is routed through a shared [`FaultInjector`], so durability
 //! tests can fail any write/fsync or crash at any WAL frame, fail or
@@ -55,7 +56,7 @@ use crate::trace;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
@@ -100,15 +101,6 @@ pub struct PagerSnapshot {
 impl PagerStats {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, AtomicOrdering::Relaxed);
-    }
-
-    /// Snapshot of `(logical_reads, physical_reads, physical_writes)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.logical_reads.load(AtomicOrdering::Relaxed),
-            self.physical_reads.load(AtomicOrdering::Relaxed),
-            self.physical_writes.load(AtomicOrdering::Relaxed),
-        )
     }
 
     /// Snapshot of every counter as plain values.
@@ -523,15 +515,19 @@ struct TxnState {
 ///
 /// Lock order, for paths that hold more than one latch: `txn` → `backend`
 /// (the in-memory working map or the file frame table, then the published
-/// snapshot slot) → `wal`. `n_pages` and `txn_seq` are atomics and
-/// participate in no ordering. The in-memory *read* path takes none of
-/// these — it runs against the epoch-published snapshot.
+/// snapshot slot) → `wal`. `n_pages`, `txn_seq` and `wal_attached` are
+/// atomics and participate in no ordering. The in-memory *read* path takes
+/// none of these — it runs against the epoch-published snapshot.
 pub struct Pager {
     backend: Backend,
     n_pages: AtomicU32,
     stats: Arc<PagerStats>,
     faults: Arc<FaultInjector>,
     wal: Mutex<Option<Wal>>,
+    /// Set once by [`Pager::attach_wal`] and never cleared, so readers can
+    /// ask whether a WAL is attached without taking the `wal` latch, which
+    /// a commit holds through its fsync and home writes.
+    wal_attached: AtomicBool,
     txn: Mutex<Option<TxnState>>,
     txn_seq: AtomicU64,
     /// `Some(reason)` while degraded read-only (see [`StoreHealth`]).
@@ -556,6 +552,7 @@ impl Pager {
             stats: Arc::new(PagerStats::default()),
             faults: Arc::new(FaultInjector::new()),
             wal: Mutex::new(None),
+            wal_attached: AtomicBool::new(false),
             txn: Mutex::new(None),
             txn_seq: AtomicU64::new(0),
             health: Mutex::new(None),
@@ -597,6 +594,7 @@ impl Pager {
             stats: Arc::new(PagerStats::default()),
             faults: Arc::new(FaultInjector::new()),
             wal: Mutex::new(None),
+            wal_attached: AtomicBool::new(false),
             txn: Mutex::new(None),
             txn_seq: AtomicU64::new(0),
             health: Mutex::new(None),
@@ -608,11 +606,12 @@ impl Pager {
     /// commits route page images through the WAL.
     pub fn attach_wal(&self, wal: Wal) {
         *latch::lock(&self.wal, WaitSite::Wal) = Some(wal);
+        self.wal_attached.store(true, AtomicOrdering::Release);
     }
 
-    /// `true` once a WAL is attached.
+    /// `true` once a WAL is attached. Takes no latch.
     pub fn wal_enabled(&self) -> bool {
-        latch::lock(&self.wal, WaitSite::Wal).is_some()
+        self.wal_attached.load(AtomicOrdering::Acquire)
     }
 
     /// Frames currently sitting in the WAL (0 without a WAL).
@@ -1194,8 +1193,9 @@ impl Pager {
         // Clock eviction: advance the hand until an unreferenced (and, under
         // no-steal, clean) frame shows. Two full sweeps visit every frame
         // once with its reference bit cleared; if none is evictable, every
-        // frame is pinned dirty and the pool grows past capacity (it shrinks
-        // back through normal eviction once commits clean the frames).
+        // frame is pinned dirty and the pool grows past capacity. It never
+        // shrinks back: once commits clean the frames, eviction replaces
+        // them in place, so the pool keeps its high-water size.
         let mut victim = None;
         let mut examined = 0;
         let limit = fb.frames.len() * 2;
@@ -1447,9 +1447,12 @@ mod tests {
                 assert_eq!(got, format!("page-{i}").as_bytes());
             }
             pager.flush().unwrap();
-            let (_, phys_reads, phys_writes) = pager.stats().snapshot();
-            assert!(phys_reads > 0, "pool smaller than file must re-read");
-            assert!(phys_writes >= 64);
+            let stats = pager.stats().full();
+            assert!(
+                stats.physical_reads > 0,
+                "pool smaller than file must re-read"
+            );
+            assert!(stats.physical_writes >= 64);
         }
         // Reopen and verify durability.
         let pager = Pager::open_file(&path, 8).unwrap();
@@ -1468,9 +1471,9 @@ mod tests {
         for _ in 0..5 {
             pager.with_page(id, |_| ()).unwrap();
         }
-        let (logical, physical, _) = pager.stats().snapshot();
-        assert_eq!(logical, 5);
-        assert_eq!(physical, 0);
+        let stats = pager.stats().full();
+        assert_eq!(stats.logical_reads, 5);
+        assert_eq!(stats.physical_reads, 0);
     }
 
     #[test]
@@ -1648,8 +1651,11 @@ mod tests {
                 })
                 .unwrap();
         }
-        let (_, _, phys_writes) = pager.stats().snapshot();
-        assert_eq!(phys_writes, 0, "no-steal: nothing reaches the file yet");
+        assert_eq!(
+            pager.stats().full().physical_writes,
+            0,
+            "no-steal: nothing reaches the file yet"
+        );
         let frames = pager.commit_txn().unwrap();
         assert_eq!(frames, 24);
         pager.checkpoint_wal().unwrap();
