@@ -1,9 +1,12 @@
 //! E4 — Position-predicate deep dive: cost vs fan-out.
 //!
-//! Position predicates translate to correlated sibling-counting subqueries;
-//! their cost grows with the number of preceding siblings the count scans.
-//! All encodings count over an index on (parent, order-key); this
-//! experiment shows the common growth and the constant-factor differences.
+//! Position predicates translate to correlated sibling-counting subqueries.
+//! Each count ranges over the candidate's preceding (or following)
+//! siblings, and the engine memoises those range counts per statement, so
+//! one positional step fetches each sibling about once: cost grows linearly
+//! with fan-out. All encodings count over an index on (parent, order-key);
+//! this experiment shows the common growth and the constant-factor
+//! differences.
 
 use crate::datagen;
 use crate::harness::{fmt_count, fmt_dur, load_all, time_median, Table};
@@ -43,9 +46,10 @@ pub fn run(scale: Scale) {
 }
 
 /// Ablation: the pure-SQL correlated-count translation vs mediator slicing
-/// (see `ordxml::translate::PositionStrategy`). The count translation is
-/// O(siblings²) per step; slicing is O(siblings) but moves the position
-/// arithmetic out of the database.
+/// (see `ordxml::translate::PositionStrategy`). Both are O(siblings) per
+/// step: the count translation through the engine's per-statement memo of
+/// range counts, slicing by moving the position arithmetic out of the
+/// database.
 fn ablation(scale: Scale) {
     use ordxml::translate::PositionStrategy;
     let fanouts = scale.pick(vec![100usize, 1_000], vec![1_000, 4_000]);

@@ -27,9 +27,9 @@ pub fn run(scale: Scale) {
     for &f in &fractions {
         let base = datagen::catalog(items, 1);
         for l in load_all(&base, OrderConfig::with_gap(2)).iter_mut() {
-            // Linear positional strategy: the crossover should be driven by
-            // update costs, not by the quadratic counting translation
-            // (ablated separately in E4b).
+            // Mediator-slice positional strategy: the crossover should be
+            // driven by update costs, with positional lookups kept out of
+            // the database (the SQL-count translation is compared in E4b).
             l.store
                 .set_position_strategy(ordxml::PositionStrategy::MediatorSlice);
             let mut rng = StdRng::seed_from_u64(13);

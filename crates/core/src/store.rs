@@ -1415,6 +1415,36 @@ mod tests {
     }
 
     #[test]
+    fn positional_counts_explain_as_memoised_range_counts() {
+        // Every encoding's translated positional predicate is a range count
+        // the engine memoises per statement, and EXPLAIN ANALYZE still
+        // reports every line of that subplan.
+        for (s, d) in stores() {
+            let enc = s.encoding();
+            for q in ["/a/b[2]", "/a/b[last()]", "/a/b[position() <= 2]"] {
+                let (_, diag) = s.xpath_diagnostics(d, q).unwrap();
+                let p = &diag.statements[0];
+                let plan = p.plan.join("\n");
+                assert!(
+                    plan.contains("Aggregate [COUNT(*)] (range count, memoised per statement)"),
+                    "{enc}: {q}\n{plan}"
+                );
+                let lines = s.db().explain(&p.sql, &p.params, true).unwrap();
+                let sub = lines
+                    .iter()
+                    .skip_while(|l| !l.starts_with("Subplan"))
+                    .skip(1)
+                    .take_while(|l| l.starts_with("  "))
+                    .collect::<Vec<_>>();
+                assert_eq!(sub.len(), 4, "{enc}: {q}\n{}", lines.join("\n"));
+                for l in sub {
+                    assert!(l.contains("actual rows="), "{enc}: {q}: {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn mediator_statement_count_is_independent_of_context_count() {
         // Every break step runs set-at-a-time, so the statements a query
         // issues follow the tree's depth, not the number of context nodes.

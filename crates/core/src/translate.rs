@@ -44,8 +44,10 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PositionStrategy {
     /// The paper's pure-SQL translation: a correlated `COUNT(*)` subquery
-    /// counting preceding candidates per result row — O(siblings) work for
-    /// *each* candidate, O(siblings²) per step.
+    /// counting preceding candidates per result row. Run naively that is
+    /// O(siblings) work for *each* candidate, O(siblings²) per step; the
+    /// engine memoises each such range count per statement, so over the
+    /// ascending candidate order of a step it fetches O(siblings) rows.
     #[default]
     CountSubquery,
     /// Mediator slicing: fetch the step's candidates in axis order (one

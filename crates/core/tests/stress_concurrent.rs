@@ -12,6 +12,7 @@
 //! pair-invariants that any torn update would break — across all three
 //! encodings and both the in-memory and file-backed pager.
 
+use ordxml::naive::{DomNode, NaiveEvaluator};
 use ordxml::{Encoding, OrderConfig, XmlStore};
 use ordxml_rdbms::Database;
 use ordxml_xml::{parse as parse_xml, NodePath};
@@ -288,7 +289,9 @@ fn failed_commit_under_fault_keeps_last_committed_snapshot() {
 /// reconstruct the document **twice** through it — both reconstructions
 /// must be identical (a snapshot serves exactly one version no matter how
 /// many commits land in between) and must equal one of the writer's
-/// committed states. The writer loops insert / delete / renumber, so
+/// committed states. Each pass also runs two positional predicates through
+/// the snapshot and checks them against the naive evaluator over that
+/// reconstruction. The writer loops insert / delete / renumber, so
 /// snapshots are pinned across structural updates *and* whole-document
 /// relabeling passes.
 ///
@@ -340,6 +343,22 @@ fn mvcc_snapshot_torture_all_encodings_both_backends() {
                         "snapshot holds a non-committed state:\n{}",
                         first.to_xml()
                     );
+                    // Positional predicates on the same pinned version agree
+                    // with the naive evaluator over its reconstruction.
+                    let naive = NaiveEvaluator::new(&first);
+                    for q in ["/catalog/item[last()]", "/catalog/item[position() <= 3]"] {
+                        let want: Vec<String> = naive
+                            .eval(&ordxml::xpath::parse(q).unwrap())
+                            .into_iter()
+                            .map(|v| match v {
+                                DomNode::Node(id) => first.subtree_to_xml(id),
+                                other => panic!("{q} matched a non-element {other:?}"),
+                            })
+                            .collect();
+                        let hits = snap.xpath(d, q).unwrap();
+                        let got = snap.serialize_many(d, &hits).unwrap();
+                        assert_eq!(got, want, "{q} on a pinned snapshot");
+                    }
                     1
                 })
             };

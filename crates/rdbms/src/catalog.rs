@@ -195,6 +195,20 @@ impl Table {
         pk.get(&encode_key(values)).map(RowId::unpack)
     }
 
+    /// The PK index (`None`) or `indexes[i]` (`Some(i)`).
+    fn tree(&self, index: Option<usize>) -> &BTree {
+        // Invariant, not user-reachable: the planner only emits a PK scan
+        // for tables whose schema has a primary key, and index ordinals are
+        // positions it read out of this same catalog.
+        match index {
+            None => self
+                .pk_index
+                .as_ref()
+                .expect("planner picked PK scan on PK-less table"),
+            Some(i) => &self.indexes[i].1,
+        }
+    }
+
     /// Row ids whose index/PK key falls in `[lower, upper)`-style bounds.
     /// `index` is `None` for the PK index or `Some(i)` for `indexes[i]`.
     /// Results arrive in key order (`reverse` flips the direction).
@@ -205,16 +219,7 @@ impl Table {
         upper: Bound<&[u8]>,
         reverse: bool,
     ) -> Vec<RowId> {
-        // Invariant, not user-reachable: the planner only emits a PK scan
-        // for tables whose schema has a primary key, and index ordinals are
-        // positions it read out of this same catalog.
-        let tree = match index {
-            None => self
-                .pk_index
-                .as_ref()
-                .expect("planner picked PK scan on PK-less table"),
-            Some(i) => &self.indexes[i].1,
-        };
+        let tree = self.tree(index);
         if reverse {
             tree.range_rev(lower, upper)
                 .map(|(_, v)| RowId::unpack(v))
@@ -224,6 +229,21 @@ impl Table {
                 .map(|(_, v)| RowId::unpack(v))
                 .collect()
         }
+    }
+
+    /// Like [`Table::index_range`] (ascending), but each row id comes with
+    /// its full index key. The executor's range-count memo keeps these keys
+    /// to answer later counts over the same stretch of the index.
+    pub fn index_range_keyed(
+        &self,
+        index: Option<usize>,
+        lower: Bound<&[u8]>,
+        upper: Bound<&[u8]>,
+    ) -> Vec<(Vec<u8>, RowId)> {
+        self.tree(index)
+            .range(lower, upper)
+            .map(|(k, v)| (k.to_vec(), RowId::unpack(v)))
+            .collect()
     }
 
     /// Row ids for a *batch* of ranges over one index, scanned in order
@@ -236,13 +256,7 @@ impl Table {
     /// are still answered correctly (the finger fails validation and the
     /// scan descends), just without the saving.
     pub fn index_range_multi(&self, index: Option<usize>, ranges: &[KeyRange]) -> Vec<Vec<RowId>> {
-        let tree = match index {
-            None => self
-                .pk_index
-                .as_ref()
-                .expect("planner picked PK scan on PK-less table"),
-            Some(i) => &self.indexes[i].1,
-        };
+        let tree = self.tree(index);
         fn as_ref(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
             match b {
                 Bound::Included(k) => Bound::Included(k.as_slice()),

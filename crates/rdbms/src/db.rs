@@ -496,12 +496,7 @@ impl ReadCtx<'_> {
         };
         let plan = plan.expect("SELECT statements are planned at cache time");
         let mut stats = ExecStats::default();
-        let env = Env {
-            catalog: self.catalog,
-            pages: self.pages,
-            params,
-            prof: None,
-        };
+        let env = Env::new(self.catalog, self.pages, params);
         let lines = match explain {
             None => {
                 let rows = run_select(&env, &mut stats, plan, None)?;
@@ -1384,12 +1379,7 @@ impl Database {
     /// The environment an `UPDATE` / `DELETE` finds its victims in: the
     /// live catalog and pages.
     fn write_env<'a>(&'a self, params: &'a [Value]) -> Env<'a> {
-        Env {
-            catalog: &self.catalog,
-            pages: PageSource::Live(&self.pager),
-            params,
-            prof: None,
-        }
+        Env::new(&self.catalog, PageSource::Live(&self.pager), params)
     }
 
     fn invalidate_plans(&mut self) {
@@ -1892,6 +1882,45 @@ mod tests {
                 .any(|l| l.contains("Multi-Range Index Scan") && l.contains("actual rows=4")),
             "{analyzed:?}"
         );
+    }
+
+    #[test]
+    fn range_count_subplans_say_they_are_memoised() {
+        let mut db = setup();
+        seed(&mut db, 50);
+        let count = |filter: &str| {
+            format!(
+                "SELECT n.pos, (SELECT COUNT(*) FROM node y WHERE y.doc = n.doc \
+                 AND y.parent = n.parent AND y.pos < n.pos AND {filter}) \
+                 FROM node n WHERE n.doc = 1"
+            )
+        };
+        let marker = "Aggregate [COUNT(*)] (range count, memoised per statement)";
+        let eligible = count("y.tag = 'even'");
+        let plan = db.explain(&eligible, &[], false).unwrap();
+        assert!(plan.iter().any(|l| l.contains(marker)), "{plan:#?}");
+        // A filter that reads the outer row can pass a row for one outer
+        // row and not the next: that count is re-run per outer row.
+        let correlated_filter = count("y.tag = n.tag");
+        let plan = db.explain(&correlated_filter, &[], false).unwrap();
+        assert!(plan.iter().any(|l| l.contains("outer.#4")), "{plan:#?}");
+        assert!(!plan.iter().any(|l| l.contains("range count")), "{plan:#?}");
+        // EXPLAIN ANALYZE keeps every subplan line's counters. The outer
+        // rows ascend through ten sibling groups of ten, so the scan fetches
+        // each group's first nine rows once: 45 rows over 50 invocations.
+        let analyzed = db.explain(&eligible, &[], true).unwrap();
+        let sub: Vec<&String> = analyzed
+            .iter()
+            .skip_while(|l| !l.starts_with("Subplan $0:"))
+            .skip(1)
+            .take_while(|l| l.starts_with("  "))
+            .collect();
+        assert_eq!(sub.len(), 4, "{analyzed:#?}");
+        assert!(sub.iter().all(|l| l.contains("loops=50")), "{sub:#?}");
+        assert!(sub[3].contains("actual rows=45 loops=50"), "{sub:#?}");
+        let rows = db.query(&eligible, &[]).unwrap();
+        // pos 15 (parent 1) follows 10, 12 and 14 among the even siblings.
+        assert_eq!(rows[15], vec![Value::Int(15), Value::Int(3)]);
     }
 
     #[test]

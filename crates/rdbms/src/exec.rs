@@ -8,6 +8,16 @@
 //!
 //! Index bounds are evaluated per outer row, so a bound index access under a
 //! [`Node::Join`] *is* the index-nested-loop join.
+//!
+//! Correlated subplans re-run per outer row, with one exception: a *range
+//! count* ([`SelectPlan::range_count`], the shape the XPath translation
+//! gives every positional predicate) is answered from a per-statement
+//! [`RangeCounts`] memo. The memo keeps, per subplan, one covered interval
+//! of the index and the sorted keys inside it whose rows passed the filter;
+//! each invocation fetches only the part of its range that is not yet
+//! covered. Over the ascending outer order of a child-step join, a step
+//! costs O(siblings) rows instead of O(siblings²), and no invocation ever
+//! fetches a row that its own un-memoised scan would not.
 
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
@@ -16,7 +26,7 @@ use crate::plan::{Access, AccessPath, AggCall, AggFunc, Node, SelectPlan};
 use crate::storage::PageSource;
 use crate::value::{decode_range_batch, encode_key, encode_key_value, Row, Value};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Bound;
 use std::time::{Duration, Instant};
 
@@ -224,6 +234,40 @@ pub struct Env<'a> {
     pub params: &'a [Value],
     /// Per-operator profiler, set only under `EXPLAIN ANALYZE`.
     pub prof: Option<&'a RefCell<Profiler>>,
+    /// The statement's range-count memo. It lives exactly as long as one
+    /// statement execution, so it only ever sees that statement's version.
+    pub counts: RangeCounts,
+}
+
+impl<'a> Env<'a> {
+    /// An environment for one statement execution, without a profiler.
+    pub fn new(catalog: &'a Catalog, pages: PageSource<'a>, params: &'a [Value]) -> Env<'a> {
+        Env {
+            catalog,
+            pages,
+            params,
+            prof: None,
+            counts: RangeCounts::default(),
+        }
+    }
+}
+
+/// One statement's memo for its range-count subplans, keyed by subplan
+/// identity (the address of the [`SelectPlan`], as [`Profiler`] keys by
+/// node address).
+#[derive(Debug, Default)]
+pub struct RangeCounts {
+    memos: RefCell<HashMap<usize, CountMemo>>,
+}
+
+/// What one range-count subplan has counted so far: the covered key
+/// interval `[lo, hi)` (`hi = None`: unbounded above) and, in key order,
+/// the index keys inside it whose rows passed the subplan's filter.
+#[derive(Debug)]
+struct CountMemo {
+    lo: Vec<u8>,
+    hi: Option<Vec<u8>>,
+    keys: VecDeque<Vec<u8>>,
 }
 
 /// Runs a planned `SELECT`, returning its rows. `outer` is the correlated
@@ -234,7 +278,189 @@ pub fn run_select(
     plan: &SelectPlan,
     outer: Option<&[Value]>,
 ) -> DbResult<Vec<Row>> {
+    if let Some((access, filter)) = plan.range_count_parts() {
+        return run_range_count(env, stats, plan, access, filter, outer);
+    }
     run_node(env, stats, &plan.subplans, &plan.root, outer)
+}
+
+/// Runs a range-count subplan through the statement's memo: computes the
+/// invocation's key range exactly as an index scan would, fetches only the
+/// parts of it outside the memo's covered interval, and counts the
+/// remembered keys inside the range.
+fn run_range_count(
+    env: &Env<'_>,
+    stats: &mut ExecStats,
+    plan: &SelectPlan,
+    access: &Access,
+    filter: Option<&Expr>,
+    outer: Option<&[Value]>,
+) -> DbResult<Vec<Row>> {
+    let _span = crate::trace::span("op.range_count");
+    let start = Instant::now();
+    let AccessPath::Index { index, .. } = access.path else {
+        return Err(DbError::Eval("range count over a non-index access".into()));
+    };
+    let table = env.catalog.table(&access.table)?;
+    let (mut fetched, mut passed) = (0u64, 0u64);
+    let count = match compute_bounds(env, stats, &plan.subplans, access, &[], outer)? {
+        None => 0, // NULL or incompatible bound: no match
+        Some((lo, hi)) => {
+            // Fetches `[from, to)`; returns the keys whose rows pass the filter.
+            let mut scan = |from: &[u8], to: Option<&[u8]>| -> DbResult<Vec<Vec<u8>>> {
+                let lower = Bound::Included(from);
+                let upper = to.map_or(Bound::Unbounded, Bound::Excluded);
+                stats.index_scans += 1;
+                let entries = table.index_range_keyed(index, lower, upper);
+                stats.index_rows += entries.len() as u64;
+                stats.rows_scanned += entries.len() as u64;
+                fetched += entries.len() as u64;
+                let mut keys = Vec::new();
+                for (key, rid) in entries {
+                    crate::governance::checkpoint(1)?;
+                    let row = table.get_row(env.pages, rid)?;
+                    let keep = match filter {
+                        None => true,
+                        Some(pred) => {
+                            let mut ctx = Ctx {
+                                env,
+                                stats,
+                                subplans: &plan.subplans,
+                                row: &row,
+                                outer,
+                            };
+                            eval(pred, &mut ctx)?.is_true()
+                        }
+                    };
+                    if keep {
+                        keys.push(key);
+                    }
+                }
+                passed += keys.len() as u64;
+                Ok(keys)
+            };
+            let id = plan as *const SelectPlan as usize;
+            env.counts
+                .count(id, start_key(lo), end_key(hi), &mut scan)?
+        }
+    };
+    if let Some(prof) = env.prof {
+        // Every operator of the subplan ran once. The scan reports the rows
+        // it actually fetched and the filter those that passed; the count
+        // itself comes out of the aggregate as one row.
+        let elapsed = start.elapsed();
+        let mut prof = prof.borrow_mut();
+        let mut note = |node: &Node, rows: u64| {
+            let op = prof.ops.entry(node as *const Node as usize).or_default();
+            op.invocations += 1;
+            op.rows_out += rows;
+            op.elapsed += elapsed;
+        };
+        let mut node = &plan.root;
+        loop {
+            match node {
+                Node::Project { input, .. } | Node::Aggregate { input, .. } => {
+                    note(node, 1);
+                    node = input;
+                }
+                Node::Filter { input, .. } => {
+                    note(node, passed);
+                    node = input;
+                }
+                _ => {
+                    note(node, fetched);
+                    break;
+                }
+            }
+        }
+    }
+    Ok(vec![vec![Value::Int(count as i64)]])
+}
+
+/// Fetches the keys in `[from, to)` that a range count keeps, in key order
+/// (`to = None`: unbounded above).
+type KeyScan<'s> = dyn FnMut(&[u8], Option<&[u8]>) -> DbResult<Vec<Vec<u8>>> + 's;
+
+impl RangeCounts {
+    /// Counts the kept keys in `[lo, hi)` for subplan `id`, calling `scan`
+    /// only for the parts of that interval the memo does not cover. A range
+    /// that overlaps or touches the covered interval extends it; any other
+    /// range replaces the memo.
+    fn count(
+        &self,
+        id: usize,
+        lo: Vec<u8>,
+        hi: Option<Vec<u8>>,
+        scan: &mut KeyScan<'_>,
+    ) -> DbResult<usize> {
+        if !before_end(&lo, hi.as_deref()) {
+            return Ok(0);
+        }
+        // Out of the map while `scan` runs, so the borrow is never held
+        // across row fetches and filter evaluation.
+        let cached = self.memos.borrow_mut().remove(&id);
+        let memo = match cached {
+            Some(mut m)
+                if m.hi.as_deref().is_none_or(|end| lo.as_slice() <= end)
+                    && hi.as_deref().is_none_or(|end| m.lo.as_slice() <= end) =>
+            {
+                if lo < m.lo {
+                    for key in scan(&lo, Some(&m.lo))?.into_iter().rev() {
+                        m.keys.push_front(key);
+                    }
+                    m.lo = lo.clone();
+                }
+                if let Some(end) = m.hi.as_deref().filter(|&e| before_end(e, hi.as_deref())) {
+                    let more = scan(end, hi.as_deref())?;
+                    m.keys.extend(more);
+                    m.hi = hi.clone();
+                }
+                m
+            }
+            _ => CountMemo {
+                keys: scan(&lo, hi.as_deref())?.into(),
+                lo: lo.clone(),
+                hi: hi.clone(),
+            },
+        };
+        let below = |bound: &[u8]| memo.keys.partition_point(|k| k.as_slice() < bound);
+        let count = hi.as_deref().map_or(memo.keys.len(), below) - below(&lo);
+        self.memos.borrow_mut().insert(id, memo);
+        Ok(count)
+    }
+}
+
+/// The start of a `[start, end)` key interval from a lower bound. The
+/// empty key sorts before every key, so it starts an interval unbounded
+/// below.
+fn start_key(b: Bound<Vec<u8>>) -> Vec<u8> {
+    match b {
+        Bound::Included(k) => k,
+        // The least key above `k` is `k` followed by a zero byte.
+        Bound::Excluded(mut k) => {
+            k.push(0);
+            k
+        }
+        Bound::Unbounded => Vec::new(),
+    }
+}
+
+/// The end of a `[start, end)` key interval from an upper bound
+/// (`None` = unbounded above).
+fn end_key(b: Bound<Vec<u8>>) -> Option<Vec<u8>> {
+    match b {
+        Bound::Excluded(k) => Some(k),
+        Bound::Included(mut k) => {
+            k.push(0);
+            Some(k)
+        }
+        Bound::Unbounded => None,
+    }
+}
+
+/// `key < end`, where `end = None` is unbounded above.
+fn before_end(key: &[u8], end: Option<&[u8]>) -> bool {
+    end.is_none_or(|e| key < e)
 }
 
 /// Stable trace-span name for a plan operator.

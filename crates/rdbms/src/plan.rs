@@ -182,6 +182,82 @@ pub struct SelectPlan {
     /// `true` when the statement had an `ORDER BY` that the chosen index
     /// scan order already satisfies (so no [`Node::Sort`] was planned).
     pub sort_elided: bool,
+    /// `true` for a correlated subplan that is a *range count*: `COUNT(*)`
+    /// over one index range, with a residual filter that depends on the
+    /// candidate row alone (see [`SelectPlan::range_count_parts`]). The
+    /// executor answers such a subplan from a per-statement memo of the
+    /// index keys it has already counted.
+    pub range_count: bool,
+}
+
+impl SelectPlan {
+    /// The index access and the optional residual filter of a range-count
+    /// subplan, or `None` when [`SelectPlan::range_count`] is not set.
+    pub fn range_count_parts(&self) -> Option<(&Access, Option<&Expr>)> {
+        if !self.range_count {
+            return None;
+        }
+        range_count_shape(&self.root)
+    }
+}
+
+/// Matches `Project[#0]` over `Aggregate[COUNT(*)]` (no `GROUP BY`) over an
+/// optional `Filter` over a single-range index scan, returning the scan and
+/// the filter. The range's bounds may reference the outer row; whether the
+/// filter does is for the caller to check.
+fn range_count_shape(root: &Node) -> Option<(&Access, Option<&Expr>)> {
+    let Node::Project { input, exprs } = root else {
+        return None;
+    };
+    let Node::Aggregate {
+        input,
+        group_by,
+        aggs,
+    } = &**input
+    else {
+        return None;
+    };
+    let count_star = matches!(
+        aggs.as_slice(),
+        [AggCall {
+            func: AggFunc::CountStar,
+            ..
+        }]
+    );
+    if exprs.as_slice() != [Expr::Column(0)] || !group_by.is_empty() || !count_star {
+        return None;
+    }
+    let (scan, filter) = match &**input {
+        Node::Filter { input, pred } => (&**input, Some(pred)),
+        other => (other, None),
+    };
+    match scan {
+        Node::Scan(access) if matches!(access.path, AccessPath::Index { .. }) => {
+            Some((access, filter))
+        }
+        _ => None,
+    }
+}
+
+/// Whether a correlated subplan's root can run as a memoised range count:
+/// it has the [`range_count_shape`], and its filter reads neither the outer
+/// row nor a subquery, so a row passes it for the whole statement or never.
+fn is_range_count(root: &Node) -> bool {
+    let Some((_, filter)) = range_count_shape(root) else {
+        return false;
+    };
+    let mut pure = true;
+    if let Some(pred) = filter {
+        pred.visit(&mut |e| {
+            if matches!(
+                e,
+                Expr::OuterColumn(_) | Expr::Subquery(_) | Expr::Exists(_)
+            ) {
+                pure = false;
+            }
+        });
+    }
+    pure
 }
 
 /// A binding scope: the combined-row layout of a query.
@@ -255,14 +331,17 @@ impl<'a> Planner<'a> {
                     subplans: Vec::new(),
                     columns: Vec::new(),
                     sort_elided: false,
+                    range_count: false,
                 })
             })
             .collect::<Vec<_>>();
+        let range_count = outer.is_some() && is_range_count(&root);
         Ok(SelectPlan {
             root,
             subplans,
             columns,
             sort_elided,
+            range_count,
         })
     }
 
@@ -1293,7 +1372,7 @@ pub fn render_plan(
     prof: Option<&crate::exec::Profiler>,
 ) -> Vec<String> {
     let mut lines = Vec::new();
-    render_node(catalog, &plan.root, prof, 0, &mut lines);
+    render_node(catalog, &plan.root, prof, 0, false, &mut lines);
     if plan.sort_elided {
         lines.push("Note: ORDER BY satisfied by index order (sort elided)".into());
     }
@@ -1302,7 +1381,7 @@ pub fn render_plan(
             continue; // inert placeholder for a slot owned by another block
         }
         lines.push(format!("Subplan ${slot}:"));
-        render_node(catalog, &sub.root, prof, 1, &mut lines);
+        render_node(catalog, &sub.root, prof, 1, sub.range_count, &mut lines);
     }
     lines
 }
@@ -1439,11 +1518,14 @@ fn render_agg(call: &AggCall) -> String {
     }
 }
 
+/// `range_count` marks the root of a range-count subplan: it reaches the
+/// subplan's `Aggregate` line, which then says that the count is memoised.
 fn render_node(
     catalog: &Catalog,
     node: &Node,
     prof: Option<&crate::exec::Profiler>,
     depth: usize,
+    range_count: bool,
     out: &mut Vec<String>,
 ) {
     let pad = "  ".repeat(depth);
@@ -1453,7 +1535,7 @@ fn render_node(
         Node::Scan(a) => out.push(format!("{pad}{}{suffix}", render_access(catalog, a))),
         Node::Filter { input, pred } => {
             out.push(format!("{pad}Filter [{pred}]{suffix}"));
-            render_node(catalog, input, prof, depth + 1, out);
+            render_node(catalog, input, prof, depth + 1, false, out);
         }
         Node::Join {
             left,
@@ -1485,7 +1567,7 @@ fn render_node(
             }
             line.push_str(&suffix);
             out.push(line);
-            render_node(catalog, left, prof, depth + 1, out);
+            render_node(catalog, left, prof, depth + 1, false, out);
             out.push(format!(
                 "{}-> {}",
                 "  ".repeat(depth + 1),
@@ -1506,9 +1588,12 @@ fn render_node(
                 let ag: Vec<String> = aggs.iter().map(render_agg).collect();
                 line.push_str(&format!(" [{}]", ag.join(", ")));
             }
+            if range_count {
+                line.push_str(" (range count, memoised per statement)");
+            }
             line.push_str(&suffix);
             out.push(line);
-            render_node(catalog, input, prof, depth + 1, out);
+            render_node(catalog, input, prof, depth + 1, false, out);
         }
         Node::Sort { input, keys } => {
             let ks: Vec<String> = keys
@@ -1516,16 +1601,16 @@ fn render_node(
                 .map(|(e, desc)| format!("{e}{}", if *desc { " DESC" } else { "" }))
                 .collect();
             out.push(format!("{pad}Sort [{}]{suffix}", ks.join(", ")));
-            render_node(catalog, input, prof, depth + 1, out);
+            render_node(catalog, input, prof, depth + 1, false, out);
         }
         Node::Project { input, exprs } => {
             let es: Vec<String> = exprs.iter().map(Expr::to_string).collect();
             out.push(format!("{pad}Project [{}]{suffix}", es.join(", ")));
-            render_node(catalog, input, prof, depth + 1, out);
+            render_node(catalog, input, prof, depth + 1, range_count, out);
         }
         Node::Distinct { input } => {
             out.push(format!("{pad}Distinct{suffix}"));
-            render_node(catalog, input, prof, depth + 1, out);
+            render_node(catalog, input, prof, depth + 1, false, out);
         }
         Node::Limit {
             input,
@@ -1541,7 +1626,7 @@ fn render_node(
             }
             line.push_str(&suffix);
             out.push(line);
-            render_node(catalog, input, prof, depth + 1, out);
+            render_node(catalog, input, prof, depth + 1, false, out);
         }
     }
 }
