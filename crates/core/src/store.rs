@@ -222,43 +222,114 @@ pub(crate) fn decode_node_row(enc: Encoding, doc: i64, row: &Row) -> StoreResult
     })
 }
 
+/// Where `node`'s children live: its node table, the parent column, the
+/// sibling-order column, and `node`'s value in that parent column.
+fn child_scan(node: &XNode) -> (&'static str, &'static str, &'static str, Value) {
+    match &node.node {
+        NodeRef::Global { pos, .. } => ("global_node", "parent_pos", "pos", Value::Int(*pos)),
+        NodeRef::Local { id, .. } => ("local_node", "parent_id", "ord", Value::Int(*id)),
+        NodeRef::Dewey { key } => ("dewey_node", "parent", "key", Value::Bytes(key.to_bytes())),
+    }
+}
+
+/// Selects `cols` from `node`'s stored children in sibling order, with
+/// `tail` appended after the `ORDER BY` column and `extra` after the
+/// `(doc, parent)` parameters. One index range scan under every encoding.
+fn query_children(
+    db: &dyn SqlRead,
+    doc: i64,
+    node: &XNode,
+    cols: &str,
+    tail: &str,
+    extra: &[Value],
+) -> StoreResult<Vec<Row>> {
+    let (table, parent_col, order_col, parent) = child_scan(node);
+    let sql = format!(
+        "SELECT {cols} FROM {table} n \
+         WHERE n.doc = ? AND n.{parent_col} = ? ORDER BY n.{order_col}{tail}"
+    );
+    let mut params = vec![Value::Int(doc), parent];
+    params.extend_from_slice(extra);
+    Ok(db.query_read(&sql, &params)?)
+}
+
+/// A `usize` count or offset as a SQL integer, saturating at `i64::MAX`.
+fn sql_count(n: usize) -> Value {
+    Value::Int(i64::try_from(n).unwrap_or(i64::MAX))
+}
+
 /// Fetches all stored children of `node` (attributes included), in sibling
-/// order, via one indexed query. Shared by the facade, node resolution and
-/// the update layer; a live [`Database`] reads its open transaction's rows.
+/// order, via one indexed query. The facade's `children` and the
+/// renumbering branches of the update layer use it; node resolution and
+/// insertion read only the children they address ([`children_at`]). A live
+/// [`Database`] reads its open transaction's rows.
 pub(crate) fn fetch_children(
     db: &dyn SqlRead,
     enc: Encoding,
     doc: i64,
     node: &XNode,
 ) -> StoreResult<Vec<XNode>> {
-    let (sql, params) = match &node.node {
-        NodeRef::Global { pos, .. } => (
-            format!(
-                "SELECT {} FROM global_node n \
-                 WHERE n.doc = ? AND n.parent_pos = ? ORDER BY n.pos",
-                select_list(enc, "n")
-            ),
-            vec![Value::Int(doc), Value::Int(*pos)],
-        ),
-        NodeRef::Local { id, .. } => (
-            format!(
-                "SELECT {} FROM local_node n \
-                 WHERE n.doc = ? AND n.parent_id = ? ORDER BY n.ord",
-                select_list(enc, "n")
-            ),
-            vec![Value::Int(doc), Value::Int(*id)],
-        ),
-        NodeRef::Dewey { key } => (
-            format!(
-                "SELECT {} FROM dewey_node n \
-                 WHERE n.doc = ? AND n.parent = ? ORDER BY n.key",
-                select_list(enc, "n")
-            ),
-            vec![Value::Int(doc), Value::Bytes(key.to_bytes())],
-        ),
-    };
-    let rows = db.query_read(&sql, &params)?;
+    let rows = query_children(db, doc, node, &select_list(enc, "n"), "", &[])?;
     rows.iter().map(|r| decode_node_row(enc, doc, r)).collect()
+}
+
+/// At most `count` stored children of `node` starting at sibling offset
+/// `offset` (attributes included, so the first non-attribute child sits at
+/// offset [`attribute_count`]): one `LIMIT ? OFFSET ?` query, which reads
+/// only that window of the parent's index range.
+pub(crate) fn children_at(
+    db: &dyn SqlRead,
+    enc: Encoding,
+    doc: i64,
+    node: &XNode,
+    offset: usize,
+    count: usize,
+) -> StoreResult<Vec<XNode>> {
+    let window = [sql_count(count), sql_count(offset)];
+    let rows = query_children(
+        db,
+        doc,
+        node,
+        &select_list(enc, "n"),
+        " LIMIT ? OFFSET ?",
+        &window,
+    )?;
+    rows.iter().map(|r| decode_node_row(enc, doc, r)).collect()
+}
+
+/// The last stored child of `node` (possibly an attribute), if any.
+pub(crate) fn last_child(
+    db: &dyn SqlRead,
+    enc: Encoding,
+    doc: i64,
+    node: &XNode,
+) -> StoreResult<Option<XNode>> {
+    let rows = query_children(db, doc, node, &select_list(enc, "n"), " DESC LIMIT 1", &[])?;
+    rows.first()
+        .map(|r| decode_node_row(enc, doc, r))
+        .transpose()
+}
+
+/// How many attributes `node` has. Attributes are stored as the leading
+/// children (see [`crate::shred`]), so this probes the start of the child
+/// list in doubling `LIMIT ? OFFSET ?` windows of kinds until a
+/// non-attribute or the end: about twice the attribute count in rows, and
+/// one row when there are none.
+pub(crate) fn attribute_count(db: &dyn SqlRead, doc: i64, node: &XNode) -> StoreResult<usize> {
+    let (mut offset, mut limit) = (0usize, 1usize);
+    loop {
+        let window = [sql_count(limit), sql_count(offset)];
+        let rows = query_children(db, doc, node, "n.kind", " LIMIT ? OFFSET ?", &window)?;
+        let attrs = rows
+            .iter()
+            .take_while(|r| r[0] == Value::Int(KIND_ATTR))
+            .count();
+        if attrs < limit {
+            return Ok(offset + attrs);
+        }
+        offset += limit;
+        limit *= 2;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -304,14 +375,14 @@ fn gap_at(db: &dyn SqlRead, enc: Encoding, doc: i64) -> StoreResult<u64> {
     Ok(row[0].as_int()? as u64)
 }
 
+/// Resolves `path` step by step, reading only the addressed child at each
+/// step (plus the attribute probe that locates the first non-attribute).
 fn resolve_at(db: &dyn SqlRead, enc: Encoding, doc: i64, path: &NodePath) -> StoreResult<XNode> {
     let mut cur = root_at(db, enc, doc)?;
     for &idx in &path.0 {
-        let kids = fetch_children(db, enc, doc, &cur)?;
-        let non_attr: Vec<XNode> = kids.into_iter().filter(|k| !k.is_attribute()).collect();
-        cur = non_attr
-            .into_iter()
-            .nth(idx)
+        let offset = attribute_count(db, doc, &cur)?.saturating_add(idx);
+        cur = children_at(db, enc, doc, &cur, offset, 1)?
+            .pop()
             .ok_or_else(|| StoreError::BadNode(format!("path {path} has no child {idx}")))?;
     }
     Ok(cur)

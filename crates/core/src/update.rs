@@ -23,7 +23,8 @@ use crate::shred::{
     KIND_TEXT, NO_PARENT,
 };
 use crate::store::{
-    decode_node_row, fetch_children, select_list, NodeRef, StoreError, StoreResult, XNode,
+    attribute_count, children_at, decode_node_row, fetch_children, last_child, select_list,
+    NodeRef, StoreError, StoreResult, XNode,
 };
 use ordxml_rdbms::{Database, Value};
 use ordxml_xml::Document;
@@ -142,42 +143,26 @@ pub fn insert_fragment(
         ));
     }
     let gap = doc_gap(db, enc, doc)?;
-    let children = fetch_children(db, enc, doc, parent)?;
-    let n_attrs = children.iter().filter(|c| c.kind == KIND_ATTR).count();
-    let non_attr: Vec<&XNode> = children.iter().filter(|c| c.kind != KIND_ATTR).collect();
-    let index = index.min(non_attr.len());
-    let prev: Option<&XNode> = if index == 0 {
-        children
-            .get(n_attrs.wrapping_sub(1).min(children.len()))
-            .filter(|_| n_attrs > 0)
-    } else {
-        Some(non_attr[index - 1])
+    // The new node lands at sibling offset `slot` (attributes lead the child
+    // list), between the two stored children around it; only those two are
+    // read.
+    let slot = attribute_count(db, doc, parent)?.saturating_add(index);
+    let (prev, next) = match slot.checked_sub(1) {
+        None => (None, children_at(db, enc, doc, parent, 0, 1)?.pop()),
+        Some(before) => {
+            let mut pair = children_at(db, enc, doc, parent, before, 2)?.into_iter();
+            match pair.next() {
+                Some(prev) => (Some(prev), pair.next()),
+                // `index` is past the end: append after the last child.
+                None => (last_child(db, enc, doc, parent)?, None),
+            }
+        }
     };
-    let next: Option<&XNode> = non_attr.get(index).copied();
+    let (prev, next) = (prev.as_ref(), next.as_ref());
     match enc {
         Encoding::Global => insert_global(db, doc, parent, prev, fragment, gap),
-        Encoding::Local => insert_local(
-            db,
-            doc,
-            parent,
-            &children,
-            n_attrs + index,
-            prev,
-            next,
-            fragment,
-            gap,
-        ),
-        Encoding::Dewey => insert_dewey(
-            db,
-            doc,
-            parent,
-            &children,
-            n_attrs + index,
-            prev,
-            next,
-            fragment,
-            gap,
-        ),
+        Encoding::Local => insert_local(db, doc, parent, slot, prev, next, fragment, gap),
+        Encoding::Dewey => insert_dewey(db, doc, parent, slot, prev, next, fragment, gap),
     }
 }
 
@@ -322,7 +307,6 @@ fn insert_local(
     db: &mut Database,
     doc: i64,
     parent: &XNode,
-    children: &[XNode],
     slot: usize,
     prev: Option<&XNode>,
     next: Option<&XNode>,
@@ -352,6 +336,7 @@ fn insert_local(
                 // Renumber the siblings under this parent — Local's damage
                 // is bounded by the parent's fan-out. The gap is clamped so
                 // the largest reassigned ord fits in i64.
+                let children = fetch_children(db, Encoding::Local, doc, parent)?;
                 let gap = renumber_gap(children.len() + 1, gap);
                 let mut new_ord = 0;
                 for (i, child) in children.iter().enumerate() {
@@ -417,7 +402,6 @@ fn insert_dewey(
     db: &mut Database,
     doc: i64,
     parent: &XNode,
-    children: &[XNode],
     slot: usize,
     prev: Option<&XNode>,
     next: Option<&XNode>,
@@ -445,6 +429,7 @@ fn insert_dewey(
                 // Two phases (buffer then reinsert) so moving keys cannot
                 // collide with not-yet-moved ones. The gap is clamped so the
                 // largest reassigned component fits the numbering range.
+                let children = fetch_children(db, Encoding::Dewey, doc, parent)?;
                 let gap = renumber_gap(children.len() + 1, gap);
                 let mut buffered: Vec<ordxml_rdbms::Row> = Vec::new();
                 for (i, child) in children.iter().enumerate() {

@@ -10,7 +10,7 @@
 //! lists) for file-backed databases; indexes are rebuilt by scanning heaps
 //! on reopen.
 
-use crate::btree::{BTree, BTreeCounters};
+use crate::btree::{BTree, BTreeCounters, Range, RangeRev};
 use crate::error::{DbError, DbResult};
 use crate::schema::{ColumnDef, IndexDef, TableSchema};
 use crate::storage::{HeapFile, PageId, PageSource, Pager, RowId};
@@ -211,23 +211,21 @@ impl Table {
 
     /// Row ids whose index/PK key falls in `[lower, upper)`-style bounds.
     /// `index` is `None` for the PK index or `Some(i)` for `indexes[i]`.
-    /// Results arrive in key order (`reverse` flips the direction).
+    /// Results arrive in key order (`reverse` flips the direction). The walk
+    /// is lazy: each `next` reads one index entry and no heap row, so a
+    /// caller that stops early never visits the rest of the range.
     pub fn index_range(
         &self,
         index: Option<usize>,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
         reverse: bool,
-    ) -> Vec<RowId> {
+    ) -> IndexRange<'_> {
         let tree = self.tree(index);
         if reverse {
-            tree.range_rev(lower, upper)
-                .map(|(_, v)| RowId::unpack(v))
-                .collect()
+            IndexRange::Desc(tree.range_rev(lower, upper))
         } else {
-            tree.range(lower, upper)
-                .map(|(_, v)| RowId::unpack(v))
-                .collect()
+            IndexRange::Asc(tree.range(lower, upper))
         }
     }
 
@@ -297,6 +295,27 @@ impl Table {
             }
         }
         Ok(())
+    }
+}
+
+/// A lazy walk over one index range, in either direction. See
+/// [`Table::index_range`].
+pub enum IndexRange<'a> {
+    /// Ascending key order.
+    Asc(Range<'a>),
+    /// Descending key order.
+    Desc(RangeRev<'a>),
+}
+
+impl Iterator for IndexRange<'_> {
+    type Item = RowId;
+
+    fn next(&mut self) -> Option<RowId> {
+        let (_, v) = match self {
+            IndexRange::Asc(r) => r.next()?,
+            IndexRange::Desc(r) => r.next()?,
+        };
+        Some(RowId::unpack(v))
     }
 }
 
@@ -697,7 +716,7 @@ mod tests {
             Bound::Included([key("even"), vec![0xFF; 9]].concat().as_slice()),
             false,
         );
-        assert_eq!(evens.len(), 5);
+        assert_eq!(evens.count(), 5);
         // Update row 0's tag; the index must follow.
         t.update_row(
             &pager,
@@ -711,7 +730,7 @@ mod tests {
             Bound::Included([key("even"), vec![0xFF; 9]].concat().as_slice()),
             false,
         );
-        assert_eq!(evens.len(), 4);
+        assert_eq!(evens.count(), 4);
         // Delete an odd row.
         t.delete_row(&pager, rids[1]).unwrap();
         let odds = t.index_range(
@@ -720,7 +739,7 @@ mod tests {
             Bound::Included([key("odd"), vec![0xFF; 9]].concat().as_slice()),
             false,
         );
-        assert_eq!(odds.len(), 5, "4 original odds - 1 deleted + 1 updated");
+        assert_eq!(odds.count(), 5, "4 original odds - 1 deleted + 1 updated");
     }
 
     #[test]
@@ -740,8 +759,7 @@ mod tests {
             false,
         );
         let got: Vec<i64> = rids
-            .iter()
-            .map(|&rid| match &t.get_row(&pager, rid).unwrap()[1] {
+            .map(|rid| match &t.get_row(&pager, rid).unwrap()[1] {
                 Value::Int(i) => *i,
                 _ => panic!(),
             })
@@ -784,6 +802,7 @@ mod tests {
                 Bound::Included(k.as_slice()),
                 false,
             )
+            .collect::<Vec<_>>()
         };
         assert_eq!(t.row_count(), 2);
         assert!(t.pk_lookup(&[Value::Int(1), Value::Int(3)]).is_none());
@@ -876,7 +895,7 @@ mod tests {
         let find = |t: &Table, v: &Value| {
             let k = key(v);
             let k = Bound::Included(k.as_slice());
-            t.index_range(Some(1), k, k, false)
+            t.index_range(Some(1), k, k, false).collect::<Vec<_>>()
         };
         assert_eq!(find(old, &tag(2 * 7_777)), vec![rid]);
         assert!(find(old, &new_row[2]).is_empty());

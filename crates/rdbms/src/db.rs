@@ -1924,6 +1924,34 @@ mod tests {
     }
 
     #[test]
+    fn limit_one_probes_fetch_one_row_of_a_long_range() {
+        // The neighbour and last-position probes of ordered updates: each
+        // reads one row of a 100,000-row range, in either direction.
+        let mut db = Database::in_memory();
+        db.execute(
+            "CREATE TABLE t (doc INTEGER NOT NULL, pos INTEGER NOT NULL, PRIMARY KEY (doc, pos))",
+            &[],
+        )
+        .unwrap();
+        let rows = (0..100_000)
+            .map(|p| vec![Value::Int(1), Value::Int(p)])
+            .collect();
+        db.insert_many("t", rows).unwrap();
+        let next = "SELECT pos FROM t WHERE doc = ? AND pos > ? ORDER BY pos LIMIT 1";
+        let last = "SELECT pos FROM t WHERE doc = ? ORDER BY pos DESC LIMIT 1";
+        for (sql, params, want) in [
+            (next, vec![Value::Int(1), Value::Int(2)], 3),
+            (last, vec![Value::Int(1)], 99_999),
+        ] {
+            let r = db.run(sql, &params).unwrap();
+            assert_eq!(r.rows, vec![vec![Value::Int(want)]], "{sql}");
+            assert!(r.stats.rows_scanned <= 1, "{sql}: {:?}", r.stats);
+            assert!(r.stats.index_rows <= 1, "{sql}: {:?}", r.stats);
+            assert_eq!(r.stats.rows_sorted, 0, "{sql}: {:?}", r.stats);
+        }
+    }
+
+    #[test]
     fn parameterized_statements_cache_plans() {
         let mut db = setup();
         seed(&mut db, 50);

@@ -1,10 +1,16 @@
 //! Plan execution.
 //!
-//! The executor is operator-at-a-time: every node materializes its output
-//! rows (MonetDB-style), which keeps correlated-subquery and join logic
-//! simple and auditable. For the translated-XPath workload this is the right
+//! The executor is operator-at-a-time: a node materializes its output rows
+//! (MonetDB-style), which keeps correlated-subquery and join logic simple
+//! and auditable. For the translated-XPath workload this is the right
 //! trade-off — the interesting costs are index traffic and row counts, which
 //! are reported through [`ExecStats`].
+//!
+//! One shape does not materialize its input: a `LIMIT`/`OFFSET` directly
+//! over a projection of one index range ([`Node::index_window`]). It walks
+//! the range lazily, skips the `OFFSET` entries without fetching their
+//! rows, and stops after `LIMIT` fetches, so `... ORDER BY pos LIMIT 1`
+//! reads one row however long the range is.
 //!
 //! Index bounds are evaluated per outer row, so a bound index access under a
 //! [`Node::Join`] *is* the index-nested-loop join.
@@ -43,7 +49,8 @@ pub struct ExecStats {
     pub rows_scanned: u64,
     /// Index range scans opened.
     pub index_scans: u64,
-    /// Row ids returned by index scans.
+    /// Index entries walked by index scans, including the entries a
+    /// windowed `LIMIT`/`OFFSET` skipped without fetching their rows.
     pub index_rows: u64,
     /// Rows passed through sort operators.
     pub rows_sorted: u64,
@@ -665,7 +672,6 @@ fn run_node_inner(
             limit,
             offset,
         } => {
-            let rows = run_node(env, stats, subplans, input, outer)?;
             let eval_const = |e: &Option<Expr>, stats: &mut ExecStats| -> DbResult<Option<usize>> {
                 let Some(e) = e else { return Ok(None) };
                 let mut ctx = Ctx {
@@ -683,9 +689,84 @@ fn run_node_inner(
             };
             let offset = eval_const(offset, stats)?.unwrap_or(0);
             let limit = eval_const(limit, stats)?.unwrap_or(usize::MAX);
+            if let Some((exprs, access)) = node.index_window() {
+                let window = (offset, limit);
+                return run_index_window(env, stats, subplans, input, exprs, access, window, outer);
+            }
+            let rows = run_node(env, stats, subplans, input, outer)?;
             Ok(rows.into_iter().skip(offset).take(limit).collect())
         }
     }
+}
+
+/// Runs `Limit` over `Project` over an index scan ([`Node::index_window`])
+/// by walking the range lazily: the first `offset` entries are skipped
+/// without fetching their rows, and the walk stops after `limit` fetches.
+/// `index_rows` counts every entry walked, `rows_scanned` only the fetched
+/// ones. Each skipped entry still charges one work unit, so a work budget
+/// bounds a huge `OFFSET`.
+#[allow(clippy::too_many_arguments)]
+fn run_index_window(
+    env: &Env<'_>,
+    stats: &mut ExecStats,
+    subplans: &[SelectPlan],
+    project: &Node,
+    exprs: &[Expr],
+    access: &Access,
+    (offset, limit): (usize, usize),
+    outer: Option<&[Value]>,
+) -> DbResult<Vec<Row>> {
+    let start = Instant::now();
+    let table = env.catalog.table(&access.table)?;
+    let AccessPath::Index { index, reverse, .. } = access.path else {
+        return Err(DbError::Eval("index window over a non-index access".into()));
+    };
+    let mut out = Vec::new();
+    if let Some((lo, hi)) = compute_bounds(env, stats, subplans, access, &[], outer)? {
+        stats.index_scans += 1;
+        let mut rowids = table.index_range(index, bound_as_ref(&lo), bound_as_ref(&hi), reverse);
+        for _ in 0..offset {
+            crate::governance::checkpoint(1)?;
+            if rowids.next().is_none() {
+                break;
+            }
+            stats.index_rows += 1;
+        }
+        for rid in rowids.take(limit) {
+            crate::governance::checkpoint(1)?;
+            stats.index_rows += 1;
+            stats.rows_scanned += 1;
+            let row = table.get_row(env.pages, rid)?;
+            let mut projected = Vec::with_capacity(exprs.len());
+            for e in exprs {
+                let mut ctx = Ctx {
+                    env,
+                    stats,
+                    subplans,
+                    row: &row,
+                    outer,
+                };
+                projected.push(eval(e, &mut ctx)?);
+            }
+            out.push(projected);
+        }
+    }
+    if let Some(prof) = env.prof {
+        // The projection and the scan each ran once and passed on exactly
+        // the fetched rows; the skipped entries never became rows.
+        let elapsed = start.elapsed();
+        let mut prof = prof.borrow_mut();
+        let Node::Project { input: scan, .. } = project else {
+            unreachable!("an index window's input is a projection");
+        };
+        for node in [project, &**scan] {
+            let op = prof.ops.entry(node as *const Node as usize).or_default();
+            op.invocations += 1;
+            op.rows_out += out.len() as u64;
+            op.elapsed += elapsed;
+        }
+    }
+    Ok(out)
 }
 
 /// Fetches one table's rows, with index bounds evaluated against `left_row`
@@ -717,7 +798,9 @@ fn run_access(
                 return Ok(Vec::new()); // NULL or incompatible bound: no match
             };
             stats.index_scans += 1;
-            let rowids = table.index_range(*index, bound_as_ref(&lo), bound_as_ref(&hi), *reverse);
+            let rowids: Vec<_> = table
+                .index_range(*index, bound_as_ref(&lo), bound_as_ref(&hi), *reverse)
+                .collect();
             stats.index_rows += rowids.len() as u64;
             stats.rows_scanned += rowids.len() as u64;
             rowids
@@ -796,7 +879,9 @@ pub fn scan_for_update(
                 return Ok(Vec::new());
             };
             stats.index_scans += 1;
-            let rowids = table.index_range(*index, bound_as_ref(&lo), bound_as_ref(&hi), *reverse);
+            let rowids: Vec<_> = table
+                .index_range(*index, bound_as_ref(&lo), bound_as_ref(&hi), *reverse)
+                .collect();
             stats.index_rows += rowids.len() as u64;
             stats.rows_scanned += rowids.len() as u64;
             rowids

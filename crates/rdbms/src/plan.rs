@@ -169,6 +169,29 @@ pub enum Node {
     },
 }
 
+impl Node {
+    /// The projected expressions and the scanned access of a
+    /// `LIMIT`/`OFFSET` that reads only its window of an index range: `Limit` directly over `Project` over a
+    /// single-range index scan (either direction), with no filter, sort or
+    /// distinct between them. The executor walks such a range lazily,
+    /// skips `OFFSET` index entries without fetching their rows, and stops
+    /// after `LIMIT` fetches.
+    pub fn index_window(&self) -> Option<(&[Expr], &Access)> {
+        let Node::Limit { input, .. } = self else {
+            return None;
+        };
+        let Node::Project { input, exprs } = &**input else {
+            return None;
+        };
+        match &**input {
+            Node::Scan(access) if matches!(access.path, AccessPath::Index { .. }) => {
+                Some((exprs, access))
+            }
+            _ => None,
+        }
+    }
+}
+
 /// A fully planned `SELECT`: the root node plus subplans for the statement's
 /// scalar/EXISTS subqueries (indexed by `Expr::Subquery`/`Expr::Exists` slot).
 #[derive(Debug, Clone, PartialEq)]
@@ -479,13 +502,15 @@ impl<'a> Planner<'a> {
                 &out_exprs,
                 agg_shape.as_ref(),
             )?;
-            if !sort_satisfied_by_plan(self.catalog, &root, &keys) {
+            if sort_satisfied_by_plan(self.catalog, &root, &keys)
+                || reverse_leftmost_scan(self.catalog, &mut root, &keys)
+            {
+                sort_elided = true;
+            } else {
                 root = Node::Sort {
                     input: Box::new(root),
                     keys,
                 };
-            } else {
-                sort_elided = true;
             }
         }
 
@@ -1291,8 +1316,8 @@ fn sort_satisfied_by_plan(catalog: &Catalog, node: &Node, keys: &[(Expr, bool)])
                 let all_asc = keys.iter().all(|(_, d)| !*d);
                 if !(all_asc || all_desc) || (all_desc && !*reverse) || (all_asc && *reverse) {
                     // Direction mismatch: a descending request over an
-                    // ascending scan is not satisfied (the planner does not
-                    // currently flip scans to serve ORDER BY ... DESC).
+                    // ascending scan is not satisfied (see
+                    // `reverse_leftmost_scan` for how one gets flipped).
                     return false;
                 }
                 let wanted: Vec<usize> = keys
@@ -1317,6 +1342,38 @@ fn sort_satisfied_by_plan(catalog: &Catalog, node: &Node, keys: &[(Expr, bool)])
             _ => return false,
         }
     }
+}
+
+/// Serves an all-descending `ORDER BY` by flipping the leftmost
+/// single-range index scan to walk its range backwards, when that makes the
+/// plan deliver `keys` order. Returns whether it did; on `false` the plan is
+/// unchanged.
+fn reverse_leftmost_scan(catalog: &Catalog, root: &mut Node, keys: &[(Expr, bool)]) -> bool {
+    fn leftmost_index_scan(node: &mut Node) -> Option<&mut bool> {
+        match node {
+            Node::Scan(Access {
+                path: AccessPath::Index { reverse, .. },
+                ..
+            }) => Some(reverse),
+            Node::Filter { input, .. } => leftmost_index_scan(input),
+            Node::Join { left, .. } => leftmost_index_scan(left),
+            _ => None,
+        }
+    }
+    if keys.is_empty() || !keys.iter().all(|(_, desc)| *desc) {
+        return false;
+    }
+    match leftmost_index_scan(root) {
+        Some(reverse) if !*reverse => *reverse = true,
+        _ => return false,
+    }
+    if sort_satisfied_by_plan(catalog, root, keys) {
+        return true;
+    }
+    if let Some(reverse) = leftmost_index_scan(root) {
+        *reverse = false;
+    }
+    false
 }
 
 /// Output column name for an unaliased item.
@@ -1623,6 +1680,9 @@ fn render_node(
             }
             if let Some(e) = offset {
                 line.push_str(&format!(" offset [{e}]"));
+            }
+            if node.index_window().is_some() {
+                line.push_str(" (window: offset skips index entries)");
             }
             line.push_str(&suffix);
             out.push(line);
