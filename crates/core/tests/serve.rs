@@ -1,8 +1,9 @@
 //! Serving-layer integration tests: the session protocol over in-memory
 //! buffers (framing, typed errors, `.timeout 0` disarm regression, hostile
-//! input), a real TCP round-trip against the accept loop, and the
-//! torn-reply regression: every `xpath` reply is one committed version of
-//! its document, however many updates commit while it is being served.
+//! input), a real TCP round-trip against the accept loop, the torn-reply
+//! regression (every `xpath` reply is one committed version of its
+//! document, however many updates commit while it is being served), and
+//! `.stats` shard totals that stay exact under concurrent sessions.
 
 use ordxml::naive::{DomNode, NaiveEvaluator};
 use ordxml::{
@@ -13,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn pool_with_docs(n: usize) -> Arc<DocumentPool> {
     let pool = Arc::new(DocumentPool::in_memory(2, Encoding::Global));
@@ -375,4 +376,63 @@ fn concurrent_replies_are_each_one_committed_version() {
             torn[0]
         );
     });
+}
+
+// ---------------------------------------------------------------------
+// `.stats` under concurrent sessions
+// ---------------------------------------------------------------------
+
+/// The `pages_read` totals of every shard line of a `.stats` reply, summed.
+fn stats_pages_read(session: &mut Session) -> u64 {
+    session
+        .handle(".stats")
+        .lines
+        .iter()
+        .filter_map(|l| l.split_once(" pages_read=").map(|(_, n)| n))
+        .map(|n| n.parse::<u64>().unwrap())
+        .sum()
+}
+
+#[test]
+fn stats_shard_totals_are_exact_under_concurrent_sessions() {
+    const SESSIONS: usize = 4;
+    const REQUESTS: u64 = 50;
+    let pool = Arc::new(DocumentPool::in_memory(2, Encoding::Dewey));
+    let id = pool.load(&catalog(60), "c").unwrap();
+    let request = "xpath //item[name]";
+    let mut observer = Session::new(Arc::clone(&pool));
+    observer.handle(&format!(".use {id}"));
+    // Warm the plan cache, then measure one request alone.
+    assert!(matches!(observer.handle(request).status, Status::Ok(_)));
+    let before = stats_pages_read(&mut observer);
+    assert!(matches!(observer.handle(request).status, Status::Ok(_)));
+    let solo = stats_pages_read(&mut observer) - before;
+    assert!(solo > 0);
+
+    let start = Barrier::new(SESSIONS + 1);
+    let finish = Barrier::new(SESSIONS + 1);
+    let before = std::thread::scope(|s| {
+        for _ in 0..SESSIONS {
+            s.spawn(|| {
+                let mut session = Session::new(Arc::clone(&pool));
+                session.handle(&format!(".use {id}"));
+                assert!(matches!(session.handle(request).status, Status::Ok(_)));
+                start.wait();
+                finish.wait();
+                for _ in 0..REQUESTS {
+                    assert!(matches!(session.handle(request).status, Status::Ok(_)));
+                }
+            });
+        }
+        // Every session is warm before the totals are read.
+        start.wait();
+        let before = stats_pages_read(&mut observer);
+        finish.wait();
+        before
+    });
+    assert_eq!(
+        stats_pages_read(&mut observer) - before,
+        SESSIONS as u64 * REQUESTS * solo,
+        "{SESSIONS} sessions x {REQUESTS} requests of {solo} pages each"
+    );
 }

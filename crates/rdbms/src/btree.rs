@@ -24,8 +24,8 @@
 //! Duplicate keys are not stored: the table layer makes non-unique index
 //! keys unique by appending the row id to the key, the standard technique.
 
+use crate::governance::{note_work, Work};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Maximum number of entries (leaf) or children minus one (inner) per node.
@@ -223,69 +223,21 @@ fn owned_bound(b: Bound<&[u8]>) -> Option<(Vec<u8>, bool)> {
     }
 }
 
-/// Operation counters for one tree (see [`BTree::counters`]).
-///
-/// The counters are kept per tree (not globally) so concurrent databases —
-/// e.g. tests running in parallel — never see each other's traffic. They use
-/// relaxed atomics because lookups and range scans take `&self`, possibly
-/// from several reader threads at once.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BTreeCounters {
-    /// Root-to-leaf descents: point lookups, inserts, removes, and the
-    /// initial positioning of every range scan.
-    pub descents: u64,
-    /// Range positionings that *avoided* a root-to-leaf descent by resuming
-    /// from the previous range's finger ([`BTree::range_from`]). A batched
-    /// multi-range statement does `descents + descent_reuses` positionings.
-    pub descent_reuses: u64,
-    /// Leaf nodes visited by range iterators (including the starting leaf).
-    pub leaf_scans: u64,
-    /// Node splits (leaf and inner) triggered by inserts.
-    pub splits: u64,
-}
-
-impl BTreeCounters {
-    /// Adds `other` into `self` (used to sum counters across many trees).
-    pub fn merge(&mut self, other: &BTreeCounters) {
-        self.descents += other.descents;
-        self.descent_reuses += other.descent_reuses;
-        self.leaf_scans += other.leaf_scans;
-        self.splits += other.splits;
-    }
-}
-
 /// The B+tree. See the module docs.
-#[derive(Debug)]
+///
+/// Its work is counted on the calling thread's [`crate::governance::Ledger`]
+/// (see [`note_work`]), so `Clone` copies one root pointer and nothing
+/// else: either copy's later writes path-copy the nodes they touch, and
+/// neither ever sees the other's changes.
+#[derive(Debug, Clone)]
 pub struct BTree {
     root: Arc<Node>,
     len: u64,
-    descents: AtomicU64,
-    descent_reuses: AtomicU64,
-    leaf_scans: AtomicU64,
-    splits: AtomicU64,
 }
 
 impl Default for BTree {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for BTree {
-    /// A new version sharing every node with `self`: one root `Arc` and the
-    /// counters, nothing else. Either copy's later writes path-copy the
-    /// nodes they touch, so neither ever sees the other's changes. Counters
-    /// are carried over as fresh atomics so the copy's totals start where
-    /// the original's were.
-    fn clone(&self) -> Self {
-        BTree {
-            root: Arc::clone(&self.root),
-            len: self.len,
-            descents: AtomicU64::new(self.descents.load(Ordering::Relaxed)),
-            descent_reuses: AtomicU64::new(self.descent_reuses.load(Ordering::Relaxed)),
-            leaf_scans: AtomicU64::new(self.leaf_scans.load(Ordering::Relaxed)),
-            splits: AtomicU64::new(self.splits.load(Ordering::Relaxed)),
-        }
     }
 }
 
@@ -298,31 +250,7 @@ impl BTree {
                 vals: Vec::new(),
             }),
             len: 0,
-            descents: AtomicU64::new(0),
-            descent_reuses: AtomicU64::new(0),
-            leaf_scans: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
         }
-    }
-
-    /// Snapshot of this tree's operation counters. Counters reset with
-    /// [`BTree::clear`] (the tree is rebuilt from scratch).
-    pub fn counters(&self) -> BTreeCounters {
-        BTreeCounters {
-            descents: self.descents.load(Ordering::Relaxed),
-            descent_reuses: self.descent_reuses.load(Ordering::Relaxed),
-            leaf_scans: self.leaf_scans.load(Ordering::Relaxed),
-            splits: self.splits.load(Ordering::Relaxed),
-        }
-    }
-
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-        // Every bump marks one unit of tree work (a descent, a leaf
-        // advance, a split); charge it against the governing scope, if any.
-        // Iterators cannot return errors, so a tripped limit latches here
-        // and surfaces at the caller's next fallible checkpoint.
-        crate::governance::note_work(1);
     }
 
     /// Number of stored entries.
@@ -342,7 +270,7 @@ impl BTree {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
-        Self::bump(&self.descents);
+        note_work(Work::Descent);
         let _span = crate::trace::span("btree.descent");
         let mut node = self.root.as_ref();
         loop {
@@ -371,9 +299,9 @@ impl BTree {
     }
 
     fn put(&mut self, key: &[u8], val: u64, overwrite: bool) -> Option<u64> {
-        Self::bump(&self.descents);
+        note_work(Work::Descent);
         let _span = crate::trace::span("btree.descent");
-        let (split, old) = Self::insert_rec(&mut self.root, key, val, overwrite, &self.splits);
+        let (split, old) = Self::insert_rec(&mut self.root, key, val, overwrite);
         if let Some((sep, right)) = split {
             let left = Arc::clone(&self.root);
             self.root = Arc::new(Node::Inner {
@@ -394,7 +322,6 @@ impl BTree {
         key: &[u8],
         val: u64,
         overwrite: bool,
-        splits: &AtomicU64,
     ) -> (Option<Split>, Option<u64>) {
         match Arc::make_mut(node) {
             Node::Leaf { keys, vals } => match keys.find(key) {
@@ -415,7 +342,7 @@ impl BTree {
                     let right_keys = keys.split_off(mid);
                     let right_vals = vals.split_off(mid);
                     let sep = right_keys.get(0).to_vec();
-                    Self::bump(splits);
+                    note_work(Work::Split);
                     let right = Node::Leaf {
                         keys: right_keys,
                         vals: right_vals,
@@ -425,8 +352,7 @@ impl BTree {
             },
             Node::Inner { keys, children } => {
                 let idx = child_index(keys, key);
-                let (split, old) =
-                    Self::insert_rec(&mut children[idx], key, val, overwrite, splits);
+                let (split, old) = Self::insert_rec(&mut children[idx], key, val, overwrite);
                 if let Some((sep, right)) = split {
                     keys.insert(idx, &sep);
                     children.insert(idx + 1, right);
@@ -436,7 +362,7 @@ impl BTree {
                         let right_keys = keys.split_off(mid + 1);
                         let promote = keys.pop();
                         let right_children = children.split_off(mid + 1);
-                        Self::bump(splits);
+                        note_work(Work::Split);
                         let right = Node::Inner {
                             keys: right_keys,
                             children: right_children,
@@ -451,7 +377,7 @@ impl BTree {
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
-        Self::bump(&self.descents);
+        note_work(Work::Descent);
         let _span = crate::trace::span("btree.descent");
         let removed = Self::remove_rec(&mut self.root, key);
         if removed.is_some() {
@@ -597,7 +523,7 @@ impl BTree {
     /// Positions a cursor at the first entry `>=`/`>` the bound, walking
     /// down from the root.
     fn seek(&self, bound: Bound<&[u8]>) -> (Cursor<'_>, usize) {
-        Self::bump(&self.descents);
+        note_work(Work::Descent);
         let _span = crate::trace::span("btree.descent");
         let cur = match bound {
             Bound::Unbounded => Cursor::descend(&self.root, |_| 0),
@@ -612,7 +538,7 @@ impl BTree {
     /// Ascending iterator over entries in `(lower, upper)` bounds.
     pub fn range(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> Range<'_> {
         let (cur, idx) = self.seek(lower);
-        Self::bump(&self.leaf_scans);
+        note_work(Work::LeafScan);
         Range {
             tree: self,
             cur,
@@ -642,8 +568,8 @@ impl BTree {
         upper: Bound<&[u8]>,
     ) -> Range<'a> {
         if let Some((cur, idx)) = finger.and_then(|fg| self.seek_from(fg, lower)) {
-            Self::bump(&self.descent_reuses);
-            Self::bump(&self.leaf_scans);
+            note_work(Work::DescentReuse);
+            note_work(Work::LeafScan);
             return Range {
                 tree: self,
                 cur,
@@ -718,7 +644,7 @@ impl BTree {
         // Position one past the last entry within `upper`.
         let (mut cur, mut idx) = match upper {
             Bound::Unbounded => {
-                Self::bump(&self.descents);
+                note_work(Work::Descent);
                 let _span = crate::trace::span("btree.descent");
                 let cur = Cursor::descend(&self.root, |keys| keys.len());
                 (cur, cur.keys.len())
@@ -737,10 +663,9 @@ impl BTree {
             }
         }
         if !exhausted {
-            Self::bump(&self.leaf_scans);
+            note_work(Work::LeafScan);
         }
         RangeRev {
-            tree: self,
             cur,
             idx,
             exhausted,
@@ -981,7 +906,7 @@ impl<'a> Iterator for Range<'a> {
                 return None;
             }
             self.idx = 0;
-            BTree::bump(&self.tree.leaf_scans);
+            note_work(Work::LeafScan);
         }
         let keys: &'a Keys = self.cur.keys;
         let key = keys.get(self.idx);
@@ -1006,7 +931,6 @@ impl<'a> Iterator for Range<'a> {
 
 /// Descending range iterator. See [`BTree::range_rev`].
 pub struct RangeRev<'a> {
-    tree: &'a BTree,
     cur: Cursor<'a>,
     /// One past the next entry to yield.
     idx: usize,
@@ -1027,7 +951,7 @@ impl<'a> Iterator for RangeRev<'a> {
                 return None;
             }
             self.idx = self.cur.keys.len();
-            BTree::bump(&self.tree.leaf_scans);
+            note_work(Work::LeafScan);
         }
         let keys: &'a Keys = self.cur.keys;
         let key = keys.get(self.idx - 1);
@@ -1051,6 +975,8 @@ impl<'a> Iterator for RangeRev<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governance::Ledger;
+    use crate::governance::Work::{Descent, DescentReuse};
     use std::collections::BTreeMap;
     use std::ops::Bound::{Excluded, Included, Unbounded};
 
@@ -1077,9 +1003,10 @@ mod tests {
         assert!(!t.insert_new(&key(5), 55), "present key is refused");
         assert_eq!(t.get(&key(5)), Some(50), "and keeps its value");
         assert_eq!(t.len(), 1);
-        let before = t.counters().descents;
+        let before = Ledger::read();
         assert!(t.insert_new(&key(6), 60));
-        assert_eq!(t.counters().descents - before, 1, "one descent per call");
+        let spent = Ledger::read().since(&before);
+        assert_eq!(spent[Descent], 1, "one descent per call");
     }
 
     #[test]
@@ -1126,7 +1053,7 @@ mod tests {
         for i in 0..2000u64 {
             t.insert(&key(i), i);
         }
-        let before = t.counters();
+        let before = Ledger::read();
         // Three ascending adjacent/disjoint ranges, fingered.
         let ranges = [(100u64, 200u64), (200, 300), (340, 400)];
         let mut finger = None;
@@ -1138,13 +1065,9 @@ mod tests {
         }
         let want: Vec<u64> = (100..300).chain(340..400).collect();
         assert_eq!(got, want);
-        let after = t.counters();
-        assert_eq!(
-            after.descents - before.descents,
-            1,
-            "only the first range descends"
-        );
-        assert_eq!(after.descent_reuses - before.descent_reuses, 2);
+        let spent = Ledger::read().since(&before);
+        assert_eq!(spent[Descent], 1, "only the first range descends");
+        assert_eq!(spent[DescentReuse], 2);
     }
 
     #[test]
@@ -1157,7 +1080,7 @@ mod tests {
         assert_eq!(scan.by_ref().count(), 10);
         let finger = scan.finger();
         assert!(finger.is_some());
-        let before = t.counters();
+        let before = Ledger::read();
         // A range *before* the finger must still be answered correctly —
         // via a fresh descent, not a bogus reuse.
         let got: Vec<u64> = t
@@ -1165,9 +1088,9 @@ mod tests {
             .map(|(_, v)| v)
             .collect();
         assert_eq!(got, vec![5, 6, 7]);
-        let after = t.counters();
-        assert_eq!(after.descents - before.descents, 1);
-        assert_eq!(after.descent_reuses, before.descent_reuses);
+        let spent = Ledger::read().since(&before);
+        assert_eq!(spent[Descent], 1);
+        assert_eq!(spent[DescentReuse], 0);
     }
 
     #[test]
@@ -1188,7 +1111,7 @@ mod tests {
         let mut scan = t.range(Included(&key(0)), Excluded(&key(boundary)));
         let _ = scan.by_ref().count();
         let finger = scan.finger();
-        let before = t.counters();
+        let before = Ledger::read();
         // Target exactly at the boundary: the previous leaf's last key
         // (boundary - 1) is excluded, so the finger is reused.
         let got: Vec<u64> = t
@@ -1200,7 +1123,7 @@ mod tests {
             .map(|(_, v)| v)
             .collect();
         assert_eq!(got, vec![boundary, boundary + 1]);
-        assert_eq!(t.counters().descent_reuses - before.descent_reuses, 1);
+        assert_eq!(Ledger::read().since(&before)[DescentReuse], 1);
         // Target one before it: the previous leaf's last key is in range,
         // so the finger must be refused.
         let got: Vec<u64> = t
@@ -1212,7 +1135,7 @@ mod tests {
             .map(|(_, v)| v)
             .collect();
         assert_eq!(got, vec![boundary - 1, boundary]);
-        assert_eq!(t.counters().descents - before.descents, 1);
+        assert_eq!(Ledger::read().since(&before)[Descent], 1);
     }
 
     #[test]
@@ -1224,7 +1147,7 @@ mod tests {
         let mut scan = t.range(Included(&key(0)), Excluded(&key(5)));
         assert_eq!(scan.by_ref().count(), 5);
         let finger = scan.finger();
-        let before = t.counters();
+        let before = Ledger::read();
         // The next range is thousands of keys away — farther than the
         // bounded leaf walk — so the seek falls back to a descent.
         let got: Vec<u64> = t
@@ -1232,9 +1155,9 @@ mod tests {
             .map(|(_, v)| v)
             .collect();
         assert_eq!(got, (19_990..20_000).collect::<Vec<u64>>());
-        let after = t.counters();
-        assert_eq!(after.descents - before.descents, 1);
-        assert_eq!(after.descent_reuses, before.descent_reuses);
+        let spent = Ledger::read().since(&before);
+        assert_eq!(spent[Descent], 1);
+        assert_eq!(spent[DescentReuse], 0);
     }
 
     #[test]
@@ -1254,7 +1177,7 @@ mod tests {
             t.remove(&key(i * 2));
         }
         t.check_invariants();
-        let before = t.counters();
+        let before = Ledger::read();
         // The stale finger must never produce wrong rows.
         let got: Vec<u64> = t
             .range_from(finger, Included(&key(800)), Excluded(&key(820)))
@@ -1265,7 +1188,7 @@ mod tests {
             .map(|(_, v)| v)
             .collect();
         assert_eq!(got, want);
-        assert_eq!(t.counters().descent_reuses, before.descent_reuses);
+        assert_eq!(Ledger::read().since(&before)[DescentReuse], 0);
         // On the unchanged snapshot the same finger is still good.
         let got: Vec<u64> = snapshot
             .range_from(finger, Included(&key(120)), Excluded(&key(130)))

@@ -10,7 +10,7 @@
 //! lists) for file-backed databases; indexes are rebuilt by scanning heaps
 //! on reopen.
 
-use crate::btree::{BTree, BTreeCounters, Range, RangeRev};
+use crate::btree::{BTree, Range, RangeRev};
 use crate::error::{DbError, DbResult};
 use crate::schema::{ColumnDef, IndexDef, TableSchema};
 use crate::storage::{HeapFile, PageId, PageSource, Pager, RowId};
@@ -440,23 +440,6 @@ impl Catalog {
         let mut names: Vec<String> = self.by_name.keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// Sums the B+tree operation counters of every index (primary and
-    /// secondary) across all tables. [`crate::Database::run`] diffs this
-    /// before/after a statement to charge index traffic to its
-    /// [`crate::ExecStats`].
-    pub fn btree_counters(&self) -> BTreeCounters {
-        let mut total = BTreeCounters::default();
-        for t in &self.tables {
-            if let Some(pk) = &t.pk_index {
-                total.merge(&pk.counters());
-            }
-            for (_, tree) in &t.indexes {
-                total.merge(&tree.counters());
-            }
-        }
-        total
     }
 
     // -----------------------------------------------------------------

@@ -15,12 +15,11 @@
 //! ([`DbSnapshot::run_read`]); the two differ only in the catalog and page
 //! source they hand it.
 
-use crate::btree::BTreeCounters;
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::exec::{run_select, scan_for_update, Env, ExecStats, Profiler, SharedExecStats};
 use crate::expr::{eval, Expr, SimpleCtx};
-use crate::governance;
+use crate::governance::{self, Ledger, Work};
 use crate::latch;
 use crate::obs;
 use crate::obs::WaitSite;
@@ -28,7 +27,6 @@ use crate::plan::{plan_select, plan_table_access, render_plan, render_table_acce
 use crate::schema::{ColumnDef, IndexDef, TableSchema};
 use crate::sql::ast::{ParsedStmt, Stmt};
 use crate::sql::parse;
-use crate::storage::pager::PagerSnapshot;
 use crate::storage::{wal, FaultInjector, PageId, PageSource, PageView, Pager, Wal};
 use crate::trace;
 use crate::value::{Row, Value};
@@ -399,42 +397,12 @@ impl StatementLog {
     }
 }
 
-/// The shared pager and B+tree counters as a statement starts. Folding
-/// their movement into the statement's stats leaves it carrying only its
-/// own page and index traffic.
-struct EngineCounters {
-    pages: PagerSnapshot,
-    trees: BTreeCounters,
-}
-
-impl EngineCounters {
-    fn read(catalog: &Catalog, pager: &Pager) -> EngineCounters {
-        EngineCounters {
-            pages: pager.stats().full(),
-            trees: catalog.btree_counters(),
-        }
-    }
-
-    /// Adds the counter movement since `self` into `s`.
-    fn fold_into(&self, catalog: &Catalog, pager: &Pager, s: &mut ExecStats) {
-        let now = EngineCounters::read(catalog, pager);
-        let (p0, p1) = (&self.pages, &now.pages);
-        let (t0, t1) = (&self.trees, &now.trees);
-        let logical = p1.logical_reads.saturating_sub(p0.logical_reads);
-        let physical = p1.physical_reads.saturating_sub(p0.physical_reads);
-        s.pages_read += logical;
-        s.cache_misses += physical;
-        s.cache_hits += logical.saturating_sub(physical);
-        s.pages_written += p1.physical_writes.saturating_sub(p0.physical_writes);
-        s.evictions += p1.evictions.saturating_sub(p0.evictions);
-        s.read_retries += p1.read_retries.saturating_sub(p0.read_retries);
-        // saturating_sub: DROP TABLE discards that table's trees (and their
-        // counts), so the totals are not strictly monotonic.
-        s.btree_descents += t1.descents.saturating_sub(t0.descents);
-        s.btree_descent_reuses += t1.descent_reuses.saturating_sub(t0.descent_reuses);
-        s.btree_leaf_scans += t1.leaf_scans.saturating_sub(t0.leaf_scans);
-        s.btree_splits += t1.splits.saturating_sub(t0.splits);
-    }
+/// The work this thread counted since `mark`, with its logical reads added
+/// to `pager`'s totals: the one place a statement or a commit feeds them.
+fn settle(mark: &Ledger, pager: &Pager) -> Ledger {
+    let work = Ledger::read().since(mark);
+    pager.add_logical_reads(work[Work::LogicalRead]);
+    work
 }
 
 /// One read statement's context: the catalog it plans and runs against,
@@ -459,15 +427,14 @@ impl ReadCtx<'_> {
     /// Executes a looked-up read statement and accounts for it: the body
     /// of [`ReadCtx::run`], entered directly by [`Database::run`].
     fn execute(&self, sql: &str, cached: &Cached, params: &[Value]) -> DbResult<QueryResult> {
-        let pager = self.pages.pager();
-        let before = EngineCounters::read(self.catalog, pager);
+        let mark = Ledger::read();
         let started = self.log.clock();
         // Borrow the statement and plan straight out of the pinned cache
         // entry: the read hot path never deep-clones a SelectPlan.
-        let mut result = self
-            .dispatch(&cached.parsed.stmt, cached.plan.as_ref(), params)
-            .inspect_err(|e| self.shared.record_failure(e))?;
-        before.fold_into(self.catalog, pager, &mut result.stats);
+        let outcome = self.dispatch(&cached.parsed.stmt, cached.plan.as_ref(), params);
+        let work = settle(&mark, self.pages.pager());
+        let mut result = outcome.inspect_err(|e| self.shared.record_failure(e))?;
+        result.stats.add_work(&work);
         self.shared.total_stats.merge(&result.stats);
         if let Some(started) = started {
             self.log.record(sql, params, true, started, &result);
@@ -755,6 +722,15 @@ impl Database {
     /// appends every dirty page to the WAL with an fsync barrier. On failure
     /// the transaction is rolled back before the error is returned.
     pub fn commit(&mut self) -> DbResult<()> {
+        let mark = Ledger::read();
+        let res = self.commit_txn();
+        settle(&mark, &self.pager);
+        res
+    }
+
+    /// [`Database::commit`] without feeding the pager's logical-read
+    /// total: a write statement's auto-commit, whose envelope feeds it.
+    fn commit_txn(&mut self) -> DbResult<()> {
         if self.txn.is_none() {
             return Err(DbError::Txn("no active transaction".into()));
         }
@@ -1007,14 +983,14 @@ impl Database {
         is_write: bool,
         body: impl FnOnce(&mut Database) -> DbResult<QueryResult>,
     ) -> DbResult<QueryResult> {
-        let before = EngineCounters::read(&self.catalog, &self.pager);
+        let mark = Ledger::read();
         let started = self.log.clock();
         let auto_txn = is_write && self.file_backed && !self.in_transaction();
         if auto_txn {
             self.begin()?;
         }
         let outcome = match body(self) {
-            Ok(r) if auto_txn => self.commit().map(|()| r),
+            Ok(r) if auto_txn => self.commit_txn().map(|()| r),
             Ok(r) => Ok(r),
             Err(e) => {
                 if auto_txn {
@@ -1023,6 +999,7 @@ impl Database {
                 Err(e)
             }
         };
+        let work = settle(&mark, &self.pager);
         let mut result = outcome.inspect_err(|e| self.shared.record_failure(e))?;
         // Writes that commit without a transaction (the in-memory backend)
         // republish here; auto-commit and explicit transactions republish
@@ -1030,7 +1007,7 @@ impl Database {
         if is_write && !auto_txn && !self.in_transaction() {
             self.publish_committed();
         }
-        before.fold_into(&self.catalog, &self.pager, &mut result.stats);
+        result.stats.add_work(&work);
         self.shared.total_stats.merge(&result.stats);
         if let Some(started) = started {
             self.log.record(&sql(), params, is_read, started, &result);

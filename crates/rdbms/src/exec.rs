@@ -28,6 +28,7 @@
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::expr::{eval, EvalContext, Expr};
+use crate::governance::{Ledger, Work};
 use crate::plan::{Access, AccessPath, AggCall, AggFunc, Node, SelectPlan};
 use crate::storage::PageSource;
 use crate::value::{decode_range_batch, encode_key, encode_key_value, Row, Value};
@@ -40,9 +41,10 @@ use std::time::{Duration, Instant};
 /// the benchmark harness reports alongside wall-clock times.
 ///
 /// The first six counters are maintained directly by the executor; the
-/// buffer-pool (`pages_*`, `cache_*`, `evictions`) and B+tree (`btree_*`)
-/// counters are folded in per statement by [`crate::Database::run`] from the
-/// pager and index-tree deltas observed across the statement.
+/// buffer-pool (`pages_*`, `cache_*`, `evictions`, `read_retries`) and
+/// B+tree (`btree_*`) counters are the work the statement's own thread
+/// counted on its [`crate::governance::Ledger`] while the statement ran,
+/// so they stay exact however many statements run concurrently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rows fetched from heap storage.
@@ -78,7 +80,7 @@ pub struct ExecStats {
     /// B+tree node splits triggered by index maintenance.
     pub btree_splits: u64,
     /// Physical page reads retried after an I/O error or checksum mismatch
-    /// (folded in from the pager; always 0 in memory mode).
+    /// (always 0 in memory mode).
     pub read_retries: u64,
     /// Statements that tripped their deadline ([`crate::DbError::Timeout`]).
     /// Only ever non-zero in cumulative totals — a timed-out statement
@@ -91,6 +93,21 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
+    /// Adds the pager and B+tree work a statement's thread counted.
+    pub(crate) fn add_work(&mut self, w: &Ledger) {
+        let (logical, physical) = (w[Work::LogicalRead], w[Work::PhysicalRead]);
+        self.pages_read += logical;
+        self.cache_misses += physical;
+        self.cache_hits += logical.saturating_sub(physical);
+        self.pages_written += w[Work::PhysicalWrite];
+        self.evictions += w[Work::Eviction];
+        self.read_retries += w[Work::ReadRetry];
+        self.btree_descents += w[Work::Descent];
+        self.btree_descent_reuses += w[Work::DescentReuse];
+        self.btree_leaf_scans += w[Work::LeafScan];
+        self.btree_splits += w[Work::Split];
+    }
+
     /// Adds another stats snapshot into this one.
     pub fn merge(&mut self, other: &ExecStats) {
         self.rows_scanned += other.rows_scanned;

@@ -1,4 +1,5 @@
-//! Query governance: deadlines, cooperative cancellation, and row budgets.
+//! Query governance: deadlines, cooperative cancellation, and row budgets —
+//! and the per-thread work ledger that counts what each statement did.
 //!
 //! A statement runs under at most one [`Scope`] per thread. The scope
 //! installs a guard (deadline instant, shared cancel flag, work budget) in
@@ -6,6 +7,10 @@
 //! `exec`, B+tree descents, pager page reads — call [`checkpoint`] (fallible
 //! sites) or [`note_work`] (infallible iterators) to charge work units
 //! against it.
+//!
+//! The same calls count their [`Work`] on this thread's [`Ledger`], whose
+//! counts only grow and which no other thread touches, so the difference
+//! of two readings around a statement is exactly that statement's work.
 //!
 //! The design goals, in order:
 //!
@@ -74,9 +79,69 @@ struct GuardState {
     tripped: Option<DbError>,
 }
 
+/// One kind of engine work the ledger counts, one unit per call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Work {
+    /// A page served to a caller, cached or not.
+    LogicalRead,
+    /// A page read from the backing file (a buffer-pool miss).
+    PhysicalRead,
+    /// A page written to the backing file.
+    PhysicalWrite,
+    /// A buffer-pool frame evicted to make room.
+    Eviction,
+    /// A physical read retried after an I/O error or checksum mismatch.
+    ReadRetry,
+    /// A B+tree root-to-leaf descent.
+    Descent,
+    /// A range positioned from the previous range's finger, not a descent.
+    DescentReuse,
+    /// A B+tree leaf visited by a range scan.
+    LeafScan,
+    /// A B+tree node split.
+    Split,
+}
+
+const WORK_KINDS: usize = Work::Split as usize + 1;
+
+/// A reading of one thread's work ledger (see the module docs), indexed by
+/// [`Work`]. Counts only grow, so `later.since(&earlier)` is exactly the
+/// work this thread did between the two readings.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Ledger([u64; WORK_KINDS]);
+
+impl Ledger {
+    /// This thread's counts so far.
+    pub fn read() -> Ledger {
+        Ledger(LEDGER.with(|cells| cells.each_ref().map(Cell::get)))
+    }
+
+    /// The work counted between `mark` (an earlier reading on this
+    /// thread) and `self`.
+    pub fn since(&self, mark: &Ledger) -> Ledger {
+        Ledger(std::array::from_fn(|i| self.0[i] - mark.0[i]))
+    }
+}
+
+impl std::ops::Index<Work> for Ledger {
+    type Output = u64;
+
+    fn index(&self, work: Work) -> &u64 {
+        &self.0[work as usize]
+    }
+}
+
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static GUARD: RefCell<Option<GuardState>> = const { RefCell::new(None) };
+    static LEDGER: [Cell<u64>; WORK_KINDS] = const { [const { Cell::new(0) }; WORK_KINDS] };
+}
+
+/// Counts one unit of `work` on this thread's ledger without charging the
+/// governing scope: physical I/O, and the pages a write touches.
+#[inline]
+pub(crate) fn count(work: Work) {
+    LEDGER.with(|cells| cells[work as usize].update(|n| n + 1));
 }
 
 /// An installed governance guard. Created by [`Scope::enter`]; dropping it
@@ -180,17 +245,27 @@ pub fn checkpoint(n: u64) -> DbResult<()> {
     })
 }
 
-/// Charges `n` work units from an infallible site (B+tree iterators yield
-/// plain tuples and cannot return an error). A tripped limit is latched and
-/// surfaces at the next [`checkpoint`] call up-stack.
+/// Counts one unit of `work` and charges it, like [`checkpoint`]`(1)`:
+/// the one call a page read makes.
 #[inline]
-pub fn note_work(n: u64) {
+pub(crate) fn checkpoint_work(work: Work) -> DbResult<()> {
+    count(work);
+    checkpoint(1)
+}
+
+/// Counts one unit of `work` and charges it from an infallible site
+/// (B+tree iterators yield plain tuples and cannot return an error). A
+/// tripped limit is latched and surfaces at the next [`checkpoint`] call
+/// up-stack.
+#[inline]
+pub fn note_work(work: Work) {
+    count(work);
     if !ACTIVE.with(|a| a.get()) {
         return;
     }
     GUARD.with(|g| {
         if let Some(st) = g.borrow_mut().as_mut() {
-            let _ = charge(st, n);
+            let _ = charge(st, 1);
         }
     });
 }
@@ -211,7 +286,7 @@ mod tests {
         for _ in 0..10_000 {
             checkpoint(1).unwrap();
         }
-        note_work(1_000_000);
+        (0..10_000).for_each(|_| note_work(Work::LeafScan));
         checkpoint(1).unwrap();
     }
 
@@ -278,7 +353,8 @@ mod tests {
             work_budget: Some(5),
             ..Limits::default()
         });
-        note_work(100); // infallible site blows the budget silently
+        // Infallible sites blow the budget silently.
+        (0..6).for_each(|_| note_work(Work::Descent));
         let err = checkpoint(0).unwrap_err();
         assert!(matches!(err, DbError::ResourceExhausted(_)), "{err}");
     }
@@ -299,6 +375,25 @@ mod tests {
             assert!(checkpoint(8).is_err(), "outer budget still applies");
         }
         assert!(active(), "inner drop must not uninstall the outer scope");
+    }
+
+    #[test]
+    fn ledger_counts_only_this_threads_work() {
+        let mark = Ledger::read();
+        count(Work::PhysicalRead);
+        checkpoint_work(Work::LogicalRead).unwrap();
+        note_work(Work::Descent);
+        std::thread::spawn(|| note_work(Work::Descent))
+            .join()
+            .unwrap();
+        let got = Ledger::read().since(&mark);
+        let kinds = [
+            Work::LogicalRead,
+            Work::PhysicalRead,
+            Work::Descent,
+            Work::Split,
+        ];
+        assert_eq!(kinds.map(|w| got[w]), [1, 1, 1, 0]);
     }
 
     #[test]

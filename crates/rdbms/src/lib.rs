@@ -54,7 +54,6 @@ pub mod storage;
 pub mod trace;
 pub mod value;
 
-pub use btree::BTreeCounters;
 pub use db::{Database, DbSnapshot, QueryResult, SqlRead, StatementTrace, StoreHealth};
 pub use error::{DbError, DbResult};
 pub use exec::{ExecStats, OpProfile, Profiler};

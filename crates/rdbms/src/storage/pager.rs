@@ -11,8 +11,9 @@
 //!   out-of-memory-sized documents.
 //!
 //! All read/write access goes through [`Pager::with_page`] /
-//! [`Pager::with_page_mut`], which also maintain the I/O statistics the
-//! benchmark harness reports (logical reads, backend reads/writes).
+//! [`Pager::with_page_mut`], which count every page they serve, read or
+//! write on the calling thread's [`governance::Ledger`]; the pager itself
+//! keeps only the I/O totals in [`PagerStats`].
 //!
 //! # Transactions
 //!
@@ -35,7 +36,7 @@
 //! Page reads from the file backend are checksummed (FNV-1a per page,
 //! recorded at write time) and wrapped in a bounded retry-with-backoff:
 //! a transient read error or a corrupted image costs a retry (counted in
-//! [`PagerStats::read_retries`]), not a failed statement. Write-path
+//! [`crate::ExecStats::read_retries`]), not a failed statement. Write-path
 //! failures are classified at the WAL commit barrier and at checkpoints:
 //! a *persistent* failure (the injector's crashed state, or `ENOSPC` real
 //! or injected) transitions the pager to [`StoreHealth::Degraded`] —
@@ -50,6 +51,7 @@ use super::fault::{self, FaultInjector};
 use super::page::{Page, PAGE_SIZE};
 use super::wal::Wal;
 use crate::error::{DbError, DbResult};
+use crate::governance::{self, Work};
 use crate::latch;
 use crate::obs::WaitSite;
 use crate::trace;
@@ -67,23 +69,21 @@ pub type PageId = u32;
 /// existence; never allocated (page ids count up from 0).
 const DEAD_FRAME: PageId = PageId::MAX;
 
-/// Shared, cheaply-clonable I/O counters.
+/// The pager's cumulative I/O totals. Per-statement counts come from each
+/// thread's [`governance::Ledger`].
 #[derive(Debug, Default)]
 pub struct PagerStats {
-    /// Pages served to callers (cache hits + misses).
+    /// Pages served to callers (cache hits + misses), added once per
+    /// statement and once per commit from the running thread's ledger, so
+    /// the read hot path touches no shared counter.
     pub logical_reads: AtomicU64,
     /// Pages read from the backing file (misses). Always 0 in memory mode.
     pub physical_reads: AtomicU64,
     /// Pages written to the backing file. Always 0 in memory mode.
     pub physical_writes: AtomicU64,
-    /// Frames evicted from the buffer pool. Always 0 in memory mode.
-    pub evictions: AtomicU64,
-    /// Page-read retries: transient read faults or checksum mismatches
-    /// absorbed by the bounded retry policy. Always 0 in memory mode.
-    pub read_retries: AtomicU64,
 }
 
-/// A plain-value copy of every pager counter, for delta arithmetic.
+/// A plain-value copy of the pager totals, for delta arithmetic.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PagerSnapshot {
     /// Pages served to callers (cache hits + misses).
@@ -92,15 +92,14 @@ pub struct PagerSnapshot {
     pub physical_reads: u64,
     /// Pages written to the backing file.
     pub physical_writes: u64,
-    /// Frames evicted from the buffer pool.
-    pub evictions: u64,
-    /// Page-read retries absorbed by the retry policy.
-    pub read_retries: u64,
 }
 
 impl PagerStats {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, AtomicOrdering::Relaxed);
+    /// Counts one page written to the backing file, on the totals and on
+    /// the writing thread's ledger.
+    fn physical_write(&self) {
+        self.physical_writes.fetch_add(1, AtomicOrdering::Relaxed);
+        governance::count(Work::PhysicalWrite);
     }
 
     /// Snapshot of every counter as plain values.
@@ -109,8 +108,6 @@ impl PagerStats {
             logical_reads: self.logical_reads.load(AtomicOrdering::Relaxed),
             physical_reads: self.physical_reads.load(AtomicOrdering::Relaxed),
             physical_writes: self.physical_writes.load(AtomicOrdering::Relaxed),
-            evictions: self.evictions.load(AtomicOrdering::Relaxed),
-            read_retries: self.read_retries.load(AtomicOrdering::Relaxed),
         }
     }
 }
@@ -409,7 +406,7 @@ impl PageView {
     pub fn read_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> DbResult<R> {
         let _span = trace::span("pager.read");
         let pager = &self.inner.pager;
-        pager.count_read()?;
+        governance::checkpoint_work(Work::LogicalRead)?;
         match &self.inner.core {
             ViewCore::Mem(map) => match map.get(id as usize) {
                 Some(page) => Ok(f(page)),
@@ -821,7 +818,7 @@ impl Pager {
                             let sum = page_sum(fb.frames[i].page.bytes());
                             fb.sums.insert(fb.frames[i].id, sum);
                             fb.frames[i].dirty = false;
-                            PagerStats::bump(&self.stats.physical_writes);
+                            self.stats.physical_write();
                         }
                         Err(e) if wal.is_none() => return Err(e.into()),
                         Err(_) => {}
@@ -905,7 +902,7 @@ impl Pager {
                                 let off = pid as u64 * PAGE_SIZE as u64;
                                 self.faults.write_at(&mut fb.file, off, img.bytes())?;
                                 fb.sums.insert(pid, page_sum(img.bytes()));
-                                PagerStats::bump(&self.stats.physical_writes);
+                                self.stats.physical_write();
                             }
                         }
                         None => {
@@ -965,7 +962,7 @@ impl Pager {
                 let sum = page_sum(fb.frames[i].page.bytes());
                 fb.sums.insert(fb.frames[i].id, sum);
                 fb.frames[i].dirty = false;
-                PagerStats::bump(&self.stats.physical_writes);
+                self.stats.physical_write();
             }
             self.faults
                 .sync(&fb.file)
@@ -1023,7 +1020,7 @@ impl Pager {
                         zero.bytes(),
                     )?;
                     fb.sums.insert(id, page_sum(zero.bytes()));
-                    PagerStats::bump(&self.stats.physical_writes);
+                    self.stats.physical_write();
                 }
                 // Snapshot readers must see the page as nonexistent: mark
                 // it `None` on the open transaction's mirror, or directly
@@ -1050,7 +1047,7 @@ impl Pager {
     /// buffer-pool latch (pinning mutates the frame table).
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> DbResult<R> {
         let _span = trace::span("pager.read");
-        self.count_read()?;
+        governance::checkpoint_work(Work::LogicalRead)?;
         match &self.backend {
             Backend::Mem(mem) => {
                 let w = mem.writer.load(AtomicOrdering::Acquire);
@@ -1081,7 +1078,7 @@ impl Pager {
     /// capturing a pre-image when a transaction is open).
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> DbResult<R> {
         let _span = trace::span("pager.write");
-        PagerStats::bump(&self.stats.logical_reads);
+        governance::count(Work::LogicalRead);
         let mut txn = latch::lock(&self.txn, WaitSite::Txn);
         match &self.backend {
             Backend::Mem(mem) => {
@@ -1141,12 +1138,12 @@ impl Pager {
         }
     }
 
-    /// The per-read cost both read entries pay: a governance checkpoint
-    /// and one logical read.
-    fn count_read(&self) -> DbResult<()> {
-        crate::governance::checkpoint(1)?;
-        PagerStats::bump(&self.stats.logical_reads);
-        Ok(())
+    /// Adds `n` logical reads — counted on a thread's ledger while it ran
+    /// one statement or commit — to this pager's totals.
+    pub(crate) fn add_logical_reads(&self, n: u64) {
+        self.stats
+            .logical_reads
+            .fetch_add(n, AtomicOrdering::Relaxed);
     }
 
     /// Dirty pages must stay pinned whenever they are protected by a WAL
@@ -1175,8 +1172,9 @@ impl Pager {
         let page = match preloaded {
             Some(p) => p,
             None => {
-                PagerStats::bump(&stats.physical_reads);
-                Self::read_page_checked(fb, id, stats, faults)?
+                stats.physical_reads.fetch_add(1, AtomicOrdering::Relaxed);
+                governance::count(Work::PhysicalRead);
+                Self::read_page_checked(fb, id, faults)?
             }
         };
         if fb.frames.len() < fb.capacity {
@@ -1224,7 +1222,7 @@ impl Pager {
             fb.map.insert(id, idx);
             return Ok(idx);
         };
-        PagerStats::bump(&stats.evictions);
+        governance::count(Work::Eviction);
         let victim = &mut fb.frames[idx];
         if victim.dirty {
             faults.write_at(
@@ -1235,7 +1233,7 @@ impl Pager {
             let sum = page_sum(victim.page.bytes());
             let vid = victim.id;
             fb.sums.insert(vid, sum);
-            PagerStats::bump(&stats.physical_writes);
+            stats.physical_write();
         }
         let victim = &mut fb.frames[idx];
         fb.map.remove(&victim.id);
@@ -1258,7 +1256,6 @@ impl Pager {
     fn read_page_checked(
         fb: &mut FileBackend,
         id: PageId,
-        stats: &PagerStats,
         faults: &FaultInjector,
     ) -> DbResult<Page> {
         let off = id as u64 * PAGE_SIZE as u64;
@@ -1266,7 +1263,7 @@ impl Pager {
         let mut last_err = String::new();
         for attempt in 0..READ_ATTEMPTS {
             if attempt > 0 {
-                PagerStats::bump(&stats.read_retries);
+                governance::count(Work::ReadRetry);
                 crate::obs::registry().record_read_retries(1);
                 // Tiny exponential backoff: transient device hiccups clear
                 // in microseconds; anything longer is for the error path.
@@ -1317,7 +1314,7 @@ impl Pager {
                 let sum = page_sum(fb.frames[i].page.bytes());
                 fb.sums.insert(fb.frames[i].id, sum);
                 fb.frames[i].dirty = false;
-                PagerStats::bump(&self.stats.physical_writes);
+                self.stats.physical_write();
             }
             self.faults.sync(&fb.file)?;
         }
@@ -1468,12 +1465,13 @@ mod tests {
     fn stats_count_logical_reads() {
         let pager = Pager::in_memory();
         let id = pager.allocate().unwrap();
+        let mark = governance::Ledger::read();
         for _ in 0..5 {
             pager.with_page(id, |_| ()).unwrap();
         }
-        let stats = pager.stats().full();
-        assert_eq!(stats.logical_reads, 5);
-        assert_eq!(stats.physical_reads, 0);
+        let work = governance::Ledger::read().since(&mark);
+        assert_eq!(work[Work::LogicalRead], 5);
+        assert_eq!(work[Work::PhysicalRead], 0);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! SQL-level CRUD against a simple model.
 
 use ordxml_rdbms::btree::BTree;
+use ordxml_rdbms::governance::{Ledger, Work};
 use ordxml_rdbms::value::{decode_row, encode_key, encode_row, Value};
 use ordxml_rdbms::Database;
 use proptest::prelude::*;
@@ -106,7 +107,7 @@ proptest! {
                 Op::Fingered(mut bounds) => {
                     bounds.sort();
                     bounds.dedup();
-                    let before = tree.counters();
+                    let before = Ledger::read();
                     let mut finger = None;
                     let mut ranges = 0;
                     for (i, pair) in bounds.chunks_exact(2).enumerate() {
@@ -124,10 +125,10 @@ proptest! {
                         prop_assert_eq!(got, model_range(&model, lo, hi));
                         ranges += 1;
                     }
-                    let after = tree.counters();
+                    let after = Ledger::read();
                     prop_assert_eq!(
-                        after.descents + after.descent_reuses,
-                        before.descents + before.descent_reuses + ranges,
+                        after[Work::Descent] + after[Work::DescentReuse],
+                        before[Work::Descent] + before[Work::DescentReuse] + ranges,
                         "each range positions exactly once"
                     );
                 }
