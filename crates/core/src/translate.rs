@@ -1703,9 +1703,10 @@ impl<'a> Translator<'a> {
     fn finalize(&mut self, nodes: &mut Vec<XNode>, already_ordered: bool) -> StoreResult<()> {
         match self.enc {
             Encoding::Global | Encoding::Dewey => {
-                // The order token *is* the document order.
-                nodes.sort_by_key(|a| a.node.token());
-                nodes.dedup_by(|a, b| a.node.token() == b.node.token());
+                // The order token *is* the document order. Each node's
+                // token is built once, and equal tokens are equal refs.
+                nodes.sort_by_cached_key(|a| a.node.token());
+                nodes.dedup_by(|a, b| a.node == b.node);
             }
             Encoding::Local => {
                 if already_ordered {

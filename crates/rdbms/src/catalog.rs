@@ -20,7 +20,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 /// One `[lower, upper)`-style encoded-key range, as produced by the
-/// executor's multi-range batching (see [`Table::index_range_multi`]).
+/// executor's multi-range batching (see [`Table::index_ranges`]).
 pub type KeyRange = (Bound<Vec<u8>>, Bound<Vec<u8>>);
 
 /// The order-preserving key of `row`'s `cols` (see [`encode_key`]),
@@ -230,48 +230,39 @@ impl Table {
     }
 
     /// Like [`Table::index_range`] (ascending), but each row id comes with
-    /// its full index key. The executor's range-count memo keeps these keys
-    /// to answer later counts over the same stretch of the index.
+    /// its index key, borrowed from the index. The executor's range-count
+    /// memo copies the keys it keeps to answer later counts over the same
+    /// stretch of the index.
     pub fn index_range_keyed(
         &self,
         index: Option<usize>,
         lower: Bound<&[u8]>,
         upper: Bound<&[u8]>,
-    ) -> Vec<(Vec<u8>, RowId)> {
+    ) -> impl Iterator<Item = (&[u8], RowId)> + '_ {
         self.tree(index)
             .range(lower, upper)
-            .map(|(k, v)| (k.to_vec(), RowId::unpack(v)))
-            .collect()
+            .map(|(k, v)| (k, RowId::unpack(v)))
     }
 
-    /// Row ids for a *batch* of ranges over one index, scanned in order
-    /// with descent-finger reuse: each range after the first resumes from
-    /// where the previous scan stopped (a short leaf-to-leaf walk) instead of
-    /// descending from the root — see [`BTree::range_from`]. The executor's
-    /// multi-range scans pass their ascending disjoint range list here,
-    /// which is what turns `btree_descents` from "one per range" into "one
-    /// per statement" on batched workloads. Ranges that are not ascending
-    /// are still answered correctly (the finger fails validation and the
-    /// scan descends), just without the saving.
-    pub fn index_range_multi(&self, index: Option<usize>, ranges: &[KeyRange]) -> Vec<Vec<RowId>> {
-        let tree = self.tree(index);
-        fn as_ref(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
-            match b {
-                Bound::Included(k) => Bound::Included(k.as_slice()),
-                Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
-                Bound::Unbounded => Bound::Unbounded,
-            }
+    /// Row ids for a *batch* of ranges over one index, walked lazily in
+    /// order with descent-finger reuse: each range after the first resumes
+    /// from where the previous scan stopped (a short leaf-to-leaf walk)
+    /// instead of descending from the root — see [`BTree::range_from`].
+    /// The executor's multi-range scans pass their ascending disjoint range
+    /// list here, which is what turns `btree_descents` from "one per range"
+    /// into "one per statement" on batched workloads. Ranges that are not
+    /// ascending are still answered correctly (the finger fails validation
+    /// and the scan descends), just without the saving.
+    pub fn index_ranges<'a>(
+        &'a self,
+        index: Option<usize>,
+        ranges: &'a [KeyRange],
+    ) -> IndexRanges<'a> {
+        IndexRanges {
+            tree: self.tree(index),
+            ranges: ranges.iter(),
+            scan: None,
         }
-        let mut finger = None;
-        ranges
-            .iter()
-            .map(|(lower, upper)| {
-                let mut scan = tree.range_from(finger.take(), as_ref(lower), as_ref(upper));
-                let ids: Vec<RowId> = scan.by_ref().map(|(_, v)| RowId::unpack(v)).collect();
-                finger = scan.finger();
-                ids
-            })
-            .collect()
     }
 
     /// Rebuilds every index from the heap (used on reopen).
@@ -283,16 +274,17 @@ impl Table {
             tree.clear();
         }
         for idx in 0..self.heap.page_count() {
-            for (rowid, rec) in self.heap.page_rows(pager, idx)? {
-                let row = decode_row(&rec)?;
-                let pk_key = self.pk_index.is_some().then(|| self.pk_key(&row));
-                if let (Some(pk), Some(key)) = (&mut self.pk_index, pk_key) {
+            self.heap.for_each_record(pager, idx, |rowid, rec| {
+                let row = decode_row(rec)?;
+                if let Some(pk) = &mut self.pk_index {
+                    let key = encode_columns(&row, &self.schema.primary_key);
                     pk.insert(&key, rowid.pack());
                 }
                 for (def, tree) in &mut self.indexes {
                     tree.insert(&Table::index_key(def, &row, rowid), rowid.pack());
                 }
-            }
+                Ok(())
+            })?;
         }
         Ok(())
     }
@@ -316,6 +308,36 @@ impl Iterator for IndexRange<'_> {
             IndexRange::Desc(r) => r.next()?,
         };
         Some(RowId::unpack(v))
+    }
+}
+
+/// A lazy walk over a batch of index ranges. See [`Table::index_ranges`].
+pub struct IndexRanges<'a> {
+    tree: &'a BTree,
+    ranges: std::slice::Iter<'a, KeyRange>,
+    /// The range being walked; `None` before the first.
+    scan: Option<Range<'a>>,
+}
+
+impl Iterator for IndexRanges<'_> {
+    type Item = RowId;
+
+    fn next(&mut self) -> Option<RowId> {
+        fn as_ref(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
+            match b {
+                Bound::Included(k) => Bound::Included(k.as_slice()),
+                Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
+                Bound::Unbounded => Bound::Unbounded,
+            }
+        }
+        loop {
+            if let Some((_, v)) = self.scan.as_mut().and_then(Iterator::next) {
+                return Some(RowId::unpack(v));
+            }
+            let (lower, upper) = self.ranges.next()?;
+            let finger = self.scan.as_ref().and_then(Range::finger);
+            self.scan = Some(self.tree.range_from(finger, as_ref(lower), as_ref(upper)));
+        }
     }
 }
 
@@ -397,8 +419,8 @@ impl Catalog {
         let t = self.table_mut(table)?;
         let mut tree = BTree::new();
         for idx in 0..t.heap.page_count() {
-            for (rowid, rec) in t.heap.page_rows(pager, idx)? {
-                let row = decode_row(&rec)?;
+            t.heap.for_each_record(pager, idx, |rowid, rec| {
+                let row = decode_row(rec)?;
                 // Non-unique keys carry the row id, so only a unique index
                 // can refuse an entry.
                 if !tree.insert_new(&Table::index_key(&def, &row, rowid), rowid.pack()) {
@@ -407,32 +429,44 @@ impl Catalog {
                         def.name
                     )));
                 }
-            }
+                Ok(())
+            })?;
         }
         t.indexes.push((def, tree));
         Ok(())
     }
 
+    /// The position of table `name`, matched case-insensitively. Plans
+    /// carry lower-cased names, so the executor's lookups never allocate;
+    /// only a name with an upper-case letter is lower-cased first.
+    fn position(&self, name: &str) -> Option<usize> {
+        match self.by_name.get(name) {
+            Some(&i) => Some(i),
+            None if name.bytes().any(|b| b.is_ascii_uppercase()) => {
+                self.by_name.get(&name.to_ascii_lowercase()).copied()
+            }
+            None => None,
+        }
+    }
+
     /// Looks up a table by name.
     pub fn table(&self, name: &str) -> DbResult<&Table> {
-        self.by_name
-            .get(&name.to_ascii_lowercase())
-            .map(|&i| &*self.tables[i])
+        self.position(name)
+            .map(|i| &*self.tables[i])
             .ok_or_else(|| DbError::Unknown(format!("table `{name}`")))
     }
 
     /// Mutable lookup.
     pub fn table_mut(&mut self, name: &str) -> DbResult<&mut Table> {
-        let idx = *self
-            .by_name
-            .get(&name.to_ascii_lowercase())
+        let idx = self
+            .position(name)
             .ok_or_else(|| DbError::Unknown(format!("table `{name}`")))?;
         Ok(Arc::make_mut(&mut self.tables[idx]))
     }
 
     /// `true` if the table exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.by_name.contains_key(&name.to_ascii_lowercase())
+        self.position(name).is_some()
     }
 
     /// Names of all tables, sorted.

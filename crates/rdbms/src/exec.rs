@@ -15,6 +15,22 @@
 //! Index bounds are evaluated per outer row, so a bound index access under a
 //! [`Node::Join`] *is* the index-nested-loop join.
 //!
+//! **Where a row is first built.** A scan reads each record where it lies
+//! on its page and first checks the planner's [`RecordTest`]s on it — the
+//! leading `column op operand` conjuncts of a filter directly over the
+//! scan, or of an index-nested-loop join's residual — comparing a borrowed
+//! column ([`crate::value::ValueRef`]) with the bound value. A record they
+//! reject is neither copied nor decoded; one they keep is copied off its
+//! page and decoded once. Only a pair that passes the join's residual is
+//! concatenated: the residual reads the `(left, right)` pair as it is, and
+//! a correlated subquery under a join takes that pair as its outer row. A
+//! range count keeps index keys and decodes nothing when its filter is all
+//! record tests.
+//!
+//! **Row budgets.** An operator learns how many rows its parent needs at
+//! most ([`run_node`]). `EXISTS` asks its subplan for one, so an index
+//! scan, filter or index-nested-loop join under it stops at its first row.
+//!
 //! Correlated subplans re-run per outer row, with one exception: a *range
 //! count* ([`SelectPlan::range_count`], the shape the XPath translation
 //! gives every positional predicate) is answered from a per-statement
@@ -25,13 +41,19 @@
 //! costs O(siblings) rows instead of O(siblings²), and no invocation ever
 //! fetches a row that its own un-memoised scan would not.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Table};
 use crate::error::{DbError, DbResult};
-use crate::expr::{eval, EvalContext, Expr};
+use crate::expr::{eval, eval_lent, EvalContext, Expr};
 use crate::governance::{Ledger, Work};
-use crate::plan::{Access, AccessPath, AggCall, AggFunc, Node, SelectPlan};
-use crate::storage::PageSource;
-use crate::value::{decode_range_batch, encode_key, encode_key_value, Row, Value};
+use crate::plan::{
+    Access, AccessPath, AggCall, AggFunc, Filtered, Node, Operand, RecordFilter, RecordTest,
+    SelectPlan,
+};
+use crate::storage::{PageSource, RowId};
+use crate::value::{
+    decode_range_batch, decode_row, encode_key, encode_key_as, encode_key_value, record_column,
+    DataType, Row, Value,
+};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Bound;
@@ -47,7 +69,8 @@ use std::time::{Duration, Instant};
 /// so they stay exact however many statements run concurrently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Rows fetched from heap storage.
+    /// Records read from heap storage, including those a record test
+    /// rejected without decoding them.
     pub rows_scanned: u64,
     /// Index range scans opened.
     pub index_scans: u64,
@@ -245,6 +268,15 @@ impl Profiler {
     pub fn get(&self, node: &Node) -> Option<OpProfile> {
         self.ops.get(&(node as *const Node as usize)).copied()
     }
+
+    /// Records one invocation of `node` that produced `rows` rows, for an
+    /// operator that ran inside another one (its time is the outer's).
+    fn note(&mut self, node: &Node, rows: u64, elapsed: Duration) {
+        let op = self.ops.entry(node as *const Node as usize).or_default();
+        op.invocations += 1;
+        op.rows_out += rows;
+        op.elapsed += elapsed;
+    }
 }
 
 /// Everything a plan needs to run.
@@ -294,6 +326,52 @@ struct CountMemo {
     keys: VecDeque<Vec<u8>>,
 }
 
+/// Asks an operator for every row it produces.
+const ALL: usize = usize::MAX;
+
+/// A row the executor reads without building it: a join's `(left, right)`
+/// pair, or one row with `right` empty. Column `i` is the `i`-th of the
+/// concatenation, so a predicate bound against the joined row reads the
+/// pair as it is, and a correlated subquery under a join takes the pair as
+/// its outer row.
+#[derive(Clone, Copy)]
+struct Pair<'r> {
+    left: &'r [Value],
+    right: &'r [Value],
+}
+
+impl<'r> Pair<'r> {
+    fn one(row: &'r [Value]) -> Self {
+        Pair {
+            left: row,
+            right: &[],
+        }
+    }
+
+    fn get(self, i: usize) -> Option<&'r Value> {
+        match i.checked_sub(self.left.len()) {
+            None => self.left.get(i),
+            Some(j) => self.right.get(j),
+        }
+    }
+
+    /// The concatenated row.
+    fn concat(self) -> Row {
+        let mut row = Vec::with_capacity(self.left.len() + self.right.len());
+        row.extend_from_slice(self.left);
+        row.extend_from_slice(self.right);
+        row
+    }
+}
+
+/// `left` followed by `right`, moving `right`'s values.
+fn joined(left: &[Value], right: Row) -> Row {
+    let mut row = Vec::with_capacity(left.len() + right.len());
+    row.extend_from_slice(left);
+    row.extend(right);
+    row
+}
+
 /// Runs a planned `SELECT`, returning its rows. `outer` is the correlated
 /// row when the plan is a subquery.
 pub fn run_select(
@@ -302,23 +380,36 @@ pub fn run_select(
     plan: &SelectPlan,
     outer: Option<&[Value]>,
 ) -> DbResult<Vec<Row>> {
+    select(env, stats, plan, outer.map(Pair::one), ALL)
+}
+
+/// Runs a planned `SELECT` for a caller that needs at most `budget` rows
+/// (see [`run_node`]).
+fn select(
+    env: &Env<'_>,
+    stats: &mut ExecStats,
+    plan: &SelectPlan,
+    outer: Option<Pair<'_>>,
+    budget: usize,
+) -> DbResult<Vec<Row>> {
     if let Some((access, filter)) = plan.range_count_parts() {
         return run_range_count(env, stats, plan, access, filter, outer);
     }
-    run_node(env, stats, &plan.subplans, &plan.root, outer)
+    run_node(env, stats, &plan.subplans, &plan.root, outer, budget)
 }
 
 /// Runs a range-count subplan through the statement's memo: computes the
 /// invocation's key range exactly as an index scan would, fetches only the
 /// parts of it outside the memo's covered interval, and counts the
-/// remembered keys inside the range.
+/// remembered keys inside the range. A record is decoded only when its
+/// filter has conjuncts the record tests leave over.
 fn run_range_count(
     env: &Env<'_>,
     stats: &mut ExecStats,
     plan: &SelectPlan,
     access: &Access,
-    filter: Option<&Expr>,
-    outer: Option<&[Value]>,
+    filter: Option<Filtered<'_>>,
+    outer: Option<Pair<'_>>,
 ) -> DbResult<Vec<Row>> {
     let _span = crate::trace::span("op.range_count");
     let start = Instant::now();
@@ -326,7 +417,12 @@ fn run_range_count(
         return Err(DbError::Eval("range count over a non-index access".into()));
     };
     let table = env.catalog.table(&access.table)?;
+    let filter = filter.map_or(RowFilter::NONE, |(pred, record)| {
+        RowFilter::new(Some(pred), record)
+    });
     let (mut fetched, mut passed) = (0u64, 0u64);
+    // Kept records, copied off their pages.
+    let mut buf = Vec::new();
     let count = match compute_bounds(env, stats, &plan.subplans, access, &[], outer)? {
         None => 0, // NULL or incompatible bound: no match
         Some((lo, hi)) => {
@@ -335,29 +431,28 @@ fn run_range_count(
                 let lower = Bound::Included(from);
                 let upper = to.map_or(Bound::Unbounded, Bound::Excluded);
                 stats.index_scans += 1;
-                let entries = table.index_range_keyed(index, lower, upper);
-                stats.index_rows += entries.len() as u64;
-                stats.rows_scanned += entries.len() as u64;
-                fetched += entries.len() as u64;
                 let mut keys = Vec::new();
-                for (key, rid) in entries {
+                // Only a filter with conjuncts the record tests leave over
+                // needs the row.
+                let decode = filter.rest.is_some();
+                for (key, rid) in table.index_range_keyed(index, lower, upper) {
                     crate::governance::checkpoint(1)?;
-                    let row = table.get_row(env.pages, rid)?;
-                    let keep = match filter {
-                        None => true,
-                        Some(pred) => {
-                            let mut ctx = Ctx {
-                                env,
-                                stats,
-                                subplans: &plan.subplans,
-                                row: &row,
-                                outer,
-                            };
-                            eval(pred, &mut ctx)?.is_true()
+                    stats.index_rows += 1;
+                    stats.rows_scanned += 1;
+                    fetched += 1;
+                    let verdict =
+                        judge_at(env, table, rid, filter.tests, &[], outer, decode, &mut buf)?;
+                    let keep = match verdict {
+                        Verdict::Rejected => false,
+                        Verdict::Passed if !decode => true,
+                        _ => {
+                            let row = decode_row(&buf)?;
+                            let row = Pair::one(&row);
+                            filter.finish(env, stats, &plan.subplans, row, outer, verdict)?
                         }
                     };
                     if keep {
-                        keys.push(key);
+                        keys.push(key.to_vec());
                     }
                 }
                 passed += keys.len() as u64;
@@ -374,25 +469,19 @@ fn run_range_count(
         // itself comes out of the aggregate as one row.
         let elapsed = start.elapsed();
         let mut prof = prof.borrow_mut();
-        let mut note = |node: &Node, rows: u64| {
-            let op = prof.ops.entry(node as *const Node as usize).or_default();
-            op.invocations += 1;
-            op.rows_out += rows;
-            op.elapsed += elapsed;
-        };
         let mut node = &plan.root;
         loop {
             match node {
                 Node::Project { input, .. } | Node::Aggregate { input, .. } => {
-                    note(node, 1);
+                    prof.note(node, 1, elapsed);
                     node = input;
                 }
                 Node::Filter { input, .. } => {
-                    note(node, passed);
+                    prof.note(node, passed, elapsed);
                     node = input;
                 }
                 _ => {
-                    note(node, fetched);
+                    prof.note(node, fetched, elapsed);
                     break;
                 }
             }
@@ -487,6 +576,323 @@ fn before_end(key: &[u8], end: Option<&[u8]>) -> bool {
     end.is_none_or(|e| key < e)
 }
 
+/// How a scan filters the records it reads: [`RecordTest`]s on the stored
+/// record first, then `rest` over the decoded row — or the whole `pred`
+/// when a test could not decide.
+#[derive(Clone, Copy)]
+struct RowFilter<'p> {
+    tests: &'p [RecordTest],
+    rest: Option<&'p Expr>,
+    pred: Option<&'p Expr>,
+}
+
+impl<'p> RowFilter<'p> {
+    /// Keeps every row.
+    const NONE: RowFilter<'static> = RowFilter {
+        tests: &[],
+        rest: None,
+        pred: None,
+    };
+
+    /// `pred`, with the record split the planner made of it, if any.
+    fn new(pred: Option<&'p Expr>, record: Option<&'p RecordFilter>) -> Self {
+        match record {
+            Some(split) => RowFilter {
+                tests: &split.tests,
+                rest: split.rest.as_ref(),
+                pred,
+            },
+            None => RowFilter {
+                tests: &[],
+                rest: pred,
+                pred,
+            },
+        }
+    }
+
+    /// Whether a row the record tests did not reject passes: `rest` when
+    /// they passed it, the whole predicate when they could not decide.
+    fn finish(
+        self,
+        env: &Env<'_>,
+        stats: &mut ExecStats,
+        subplans: &[SelectPlan],
+        row: Pair<'_>,
+        outer: Option<Pair<'_>>,
+        verdict: Verdict,
+    ) -> DbResult<bool> {
+        let pred = match verdict {
+            Verdict::Rejected => return Ok(false),
+            Verdict::Passed => self.rest,
+            Verdict::Undecided => self.pred,
+        };
+        match pred {
+            None => Ok(true),
+            Some(pred) => holds(env, stats, subplans, pred, row, outer),
+        }
+    }
+}
+
+/// What the record tests made of a stored record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// A test rejected it.
+    Rejected,
+    /// Every test passed it.
+    Passed,
+    /// A test met a NULL, a missing operand or kinds that do not compare,
+    /// so plain evaluation of the whole predicate decides (and reports the
+    /// error, if it is one).
+    Undecided,
+}
+
+/// Checks `tests` in order on the encoded record `rec`, comparing each
+/// borrowed column with its operand; `left` is a join's left row.
+fn judge(
+    rec: &[u8],
+    tests: &[RecordTest],
+    params: &[Value],
+    left: &[Value],
+    outer: Option<Pair<'_>>,
+) -> DbResult<Verdict> {
+    for t in tests {
+        let operand = match &t.operand {
+            Operand::Literal(v) => Some(v),
+            Operand::Param(i) => params.get(*i),
+            Operand::Outer(i) => outer.and_then(|o| o.get(*i)),
+            Operand::Left(i) => left.get(*i),
+        };
+        let (Some(column), Some(operand)) = (record_column(rec, t.col)?, operand) else {
+            return Ok(Verdict::Undecided);
+        };
+        // A NULL makes the conjunct unknown, which does not end plain
+        // evaluation the way false does: later conjuncts still run.
+        match column.sql_cmp(operand) {
+            Some(ord) if t.op.holds(ord) => {}
+            Some(_) => return Ok(Verdict::Rejected),
+            None => return Ok(Verdict::Undecided),
+        }
+    }
+    Ok(Verdict::Passed)
+}
+
+/// Judges the record at `rid` where it lies on its page. A record the tests
+/// keep is copied into `buf` when `copy` is set or they could not decide,
+/// to be decoded once the page is released: decoding allocates, and a
+/// file-backed page read holds the buffer-pool latch.
+#[allow(clippy::too_many_arguments)]
+fn judge_at(
+    env: &Env<'_>,
+    table: &Table,
+    rid: RowId,
+    tests: &[RecordTest],
+    left: &[Value],
+    outer: Option<Pair<'_>>,
+    copy: bool,
+    buf: &mut Vec<u8>,
+) -> DbResult<Verdict> {
+    table.heap.with_record(env.pages, rid, |rec| {
+        let verdict = judge(rec, tests, env.params, left, outer)?;
+        if verdict == Verdict::Undecided || (verdict == Verdict::Passed && copy) {
+            buf.clear();
+            buf.extend_from_slice(rec);
+        }
+        Ok(verdict)
+    })?
+}
+
+/// Reads the records `access` selects, with index bounds evaluated against
+/// `left` (a join's left row; empty otherwise) and `outer`, and hands
+/// `visit` each row that passes `filter`, until `visit` returns `false`.
+/// Every record read is charged `units` work units and counted in
+/// `rows_scanned`; a record the record tests reject is never decoded.
+/// Returns the number of records read.
+#[allow(clippy::too_many_arguments)]
+fn walk_access(
+    env: &Env<'_>,
+    stats: &mut ExecStats,
+    subplans: &[SelectPlan],
+    access: &Access,
+    left: &[Value],
+    outer: Option<Pair<'_>>,
+    filter: RowFilter<'_>,
+    units: u64,
+    visit: &mut dyn FnMut(RowId, Row) -> bool,
+) -> DbResult<u64> {
+    let table = env.catalog.table(&access.table)?;
+    let mut read = 0u64;
+    // Kept records, copied off their pages.
+    let mut buf = Vec::new();
+    // Finishes one judged record: `Ok(false)` stops the walk.
+    let mut admit = |stats: &mut ExecStats, rid: RowId, verdict: Verdict, rec: &[u8]| {
+        if verdict == Verdict::Rejected {
+            return Ok(true);
+        }
+        let row = decode_row(rec)?;
+        let pair = Pair { left, right: &row };
+        if !filter.finish(env, stats, subplans, pair, outer, verdict)? {
+            return Ok(true);
+        }
+        DbResult::Ok(visit(rid, row))
+    };
+    // Reads one record through the index.
+    let mut probe = |stats: &mut ExecStats, rid: RowId| -> DbResult<bool> {
+        crate::governance::checkpoint(units)?;
+        stats.index_rows += 1;
+        stats.rows_scanned += 1;
+        read += 1;
+        let verdict = judge_at(env, table, rid, filter.tests, left, outer, true, &mut buf)?;
+        admit(stats, rid, verdict, &buf)
+    };
+    match &access.path {
+        AccessPath::FullScan => {
+            // A page's records are judged under one page read, and the
+            // ones kept are decoded and admitted after it: `rest` may run
+            // subqueries that read pages themselves.
+            let mut kept = Vec::new();
+            for pi in 0..table.heap.page_count() {
+                buf.clear();
+                table.heap.for_each_record(env.pages, pi, |rid, rec| {
+                    crate::governance::checkpoint(units)?;
+                    stats.rows_scanned += 1;
+                    read += 1;
+                    let verdict = judge(rec, filter.tests, env.params, left, outer)?;
+                    if verdict != Verdict::Rejected {
+                        let start = buf.len();
+                        buf.extend_from_slice(rec);
+                        kept.push((rid, verdict, start..buf.len()));
+                    }
+                    Ok(())
+                })?;
+                for (rid, verdict, span) in kept.drain(..) {
+                    if !admit(stats, rid, verdict, &buf[span])? {
+                        return Ok(read);
+                    }
+                }
+            }
+        }
+        AccessPath::Index { index, reverse, .. } => {
+            let Some((lo, hi)) = compute_bounds(env, stats, subplans, access, left, outer)? else {
+                return Ok(0); // NULL or incompatible bound: no match
+            };
+            stats.index_scans += 1;
+            for rid in table.index_range(*index, bound_as_ref(&lo), bound_as_ref(&hi), *reverse) {
+                if !probe(stats, rid)? {
+                    break;
+                }
+            }
+        }
+        AccessPath::MultiRange { index, .. } => {
+            let ranges = compute_multi_ranges(env, stats, subplans, access, left, outer)?;
+            stats.index_scans += 1;
+            // The ranges are merged and ascending, so scanning them as one
+            // fingered batch yields the union already in key order — one
+            // root descent for the first range, a short leaf walk for each
+            // range after it (`btree_descent_reuses`).
+            for rid in table.index_ranges(*index, &ranges) {
+                if !probe(stats, rid)? {
+                    break;
+                }
+            }
+        }
+    }
+    Ok(read)
+}
+
+/// Fetches up to `budget` of one table's rows (all of them for [`ALL`]),
+/// with index bounds evaluated against `outer` (the correlated row).
+fn run_access(
+    env: &Env<'_>,
+    stats: &mut ExecStats,
+    subplans: &[SelectPlan],
+    access: &Access,
+    outer: Option<Pair<'_>>,
+    budget: usize,
+) -> DbResult<Vec<Row>> {
+    let mut out = Vec::new();
+    let filter = RowFilter::NONE;
+    walk_access(
+        env,
+        stats,
+        subplans,
+        access,
+        &[],
+        outer,
+        filter,
+        1,
+        &mut |_, row| {
+            out.push(row);
+            out.len() < budget
+        },
+    )?;
+    Ok(out)
+}
+
+/// Collects `(RowId, row)` pairs of a single table matching an access path —
+/// the row-source for `UPDATE` and `DELETE`, which must know row ids.
+/// Bound expressions may reference parameters and constants only (they are
+/// evaluated against an empty row).
+pub fn scan_for_update(
+    env: &Env<'_>,
+    stats: &mut ExecStats,
+    table_name: &str,
+    path: &AccessPath,
+) -> DbResult<Vec<(RowId, Row)>> {
+    let access = Access {
+        table: table_name.to_string(),
+        path: path.clone(),
+        width: env.catalog.table(table_name)?.schema.columns.len(),
+    };
+    let mut out = Vec::new();
+    let filter = RowFilter::NONE;
+    walk_access(
+        env,
+        stats,
+        &[],
+        &access,
+        &[],
+        None,
+        filter,
+        1,
+        &mut |rid, row| {
+            out.push((rid, row));
+            true
+        },
+    )?;
+    Ok(out)
+}
+
+/// Evaluates `e` over `row`.
+fn value(
+    env: &Env<'_>,
+    stats: &mut ExecStats,
+    subplans: &[SelectPlan],
+    e: &Expr,
+    row: Pair<'_>,
+    outer: Option<Pair<'_>>,
+) -> DbResult<Value> {
+    let mut ctx = Ctx {
+        env,
+        stats,
+        subplans,
+        row,
+        outer,
+    };
+    eval(e, &mut ctx)
+}
+
+/// Whether predicate `pred` is true over `row`.
+fn holds(
+    env: &Env<'_>,
+    stats: &mut ExecStats,
+    subplans: &[SelectPlan],
+    pred: &Expr,
+    row: Pair<'_>,
+    outer: Option<Pair<'_>>,
+) -> DbResult<bool> {
+    Ok(value(env, stats, subplans, pred, row, outer)?.is_true())
+}
+
 /// Stable trace-span name for a plan operator.
 fn op_name(node: &Node) -> &'static str {
     match node {
@@ -502,19 +908,27 @@ fn op_name(node: &Node) -> &'static str {
     }
 }
 
+/// Runs one plan node for a caller that needs at most `budget` of its rows
+/// ([`ALL`]: every row). The budget is a hint an operator may use to stop
+/// early and may ignore: a scan stops once it has produced `budget` rows,
+/// a filter or an index-nested-loop join once `budget` rows passed, and a
+/// projection passes it on; sort, aggregate, distinct, hash join and
+/// `LIMIT` read their whole input. `EXISTS` runs its subplan with a
+/// budget of one row.
 fn run_node(
     env: &Env<'_>,
     stats: &mut ExecStats,
     subplans: &[SelectPlan],
     node: &Node,
-    outer: Option<&[Value]>,
+    outer: Option<Pair<'_>>,
+    budget: usize,
 ) -> DbResult<Vec<Row>> {
     let _span = crate::trace::span(op_name(node));
     let Some(prof) = env.prof else {
-        return run_node_inner(env, stats, subplans, node, outer);
+        return run_node_inner(env, stats, subplans, node, outer, budget);
     };
     let start = Instant::now();
-    let result = run_node_inner(env, stats, subplans, node, outer);
+    let result = run_node_inner(env, stats, subplans, node, outer, budget);
     let elapsed = start.elapsed();
     let mut prof = prof.borrow_mut();
     let op = prof.ops.entry(node as *const Node as usize).or_default();
@@ -531,27 +945,52 @@ fn run_node_inner(
     stats: &mut ExecStats,
     subplans: &[SelectPlan],
     node: &Node,
-    outer: Option<&[Value]>,
+    outer: Option<Pair<'_>>,
+    budget: usize,
 ) -> DbResult<Vec<Row>> {
     match node {
         Node::OneRow => Ok(vec![Vec::new()]),
-        Node::Scan(access) => run_access(env, stats, subplans, access, &[], outer),
-        Node::Filter { input, pred } => {
-            let rows = run_node(env, stats, subplans, input, outer)?;
+        Node::Scan(access) => run_access(env, stats, subplans, access, outer, budget),
+        Node::Filter {
+            input,
+            pred,
+            record,
+        } => {
+            if let Node::Scan(access) = &**input {
+                // The filter runs inside its scan, on each record as it is
+                // read. Both operators still charge their unit per record,
+                // and the scan still reports every record it read.
+                let _span = crate::trace::span(op_name(input));
+                let start = Instant::now();
+                let filter = RowFilter::new(Some(pred), record.as_ref());
+                let mut out = Vec::new();
+                let read = walk_access(
+                    env,
+                    stats,
+                    subplans,
+                    access,
+                    &[],
+                    outer,
+                    filter,
+                    2,
+                    &mut |_, row| {
+                        out.push(row);
+                        out.len() < budget
+                    },
+                )?;
+                if let Some(prof) = env.prof {
+                    prof.borrow_mut().note(input, read, start.elapsed());
+                }
+                return Ok(out);
+            }
+            let rows = run_node(env, stats, subplans, input, outer, ALL)?;
             let mut out = Vec::new();
             for row in rows {
+                if out.len() >= budget {
+                    break;
+                }
                 crate::governance::checkpoint(1)?;
-                let keep = {
-                    let mut ctx = Ctx {
-                        env,
-                        stats,
-                        subplans,
-                        row: &row,
-                        outer,
-                    };
-                    eval(pred, &mut ctx)?.is_true()
-                };
-                if keep {
+                if holds(env, stats, subplans, pred, Pair::one(&row), outer)? {
                     out.push(row);
                 }
             }
@@ -562,8 +1001,9 @@ fn run_node_inner(
             right,
             residual,
             hash_keys,
+            record,
         } => {
-            let left_rows = run_node(env, stats, subplans, left, outer)?;
+            let left_rows = run_node(env, stats, subplans, left, outer, ALL)?;
             if let Some((lk, rk)) = hash_keys {
                 return run_hash_join(
                     env,
@@ -578,40 +1018,56 @@ fn run_node_inner(
                 );
             }
             let mut out = Vec::new();
-            // Cache full-scan inners: scanning the heap once per outer row
-            // would be quadratic in I/O for plain nested loops.
-            let cached_inner = if right.path == AccessPath::FullScan {
-                Some(run_access(env, stats, subplans, right, &[], outer)?)
-            } else {
-                None
-            };
-            for lrow in left_rows {
-                crate::governance::checkpoint(1)?;
-                let rrows = match &cached_inner {
-                    Some(c) => c.clone(),
-                    None => run_access(env, stats, subplans, right, &lrow, outer)?,
-                };
-                for rrow in rrows {
+            if right.path == AccessPath::FullScan {
+                // Cache full-scan inners: scanning the heap once per outer
+                // row would be quadratic in I/O for plain nested loops. The
+                // cache is read in place; only pairs that pass are copied.
+                let inner = run_access(env, stats, subplans, right, outer, ALL)?;
+                'outer: for lrow in &left_rows {
                     crate::governance::checkpoint(1)?;
-                    let mut combined = lrow.clone();
-                    combined.extend(rrow);
-                    let keep = match residual {
-                        None => true,
-                        Some(pred) => {
-                            let mut ctx = Ctx {
-                                env,
-                                stats,
-                                subplans,
-                                row: &combined,
-                                outer,
-                            };
-                            eval(pred, &mut ctx)?.is_true()
+                    for rrow in &inner {
+                        crate::governance::checkpoint(1)?;
+                        let pair = Pair {
+                            left: lrow,
+                            right: rrow,
+                        };
+                        let keep = match residual {
+                            None => true,
+                            Some(pred) => holds(env, stats, subplans, pred, pair, outer)?,
+                        };
+                        if keep {
+                            out.push(pair.concat());
+                            if out.len() >= budget {
+                                break 'outer;
+                            }
                         }
-                    };
-                    if keep {
-                        out.push(combined);
                     }
                 }
+                return Ok(out);
+            }
+            // Index-nested loop: the inner-only conjuncts of the residual
+            // run on each inner record, the rest over the `(left, right)`
+            // pair, and only a pair that passes both is concatenated.
+            let filter = RowFilter::new(residual.as_ref(), record.as_ref());
+            for lrow in &left_rows {
+                if out.len() >= budget {
+                    break;
+                }
+                crate::governance::checkpoint(1)?;
+                walk_access(
+                    env,
+                    stats,
+                    subplans,
+                    right,
+                    lrow,
+                    outer,
+                    filter,
+                    2,
+                    &mut |_, rrow| {
+                        out.push(joined(lrow, rrow));
+                        out.len() < budget
+                    },
+                )?;
             }
             Ok(out)
         }
@@ -621,7 +1077,7 @@ fn run_node_inner(
             aggs,
         } => run_aggregate(env, stats, subplans, input, group_by, aggs, outer),
         Node::Sort { input, keys } => {
-            let rows = run_node(env, stats, subplans, input, outer)?;
+            let rows = run_node(env, stats, subplans, input, outer, ALL)?;
             stats.rows_sorted += rows.len() as u64;
             // Precompute sort keys.
             let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
@@ -629,14 +1085,7 @@ fn run_node_inner(
                 crate::governance::checkpoint(1)?;
                 let mut kv = Vec::with_capacity(keys.len());
                 for (e, _) in keys {
-                    let mut ctx = Ctx {
-                        env,
-                        stats,
-                        subplans,
-                        row: &row,
-                        outer,
-                    };
-                    kv.push(eval(e, &mut ctx)?);
+                    kv.push(value(env, stats, subplans, e, Pair::one(&row), outer)?);
                 }
                 keyed.push((kv, row));
             }
@@ -653,27 +1102,16 @@ fn run_node_inner(
             Ok(keyed.into_iter().map(|(_, r)| r).collect())
         }
         Node::Project { input, exprs } => {
-            let rows = run_node(env, stats, subplans, input, outer)?;
+            let rows = run_node(env, stats, subplans, input, outer, budget)?;
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
                 crate::governance::checkpoint(1)?;
-                let mut projected = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    let mut ctx = Ctx {
-                        env,
-                        stats,
-                        subplans,
-                        row: &row,
-                        outer,
-                    };
-                    projected.push(eval(e, &mut ctx)?);
-                }
-                out.push(projected);
+                out.push(project(env, stats, subplans, exprs, row, outer)?);
             }
             Ok(out)
         }
         Node::Distinct { input } => {
-            let rows = run_node(env, stats, subplans, input, outer)?;
+            let rows = run_node(env, stats, subplans, input, outer, ALL)?;
             let mut seen = std::collections::HashSet::new();
             let mut out = Vec::new();
             for row in rows {
@@ -691,14 +1129,7 @@ fn run_node_inner(
         } => {
             let eval_const = |e: &Option<Expr>, stats: &mut ExecStats| -> DbResult<Option<usize>> {
                 let Some(e) = e else { return Ok(None) };
-                let mut ctx = Ctx {
-                    env,
-                    stats,
-                    subplans,
-                    row: &[],
-                    outer,
-                };
-                let v = eval(e, &mut ctx)?;
+                let v = value(env, stats, subplans, e, Pair::one(&[]), outer)?;
                 let i = v.as_int()?;
                 usize::try_from(i)
                     .map(Some)
@@ -710,10 +1141,42 @@ fn run_node_inner(
                 let window = (offset, limit);
                 return run_index_window(env, stats, subplans, input, exprs, access, window, outer);
             }
-            let rows = run_node(env, stats, subplans, input, outer)?;
+            let rows = run_node(env, stats, subplans, input, outer, ALL)?;
             Ok(rows.into_iter().skip(offset).take(limit).collect())
         }
     }
+}
+
+/// Projects `row` onto `exprs`. A projection of distinct plain columns
+/// moves their values out of the row instead of copying them.
+fn project(
+    env: &Env<'_>,
+    stats: &mut ExecStats,
+    subplans: &[SelectPlan],
+    exprs: &[Expr],
+    mut row: Row,
+    outer: Option<Pair<'_>>,
+) -> DbResult<Row> {
+    let column = |e: &Expr| match e {
+        Expr::Column(i) => Some(*i),
+        _ => None,
+    };
+    let movable = exprs.iter().enumerate().all(|(k, e)| {
+        column(e).is_some_and(|i| i < row.len() && exprs[..k].iter().all(|p| column(p) != Some(i)))
+    });
+    if movable {
+        return Ok(exprs
+            .iter()
+            .map(|e| {
+                let i = column(e).expect("checked above");
+                std::mem::replace(&mut row[i], Value::Null)
+            })
+            .collect());
+    }
+    exprs
+        .iter()
+        .map(|e| value(env, stats, subplans, e, Pair::one(&row), outer))
+        .collect()
 }
 
 /// Runs `Limit` over `Project` over an index scan ([`Node::index_window`])
@@ -727,11 +1190,11 @@ fn run_index_window(
     env: &Env<'_>,
     stats: &mut ExecStats,
     subplans: &[SelectPlan],
-    project: &Node,
+    projection: &Node,
     exprs: &[Expr],
     access: &Access,
     (offset, limit): (usize, usize),
-    outer: Option<&[Value]>,
+    outer: Option<Pair<'_>>,
 ) -> DbResult<Vec<Row>> {
     let start = Instant::now();
     let table = env.catalog.table(&access.table)?;
@@ -754,18 +1217,7 @@ fn run_index_window(
             stats.index_rows += 1;
             stats.rows_scanned += 1;
             let row = table.get_row(env.pages, rid)?;
-            let mut projected = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                let mut ctx = Ctx {
-                    env,
-                    stats,
-                    subplans,
-                    row: &row,
-                    outer,
-                };
-                projected.push(eval(e, &mut ctx)?);
-            }
-            out.push(projected);
+            out.push(project(env, stats, subplans, exprs, row, outer)?);
         }
     }
     if let Some(prof) = env.prof {
@@ -773,162 +1225,14 @@ fn run_index_window(
         // the fetched rows; the skipped entries never became rows.
         let elapsed = start.elapsed();
         let mut prof = prof.borrow_mut();
-        let Node::Project { input: scan, .. } = project else {
+        let Node::Project { input: scan, .. } = projection else {
             unreachable!("an index window's input is a projection");
         };
-        for node in [project, &**scan] {
-            let op = prof.ops.entry(node as *const Node as usize).or_default();
-            op.invocations += 1;
-            op.rows_out += out.len() as u64;
-            op.elapsed += elapsed;
+        for node in [projection, &**scan] {
+            prof.note(node, out.len() as u64, elapsed);
         }
     }
     Ok(out)
-}
-
-/// Fetches one table's rows, with index bounds evaluated against `left_row`
-/// (the joined prefix) and `outer` (the correlated row).
-fn run_access(
-    env: &Env<'_>,
-    stats: &mut ExecStats,
-    subplans: &[SelectPlan],
-    access: &Access,
-    left_row: &[Value],
-    outer: Option<&[Value]>,
-) -> DbResult<Vec<Row>> {
-    let table = env.catalog.table(&access.table)?;
-    match &access.path {
-        AccessPath::FullScan => {
-            let mut out = Vec::with_capacity(table.row_count() as usize);
-            for pi in 0..table.heap.page_count() {
-                for (_, rec) in table.heap.page_rows(env.pages, pi)? {
-                    crate::governance::checkpoint(1)?;
-                    out.push(crate::value::decode_row(&rec)?);
-                }
-            }
-            stats.rows_scanned += out.len() as u64;
-            Ok(out)
-        }
-        AccessPath::Index { index, reverse, .. } => {
-            let Some((lo, hi)) = compute_bounds(env, stats, subplans, access, left_row, outer)?
-            else {
-                return Ok(Vec::new()); // NULL or incompatible bound: no match
-            };
-            stats.index_scans += 1;
-            let rowids: Vec<_> = table
-                .index_range(*index, bound_as_ref(&lo), bound_as_ref(&hi), *reverse)
-                .collect();
-            stats.index_rows += rowids.len() as u64;
-            stats.rows_scanned += rowids.len() as u64;
-            rowids
-                .into_iter()
-                .map(|rid| {
-                    crate::governance::checkpoint(1)?;
-                    table.get_row(env.pages, rid)
-                })
-                .collect()
-        }
-        AccessPath::MultiRange { index, .. } => {
-            let ranges = compute_multi_ranges(env, stats, subplans, access, left_row, outer)?;
-            stats.index_scans += 1;
-            let mut out = Vec::new();
-            // The ranges are merged and ascending, so scanning them as one
-            // fingered batch yields the union already in key order — one
-            // root descent for the first range, a short leaf walk for each
-            // range after it (`btree_descent_reuses`).
-            for rowids in table.index_range_multi(*index, &ranges) {
-                stats.index_rows += rowids.len() as u64;
-                stats.rows_scanned += rowids.len() as u64;
-                for rid in rowids {
-                    crate::governance::checkpoint(1)?;
-                    out.push(table.get_row(env.pages, rid)?);
-                }
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// Collects `(RowId, row)` pairs of a single table matching an access path —
-/// the row-source for `UPDATE` and `DELETE`, which must know row ids.
-/// Bound expressions may reference parameters and constants only (they are
-/// evaluated against an empty row).
-pub fn scan_for_update(
-    env: &Env<'_>,
-    stats: &mut ExecStats,
-    table_name: &str,
-    path: &AccessPath,
-) -> DbResult<Vec<(crate::storage::RowId, Row)>> {
-    let table = env.catalog.table(table_name)?;
-    match path {
-        AccessPath::FullScan => {
-            let mut out = Vec::with_capacity(table.row_count() as usize);
-            for pi in 0..table.heap.page_count() {
-                for (rid, rec) in table.heap.page_rows(env.pages, pi)? {
-                    crate::governance::checkpoint(1)?;
-                    out.push((rid, crate::value::decode_row(&rec)?));
-                }
-            }
-            stats.rows_scanned += out.len() as u64;
-            Ok(out)
-        }
-        AccessPath::Index {
-            index,
-            eq,
-            lower,
-            upper,
-            reverse,
-        } => {
-            let access = Access {
-                table: table_name.to_string(),
-                path: AccessPath::Index {
-                    index: *index,
-                    eq: eq.clone(),
-                    lower: lower.clone(),
-                    upper: upper.clone(),
-                    reverse: *reverse,
-                },
-                width: table.schema.columns.len(),
-            };
-            // Reuse the bound computation from run_access by asking for the
-            // row ids through the same range math.
-            let Some((lo, hi)) = compute_bounds(env, stats, &[], &access, &[], None)? else {
-                return Ok(Vec::new());
-            };
-            stats.index_scans += 1;
-            let rowids: Vec<_> = table
-                .index_range(*index, bound_as_ref(&lo), bound_as_ref(&hi), *reverse)
-                .collect();
-            stats.index_rows += rowids.len() as u64;
-            stats.rows_scanned += rowids.len() as u64;
-            rowids
-                .into_iter()
-                .map(|rid| {
-                    crate::governance::checkpoint(1)?;
-                    Ok((rid, table.get_row(env.pages, rid)?))
-                })
-                .collect()
-        }
-        AccessPath::MultiRange { index, .. } => {
-            let access = Access {
-                table: table_name.to_string(),
-                path: path.clone(),
-                width: table.schema.columns.len(),
-            };
-            let ranges = compute_multi_ranges(env, stats, &[], &access, &[], None)?;
-            stats.index_scans += 1;
-            let mut out = Vec::new();
-            for rowids in table.index_range_multi(*index, &ranges) {
-                stats.index_rows += rowids.len() as u64;
-                stats.rows_scanned += rowids.len() as u64;
-                for rid in rowids {
-                    crate::governance::checkpoint(1)?;
-                    out.push((rid, table.get_row(env.pages, rid)?));
-                }
-            }
-            Ok(out)
-        }
-    }
 }
 
 /// A resolved byte-key range: `(lower, upper)` bounds.
@@ -947,7 +1251,7 @@ fn compute_bounds(
     subplans: &[SelectPlan],
     access: &Access,
     left_row: &[Value],
-    outer: Option<&[Value]>,
+    outer: Option<Pair<'_>>,
 ) -> DbResult<Option<KeyRange>> {
     let table = env.catalog.table(&access.table)?;
     let AccessPath::Index {
@@ -964,43 +1268,32 @@ fn compute_bounds(
         None => &table.schema.primary_key,
         Some(i) => &table.indexes[*i].0.columns,
     };
-    let eval_bound = |e: &Expr, stats: &mut ExecStats| -> DbResult<Value> {
-        let mut ctx = Ctx {
-            env,
-            stats,
-            subplans,
-            row: left_row,
-            outer,
-        };
-        eval(e, &mut ctx)
+    let mut ctx = Ctx {
+        env,
+        stats,
+        subplans,
+        row: Pair::one(left_row),
+        outer,
     };
     let mut prefix = Vec::new();
     for (i, e) in eq.iter().enumerate() {
-        let v = eval_bound(e, stats)?;
-        if v.is_null() {
+        let ty = table.schema.columns[index_cols[i]].ty;
+        if !push_bound(&mut ctx, e, ty, &mut prefix)? {
             return Ok(None);
         }
-        let ty = table.schema.columns[index_cols[i]].ty;
-        let Ok(v) = v.coerce(ty) else {
-            return Ok(None);
-        };
-        encode_key_value(&v, &mut prefix);
     }
-    let range_ty = index_cols
-        .get(eq.len())
-        .map(|&c| table.schema.columns[c].ty);
+    let range_ty = || {
+        let c = index_cols
+            .get(eq.len())
+            .expect("range implies another index column");
+        table.schema.columns[*c].ty
+    };
     let mut lo_key = prefix.clone();
     let lo_bound = match lower {
         Some((e, inclusive)) => {
-            let v = eval_bound(e, stats)?;
-            if v.is_null() {
+            if !push_bound(&mut ctx, e, range_ty(), &mut lo_key)? {
                 return Ok(None);
             }
-            let ty = range_ty.expect("range implies another index column");
-            let Ok(v) = v.coerce(ty) else {
-                return Ok(None);
-            };
-            encode_key_value(&v, &mut lo_key);
             if *inclusive {
                 Bound::Included(lo_key)
             } else {
@@ -1021,15 +1314,9 @@ fn compute_bounds(
     let mut hi_key = prefix;
     let hi_bound = match upper {
         Some((e, inclusive)) => {
-            let v = eval_bound(e, stats)?;
-            if v.is_null() {
+            if !push_bound(&mut ctx, e, range_ty(), &mut hi_key)? {
                 return Ok(None);
             }
-            let ty = range_ty.expect("range implies another index column");
-            let Ok(v) = v.coerce(ty) else {
-                return Ok(None);
-            };
-            encode_key_value(&v, &mut hi_key);
             if *inclusive {
                 match prefix_successor(hi_key) {
                     Some(k) => Bound::Excluded(k),
@@ -1053,6 +1340,12 @@ fn compute_bounds(
     Ok(Some((lo_bound, hi_bound)))
 }
 
+/// Appends index bound `e` as a column of type `ty` stores it; `false` when
+/// the bound is NULL or of another type, so the range matches nothing.
+fn push_bound(ctx: &mut Ctx<'_, '_>, e: &Expr, ty: DataType, key: &mut Vec<u8>) -> DbResult<bool> {
+    Ok(encode_key_as(&*eval_lent(e, ctx)?, ty, key))
+}
+
 /// Evaluates a multi-range access's equality prefix and batch parameter
 /// into byte-key ranges: sorted ascending, overlapping/adjacent entries
 /// merged, provably-empty entries dropped. Lower bounds come out as
@@ -1065,7 +1358,7 @@ fn compute_multi_ranges(
     subplans: &[SelectPlan],
     access: &Access,
     left_row: &[Value],
-    outer: Option<&[Value]>,
+    outer: Option<Pair<'_>>,
 ) -> DbResult<Vec<KeyRange>> {
     let table = env.catalog.table(&access.table)?;
     let AccessPath::MultiRange { index, eq, ranges } = &access.path else {
@@ -1077,29 +1370,21 @@ fn compute_multi_ranges(
         None => &table.schema.primary_key,
         Some(i) => &table.indexes[*i].0.columns,
     };
-    let eval_expr = |e: &Expr, stats: &mut ExecStats| -> DbResult<Value> {
-        let mut ctx = Ctx {
-            env,
-            stats,
-            subplans,
-            row: left_row,
-            outer,
-        };
-        eval(e, &mut ctx)
+    let mut ctx = Ctx {
+        env,
+        stats,
+        subplans,
+        row: Pair::one(left_row),
+        outer,
     };
     let mut prefix = Vec::new();
     for (i, e) in eq.iter().enumerate() {
-        let v = eval_expr(e, stats)?;
-        if v.is_null() {
+        let ty = table.schema.columns[index_cols[i]].ty;
+        if !push_bound(&mut ctx, e, ty, &mut prefix)? {
             return Ok(Vec::new());
         }
-        let ty = table.schema.columns[index_cols[i]].ty;
-        let Ok(v) = v.coerce(ty) else {
-            return Ok(Vec::new());
-        };
-        encode_key_value(&v, &mut prefix);
     }
-    let batch = eval_expr(ranges, stats)?;
+    let batch = eval_lent(ranges, &mut ctx)?;
     let specs = decode_range_batch(batch.as_bytes()?)?;
     let range_ty = index_cols
         .get(eq.len())
@@ -1225,73 +1510,47 @@ fn run_hash_join(
     left_keys: &[Expr],
     right_keys: &[Expr],
     residual: Option<&Expr>,
-    outer: Option<&[Value]>,
+    outer: Option<Pair<'_>>,
 ) -> DbResult<Vec<Row>> {
-    let right_rows = run_access(env, stats, subplans, right, &[], outer)?;
+    let right_rows = run_access(env, stats, subplans, right, outer, ALL)?;
+    // The encoded key of `row` under `keys`; `None` when a key is NULL,
+    // since NULL keys never join.
+    let key_of =
+        |stats: &mut ExecStats, keys: &[Expr], row: &[Value]| -> DbResult<Option<Vec<u8>>> {
+            let mut vals = Vec::with_capacity(keys.len());
+            for e in keys {
+                vals.push(value(env, stats, subplans, e, Pair::one(row), outer)?);
+            }
+            Ok((!vals.iter().any(Value::is_null)).then(|| encode_key(&vals)))
+        };
     // Build side: right table.
     let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::new();
     for (i, rrow) in right_rows.iter().enumerate() {
         crate::governance::checkpoint(1)?;
-        let mut vals = Vec::with_capacity(right_keys.len());
-        let mut null = false;
-        for e in right_keys {
-            let mut ctx = Ctx {
-                env,
-                stats,
-                subplans,
-                row: rrow,
-                outer,
-            };
-            let v = eval(e, &mut ctx)?;
-            null |= v.is_null();
-            vals.push(v);
+        if let Some(key) = key_of(stats, right_keys, rrow)? {
+            table.entry(key).or_default().push(i);
         }
-        if null {
-            continue; // NULL keys never join
-        }
-        table.entry(encode_key(&vals)).or_default().push(i);
     }
     let mut out = Vec::new();
-    for lrow in left_rows {
+    for lrow in &left_rows {
         crate::governance::checkpoint(1)?;
-        let mut vals = Vec::with_capacity(left_keys.len());
-        let mut null = false;
-        for e in left_keys {
-            let mut ctx = Ctx {
-                env,
-                stats,
-                subplans,
-                row: &lrow,
-                outer,
-            };
-            let v = eval(e, &mut ctx)?;
-            null |= v.is_null();
-            vals.push(v);
-        }
-        if null {
+        let Some(key) = key_of(stats, left_keys, lrow)? else {
             continue;
-        }
-        let Some(matches) = table.get(&encode_key(&vals)) else {
+        };
+        let Some(matches) = table.get(&key) else {
             continue;
         };
         for &ri in matches {
-            let mut combined = lrow.clone();
-            combined.extend(right_rows[ri].iter().cloned());
+            let pair = Pair {
+                left: lrow,
+                right: &right_rows[ri],
+            };
             let keep = match residual {
                 None => true,
-                Some(pred) => {
-                    let mut ctx = Ctx {
-                        env,
-                        stats,
-                        subplans,
-                        row: &combined,
-                        outer,
-                    };
-                    eval(pred, &mut ctx)?.is_true()
-                }
+                Some(pred) => holds(env, stats, subplans, pred, pair, outer)?,
             };
             if keep {
-                out.push(combined);
+                out.push(pair.concat());
             }
         }
     }
@@ -1305,9 +1564,9 @@ fn run_aggregate(
     input: &Node,
     group_by: &[Expr],
     aggs: &[AggCall],
-    outer: Option<&[Value]>,
+    outer: Option<Pair<'_>>,
 ) -> DbResult<Vec<Row>> {
-    let rows = run_node(env, stats, subplans, input, outer)?;
+    let rows = run_node(env, stats, subplans, input, outer, ALL)?;
     // Group order = first-occurrence order.
     let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
     let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
@@ -1319,14 +1578,7 @@ fn run_aggregate(
         crate::governance::checkpoint(1)?;
         let mut gvals = Vec::with_capacity(group_by.len());
         for e in group_by {
-            let mut ctx = Ctx {
-                env,
-                stats,
-                subplans,
-                row,
-                outer,
-            };
-            gvals.push(eval(e, &mut ctx)?);
+            gvals.push(value(env, stats, subplans, e, Pair::one(row), outer)?);
         }
         let key = encode_key(&gvals);
         let gi = match index.get(&key) {
@@ -1340,16 +1592,7 @@ fn run_aggregate(
         for (acc, call) in groups[gi].1.iter_mut().zip(aggs) {
             let arg = match &call.arg {
                 None => None,
-                Some(e) => {
-                    let mut ctx = Ctx {
-                        env,
-                        stats,
-                        subplans,
-                        row,
-                        outer,
-                    };
-                    Some(eval(e, &mut ctx)?)
-                }
+                Some(e) => Some(value(env, stats, subplans, e, Pair::one(row), outer)?),
             };
             acc.update(arg)?;
         }
@@ -1469,40 +1712,41 @@ struct Ctx<'a, 'b> {
     env: &'a Env<'a>,
     stats: &'b mut ExecStats,
     subplans: &'a [SelectPlan],
-    row: &'b [Value],
-    outer: Option<&'b [Value]>,
+    row: Pair<'b>,
+    outer: Option<Pair<'b>>,
+}
+
+/// Subquery slot `i`.
+fn subplan(subplans: &[SelectPlan], i: usize) -> DbResult<&SelectPlan> {
+    subplans
+        .get(i)
+        .ok_or_else(|| DbError::Eval(format!("subquery slot {i} out of range")))
 }
 
 impl EvalContext for Ctx<'_, '_> {
-    fn column(&self, i: usize) -> DbResult<Value> {
+    fn column(&self, i: usize) -> DbResult<&Value> {
         self.row
             .get(i)
-            .cloned()
             .ok_or_else(|| DbError::Eval(format!("column index {i} out of range")))
     }
 
-    fn outer_column(&self, i: usize) -> DbResult<Value> {
+    fn outer_column(&self, i: usize) -> DbResult<&Value> {
         self.outer
             .and_then(|o| o.get(i))
-            .cloned()
             .ok_or_else(|| DbError::Eval(format!("outer column index {i} out of range")))
     }
 
-    fn param(&self, i: usize) -> DbResult<Value> {
+    fn param(&self, i: usize) -> DbResult<&Value> {
         self.env
             .params
             .get(i)
-            .cloned()
             .ok_or_else(|| DbError::Eval(format!("parameter ?{} not supplied", i + 1)))
     }
 
     fn subquery(&mut self, i: usize) -> DbResult<Value> {
         self.stats.subquery_evals += 1;
-        let plan = self
-            .subplans
-            .get(i)
-            .ok_or_else(|| DbError::Eval(format!("subquery slot {i} out of range")))?;
-        let rows = run_select(self.env, self.stats, plan, Some(self.row))?;
+        let plan = subplan(self.subplans, i)?;
+        let rows = select(self.env, self.stats, plan, Some(self.row), ALL)?;
         match rows.len() {
             0 => Ok(Value::Null),
             1 => {
@@ -1521,11 +1765,9 @@ impl EvalContext for Ctx<'_, '_> {
 
     fn exists(&mut self, i: usize) -> DbResult<bool> {
         self.stats.subquery_evals += 1;
-        let plan = self
-            .subplans
-            .get(i)
-            .ok_or_else(|| DbError::Eval(format!("subquery slot {i} out of range")))?;
-        let rows = run_select(self.env, self.stats, plan, Some(self.row))?;
+        let plan = subplan(self.subplans, i)?;
+        // One row answers the question, so the subplan may stop at it.
+        let rows = select(self.env, self.stats, plan, Some(self.row), 1)?;
         Ok(!rows.is_empty())
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -64,6 +65,40 @@ impl fmt::Display for BinOp {
             BinOp::Mod => "%",
         };
         f.write_str(s)
+    }
+}
+
+impl BinOp {
+    /// `true` for `=`, `<>`, `<`, `<=`, `>` and `>=`.
+    pub fn is_comparison(self) -> bool {
+        matches!(
+            self,
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+        )
+    }
+
+    /// The comparison with its operands swapped: `a < b` is `b > a`.
+    pub fn flipped(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::Le => BinOp::Ge,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::Ge => BinOp::Le,
+            other => other,
+        }
+    }
+
+    /// Whether comparison `self` holds for two values ordered `ord`.
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            BinOp::Eq => ord == Ordering::Equal,
+            BinOp::Ne => ord != Ordering::Equal,
+            BinOp::Lt => ord == Ordering::Less,
+            BinOp::Le => ord != Ordering::Greater,
+            BinOp::Gt => ord == Ordering::Greater,
+            BinOp::Ge => ord != Ordering::Less,
+            _ => unreachable!("{self} is not a comparison"),
+        }
     }
 }
 
@@ -367,14 +402,15 @@ impl Expr {
 }
 
 /// The environment an expression is evaluated in. Implemented by the
-/// executor; tests use [`SimpleCtx`].
+/// executor; tests use [`SimpleCtx`]. Columns, outer columns and
+/// parameters are lent, so a comparison of two of them copies nothing.
 pub trait EvalContext {
     /// Value of column `i` of the current row.
-    fn column(&self, i: usize) -> DbResult<Value>;
+    fn column(&self, i: usize) -> DbResult<&Value>;
     /// Value of column `i` of the enclosing (correlated) row.
-    fn outer_column(&self, i: usize) -> DbResult<Value>;
+    fn outer_column(&self, i: usize) -> DbResult<&Value>;
     /// Value of statement parameter `i`.
-    fn param(&self, i: usize) -> DbResult<Value>;
+    fn param(&self, i: usize) -> DbResult<&Value>;
     /// Runs scalar subquery slot `i` for the current row and returns its
     /// single value (`Null` when the subquery yields no row).
     fn subquery(&mut self, i: usize) -> DbResult<Value>;
@@ -392,21 +428,19 @@ pub struct SimpleCtx<'a> {
 }
 
 impl EvalContext for SimpleCtx<'_> {
-    fn column(&self, i: usize) -> DbResult<Value> {
+    fn column(&self, i: usize) -> DbResult<&Value> {
         self.row
             .get(i)
-            .cloned()
             .ok_or_else(|| DbError::Eval(format!("column index {i} out of range")))
     }
 
-    fn outer_column(&self, _i: usize) -> DbResult<Value> {
+    fn outer_column(&self, _i: usize) -> DbResult<&Value> {
         Err(DbError::Eval("no outer row in this context".into()))
     }
 
-    fn param(&self, i: usize) -> DbResult<Value> {
+    fn param(&self, i: usize) -> DbResult<&Value> {
         self.params
             .get(i)
-            .cloned()
             .ok_or_else(|| DbError::Eval(format!("parameter ?{} not supplied", i + 1)))
     }
 
@@ -455,9 +489,9 @@ pub fn eval(expr: &Expr, ctx: &mut dyn EvalContext) -> DbResult<Value> {
         Expr::Name(n) => Err(DbError::Eval(format!(
             "unbound column name `{n}` reached evaluation"
         ))),
-        Expr::Column(i) => ctx.column(*i),
-        Expr::OuterColumn(i) => ctx.outer_column(*i),
-        Expr::Param(i) => ctx.param(*i),
+        Expr::Column(i) => ctx.column(*i).cloned(),
+        Expr::OuterColumn(i) => ctx.outer_column(*i).cloned(),
+        Expr::Param(i) => ctx.param(*i).cloned(),
         Expr::Unary(op, e) => {
             let v = eval(e, ctx)?;
             match op {
@@ -590,29 +624,20 @@ fn eval_binary(op: BinOp, l: &Expr, r: &Expr, ctx: &mut dyn EvalContext) -> DbRe
         };
         return Ok(out.to_value());
     }
+    if op.is_comparison() {
+        // Two lent operands (the translation's `col = ?` and `col = outer`
+        // shapes) compare in place; anything else is computed first.
+        let lent: &dyn EvalContext = ctx;
+        if let (Some(lv), Some(rv)) = (lend(l, lent), lend(r, lent)) {
+            return compare(op, lv?, rv?);
+        }
+        let lv = eval(l, ctx)?;
+        let rv = eval(r, ctx)?;
+        return compare(op, &lv, &rv);
+    }
     let lv = eval(l, ctx)?;
     let rv = eval(r, ctx)?;
     match op {
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let Some(ord) = lv.sql_cmp(&rv) else {
-                // NULL comparison, or incomparable types: unknown for NULLs,
-                // error for type mismatches.
-                if lv.is_null() || rv.is_null() {
-                    return Ok(Value::Null);
-                }
-                return Err(DbError::Eval(format!("cannot compare {lv} with {rv}")));
-            };
-            let b = match op {
-                BinOp::Eq => ord == Ordering::Equal,
-                BinOp::Ne => ord != Ordering::Equal,
-                BinOp::Lt => ord == Ordering::Less,
-                BinOp::Le => ord != Ordering::Greater,
-                BinOp::Gt => ord == Ordering::Greater,
-                BinOp::Ge => ord != Ordering::Less,
-                _ => unreachable!("outer arm admits only comparison ops"),
-            };
-            Ok(Value::Bool(b))
-        }
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
             if lv.is_null() || rv.is_null() {
                 return Ok(Value::Null);
@@ -662,8 +687,52 @@ fn eval_binary(op: BinOp, l: &Expr, r: &Expr, ctx: &mut dyn EvalContext) -> DbRe
                 }
             }
         }
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
+        BinOp::And
+        | BinOp::Or
+        | BinOp::Eq
+        | BinOp::Ne
+        | BinOp::Lt
+        | BinOp::Le
+        | BinOp::Gt
+        | BinOp::Ge => unreachable!("handled above"),
     }
+}
+
+/// Evaluates `expr` in `ctx`, lending a literal, column, outer column or
+/// parameter instead of copying it.
+pub fn eval_lent<'c>(expr: &'c Expr, ctx: &'c mut dyn EvalContext) -> DbResult<Cow<'c, Value>> {
+    match expr {
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        Expr::Column(i) => ctx.column(*i).map(Cow::Borrowed),
+        Expr::OuterColumn(i) => ctx.outer_column(*i).map(Cow::Borrowed),
+        Expr::Param(i) => ctx.param(*i).map(Cow::Borrowed),
+        _ => eval(expr, ctx).map(Cow::Owned),
+    }
+}
+
+/// A leaf operand lent by the expression or the context: a literal, a
+/// column, an outer column or a parameter. `None` for anything computed.
+fn lend<'c>(e: &'c Expr, ctx: &'c dyn EvalContext) -> Option<DbResult<&'c Value>> {
+    match e {
+        Expr::Literal(v) => Some(Ok(v)),
+        Expr::Column(i) => Some(ctx.column(*i)),
+        Expr::OuterColumn(i) => Some(ctx.outer_column(*i)),
+        Expr::Param(i) => Some(ctx.param(*i)),
+        _ => None,
+    }
+}
+
+/// `lv op rv` for a comparison `op`, under SQL three-valued logic.
+fn compare(op: BinOp, lv: &Value, rv: &Value) -> DbResult<Value> {
+    let Some(ord) = lv.sql_cmp(rv) else {
+        // NULL comparison, or incomparable types: unknown for NULLs,
+        // error for type mismatches.
+        if lv.is_null() || rv.is_null() {
+            return Ok(Value::Null);
+        }
+        return Err(DbError::Eval(format!("cannot compare {lv} with {rv}")));
+    };
+    Ok(Value::Bool(op.holds(ord)))
 }
 
 /// SQL `LIKE` matching: `%` matches any run (including empty), `_` matches

@@ -27,6 +27,7 @@ use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::expr::{BinOp, Expr};
 use crate::sql::ast::{OrderItem, SelectItem, SelectStmt};
+use crate::value::Value;
 
 /// How a table's rows are fetched.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,6 +122,10 @@ pub enum Node {
         /// `(left key exprs, right key exprs)` for hash execution; right key
         /// expressions are bound against the right table's local row.
         hash_keys: Option<(Vec<Expr>, Vec<Expr>)>,
+        /// The residual split for an index-nested-loop join: the conjuncts
+        /// over the inner row alone that are checked on each inner record
+        /// before it is decoded (see [`RecordFilter`]).
+        record: Option<RecordFilter>,
     },
     /// Row filter.
     Filter {
@@ -128,6 +133,10 @@ pub enum Node {
         input: Box<Node>,
         /// Keep rows where this evaluates to true.
         pred: Expr,
+        /// For a filter directly over a scan, `pred` split so that some
+        /// conjuncts are checked on each stored record before it is
+        /// decoded (see [`RecordFilter`]).
+        record: Option<RecordFilter>,
     },
     /// Hash aggregation. Output row layout: group-by values, then one column
     /// per aggregate.
@@ -169,7 +178,114 @@ pub enum Node {
     },
 }
 
+/// A conjunct `column op operand` that the executor checks on a stored
+/// record, before and instead of decoding it: `column` is one of the
+/// scanned table's columns, and `operand` is known before the record is
+/// read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecordTest {
+    /// The scanned table's column (its table-local ordinal).
+    pub col: usize,
+    /// The comparison, with the column on its left.
+    pub op: BinOp,
+    /// What the column is compared with.
+    pub operand: Operand,
+}
+
+/// The side of a [`RecordTest`] that is known before the record is read.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Operand {
+    /// A literal.
+    Literal(Value),
+    /// Statement parameter `i`.
+    Param(usize),
+    /// Column `i` of the enclosing (correlated) row.
+    Outer(usize),
+    /// Column `i` of a join's left row, the already-joined prefix.
+    Left(usize),
+}
+
+/// A predicate split once, at plan time, for the row path. `tests` are its
+/// leading conjuncts that are [`RecordTest`]s, and `rest` the conjuncts
+/// after them. A record is checked against `tests` in order where it lies
+/// on its page; only one that passes them all is decoded, and then judged
+/// by `rest`. When a test meets a NULL, a missing operand or a column and
+/// an operand of kinds that do not compare, the record is decoded and the
+/// whole predicate is evaluated. So conjuncts are judged in their written
+/// order, and results and errors are exactly those of plain evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecordFilter {
+    /// The conjuncts checked on the stored record.
+    pub tests: Vec<RecordTest>,
+    /// The remaining conjuncts, over the decoded row (`None`: none).
+    pub rest: Option<Expr>,
+}
+
+impl RecordFilter {
+    /// Splits `pred`'s conjuncts for a scan of the table whose columns sit
+    /// at `offset..offset + width` of the row `pred` reads; columns below
+    /// `offset` are a join's left row. `None` when the first conjunct is
+    /// not a [`RecordTest`].
+    fn split(pred: &Expr, offset: usize, width: usize) -> Option<RecordFilter> {
+        let column = |e: &Expr| match e {
+            Expr::Column(i) if (offset..offset + width).contains(i) => Some(i - offset),
+            _ => None,
+        };
+        let operand = |e: &Expr| match e {
+            Expr::Literal(v) => Some(Operand::Literal(v.clone())),
+            Expr::Param(i) => Some(Operand::Param(*i)),
+            Expr::OuterColumn(i) => Some(Operand::Outer(*i)),
+            Expr::Column(i) if *i < offset => Some(Operand::Left(*i)),
+            _ => None,
+        };
+        let (mut tests, mut rest) = (Vec::new(), Vec::new());
+        for c in pred.clone().conjuncts() {
+            let test = match &c {
+                _ if !rest.is_empty() => None,
+                Expr::Binary(op, l, r) if op.is_comparison() => {
+                    match (column(l), operand(r), column(r), operand(l)) {
+                        (Some(col), Some(operand), ..) => Some(RecordTest {
+                            col,
+                            op: *op,
+                            operand,
+                        }),
+                        (_, _, Some(col), Some(operand)) => Some(RecordTest {
+                            col,
+                            op: op.flipped(),
+                            operand,
+                        }),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            };
+            match test {
+                Some(t) => tests.push(t),
+                None => rest.push(c),
+            }
+        }
+        (!tests.is_empty()).then(|| RecordFilter {
+            tests,
+            rest: Expr::conjoin(rest),
+        })
+    }
+}
+
 impl Node {
+    /// A filter over `input`, split for the row path when `input` is a
+    /// scan.
+    fn filter(input: Node, pred: Expr) -> Node {
+        let record = match &input {
+            Node::Scan(a) => RecordFilter::split(&pred, 0, a.width),
+            _ => None,
+        };
+        Node::Filter {
+            input: Box::new(input),
+            pred,
+            record,
+        }
+    }
+
     /// The projected expressions and the scanned access of a
     /// `LIMIT`/`OFFSET` that reads only its window of an index range: `Limit` directly over `Project` over a
     /// single-range index scan (either direction), with no filter, sort or
@@ -214,9 +330,10 @@ pub struct SelectPlan {
 }
 
 impl SelectPlan {
-    /// The index access and the optional residual filter of a range-count
-    /// subplan, or `None` when [`SelectPlan::range_count`] is not set.
-    pub fn range_count_parts(&self) -> Option<(&Access, Option<&Expr>)> {
+    /// The index access and the optional residual filter (with its record
+    /// split) of a range-count subplan, or `None` when
+    /// [`SelectPlan::range_count`] is not set.
+    pub fn range_count_parts(&self) -> Option<(&Access, Option<Filtered<'_>>)> {
         if !self.range_count {
             return None;
         }
@@ -224,11 +341,14 @@ impl SelectPlan {
     }
 }
 
+/// A filter's predicate and its record split.
+pub type Filtered<'p> = (&'p Expr, Option<&'p RecordFilter>);
+
 /// Matches `Project[#0]` over `Aggregate[COUNT(*)]` (no `GROUP BY`) over an
 /// optional `Filter` over a single-range index scan, returning the scan and
 /// the filter. The range's bounds may reference the outer row; whether the
 /// filter does is for the caller to check.
-fn range_count_shape(root: &Node) -> Option<(&Access, Option<&Expr>)> {
+fn range_count_shape(root: &Node) -> Option<(&Access, Option<Filtered<'_>>)> {
     let Node::Project { input, exprs } = root else {
         return None;
     };
@@ -251,7 +371,11 @@ fn range_count_shape(root: &Node) -> Option<(&Access, Option<&Expr>)> {
         return None;
     }
     let (scan, filter) = match &**input {
-        Node::Filter { input, pred } => (&**input, Some(pred)),
+        Node::Filter {
+            input,
+            pred,
+            record,
+        } => (&**input, Some((pred, record.as_ref()))),
         other => (other, None),
     };
     match scan {
@@ -270,7 +394,7 @@ fn is_range_count(root: &Node) -> bool {
         return false;
     };
     let mut pure = true;
-    if let Some(pred) = filter {
+    if let Some((pred, _)) = filter {
         pred.visit(&mut |e| {
             if matches!(
                 e,
@@ -422,10 +546,7 @@ impl<'a> Planner<'a> {
             if !conjuncts.is_empty() {
                 // WHERE without FROM: filter over the single empty row.
                 let pred = Expr::conjoin(std::mem::take(&mut conjuncts)).expect("non-empty");
-                Node::Filter {
-                    input: Box::new(Node::OneRow),
-                    pred,
-                }
+                Node::filter(Node::OneRow, pred)
             } else {
                 Node::OneRow
             }
@@ -437,10 +558,7 @@ impl<'a> Planner<'a> {
         // combined row) run as a final filter.
         if !tables.is_empty() {
             if let Some(pred) = Expr::conjoin(std::mem::take(&mut conjuncts)) {
-                root = Node::Filter {
-                    input: Box::new(root),
-                    pred,
-                };
+                root = Node::filter(root, pred);
             }
         }
 
@@ -615,19 +733,24 @@ impl<'a> Planner<'a> {
                 None => {
                     let scan = Node::Scan(access);
                     match residual {
-                        Some(pred) => Node::Filter {
-                            input: Box::new(scan),
-                            pred,
-                        },
+                        Some(pred) => Node::filter(scan, pred),
                         None => scan,
                     }
                 }
-                Some(left) => Node::Join {
-                    left: Box::new(left),
-                    right: access,
-                    residual,
-                    hash_keys,
-                },
+                Some(left) => {
+                    let probed = access.path != AccessPath::FullScan;
+                    let record = residual
+                        .as_ref()
+                        .filter(|_| probed)
+                        .and_then(|r| RecordFilter::split(r, joined_width, *width));
+                    Node::Join {
+                        left: Box::new(left),
+                        right: access,
+                        residual,
+                        hash_keys,
+                        record,
+                    }
+                }
             });
             joined_width = avail_width;
         }
@@ -865,6 +988,7 @@ fn walk_plan_exprs(node: &Node, f: &mut impl FnMut(&Expr)) {
             right,
             residual,
             hash_keys,
+            ..
         } => {
             walk_plan_exprs(left, f);
             walk_access(right, f);
@@ -877,7 +1001,7 @@ fn walk_plan_exprs(node: &Node, f: &mut impl FnMut(&Expr)) {
                 }
             }
         }
-        Node::Filter { input, pred } => {
+        Node::Filter { input, pred, .. } => {
             pred.visit(f);
             walk_plan_exprs(input, f);
         }
@@ -1090,17 +1214,10 @@ fn choose_access_path(
                         bound2: None,
                     });
                 } else if let (Some(col), true) = (local_col(r), is_available(l)) {
-                    let flipped = match op {
-                        BinOp::Lt => BinOp::Gt,
-                        BinOp::Le => BinOp::Ge,
-                        BinOp::Gt => BinOp::Lt,
-                        BinOp::Ge => BinOp::Le,
-                        other => *other,
-                    };
                     sargs.push(Sarg {
                         conjunct: ci,
                         col,
-                        op: flipped,
+                        op: op.flipped(),
                         bound: (**l).clone(),
                         bound2: None,
                     });
@@ -1590,7 +1707,7 @@ fn render_node(
     match node {
         Node::OneRow => out.push(format!("{pad}Result (one row){suffix}")),
         Node::Scan(a) => out.push(format!("{pad}{}{suffix}", render_access(catalog, a))),
-        Node::Filter { input, pred } => {
+        Node::Filter { input, pred, .. } => {
             out.push(format!("{pad}Filter [{pred}]{suffix}"));
             render_node(catalog, input, prof, depth + 1, false, out);
         }
@@ -1599,6 +1716,7 @@ fn render_node(
             right,
             residual,
             hash_keys,
+            ..
         } => {
             let strategy = if hash_keys.is_some() {
                 "Hash Join"
@@ -1823,6 +1941,84 @@ mod tests {
     }
 
     #[test]
+    fn scan_filters_split_record_tests_from_the_rest() {
+        let (_p, c) = catalog();
+        // Column-op-operand conjuncts, either way round, run on the
+        // record; arithmetic, LIKE and column-to-column ones do not.
+        let split = plan(
+            &c,
+            "SELECT pos FROM node WHERE doc = 1 AND 'x' < tag AND depth = ? \
+             AND depth + 1 = 2 AND tag LIKE 'a%' AND parent = pos",
+        );
+        let Node::Project { input, .. } = &split.root else {
+            panic!()
+        };
+        let Node::Filter {
+            input: scan,
+            record: Some(record),
+            ..
+        } = &**input
+        else {
+            panic!("expected a split filter, got {input:?}")
+        };
+        assert!(matches!(**scan, Node::Scan(_)));
+        let tests: Vec<_> = record
+            .tests
+            .iter()
+            .map(|t| (t.col, t.op, t.operand.clone()))
+            .collect();
+        assert_eq!(
+            tests,
+            vec![
+                (4, BinOp::Gt, Operand::Literal(Value::text("x"))),
+                (3, BinOp::Eq, Operand::Param(0)),
+            ]
+        );
+        let rest = record.rest.as_ref().unwrap().clone().conjuncts();
+        assert_eq!(rest.len(), 3, "{rest:?}");
+        // A filter with no such conjunct is not split.
+        let unsplit = plan(&c, "SELECT pos FROM node WHERE doc = 1 AND depth + 1 = 2");
+        let Node::Project { input, .. } = &unsplit.root else {
+            panic!()
+        };
+        assert!(matches!(**input, Node::Filter { record: None, .. }));
+    }
+
+    #[test]
+    fn join_residuals_split_inner_only_conjuncts() {
+        let (_p, c) = catalog();
+        // `b.tag = a.tag` reads the left row as an operand; `b.depth <
+        // b.pos` reads only the inner row but has no operand side, so it
+        // and every conjunct after it stay in the rest.
+        let plan = plan(
+            &c,
+            "SELECT b.pos FROM node a, node b WHERE a.doc = 1 AND b.doc = a.doc \
+             AND b.parent = a.pos AND b.tag = a.tag AND b.depth < b.pos AND b.depth > ?",
+        );
+        let Node::Project { input, .. } = &plan.root else {
+            panic!()
+        };
+        let Node::Join {
+            record: Some(split),
+            ..
+        } = &**input
+        else {
+            panic!("expected a split join, got {input:?}")
+        };
+        let tests: Vec<_> = split
+            .tests
+            .iter()
+            .map(|t| (t.col, t.op, t.operand.clone()))
+            .collect();
+        assert_eq!(tests, vec![(4, BinOp::Eq, Operand::Left(4))]);
+        let rest = vec![
+            Expr::bin(BinOp::Lt, Expr::Column(8), Expr::Column(6)),
+            Expr::bin(BinOp::Gt, Expr::Column(8), Expr::Param(0)),
+        ];
+        assert_eq!(split.rest, Expr::conjoin(rest));
+    }
+
+    #[test]
     fn order_by_pk_after_eq_prefix_eliminates_sort() {
         let (_p, c) = catalog();
         let plan = plan(&c, "SELECT pos FROM node WHERE doc = 1 ORDER BY pos");
@@ -1911,7 +2107,7 @@ mod tests {
                         }
                     }
                 }
-                Node::Filter { input, pred } => {
+                Node::Filter { input, pred, .. } => {
                     pred.visit(f);
                     visit_exprs(input, f);
                 }

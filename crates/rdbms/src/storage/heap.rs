@@ -143,9 +143,21 @@ impl HeapFile {
 
     /// Reads the record at `id`.
     pub fn get<'p>(&self, pages: impl Into<PageSource<'p>>, id: RowId) -> DbResult<Vec<u8>> {
+        self.with_record(pages, id, <[u8]>::to_vec)
+    }
+
+    /// Runs `f` on the record at `id` where it lies on its page, without
+    /// copying it. `f` runs under the page read, so it must not read pages
+    /// itself.
+    pub fn with_record<'p, R>(
+        &self,
+        pages: impl Into<PageSource<'p>>,
+        id: RowId,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> DbResult<R> {
         pages
             .into()
-            .with_page(id.page, |p| p.get(id.slot).map(<[u8]>::to_vec))?
+            .with_page(id.page, |p| p.get(id.slot).map(f))?
             .ok_or_else(|| DbError::Storage(format!("no record at {id}")))
     }
 
@@ -181,26 +193,31 @@ impl HeapFile {
         self.insert(pager, record)
     }
 
-    /// The live records of the `idx`-th page, with their row ids. Executors
-    /// stream a heap one page at a time through this.
-    pub fn page_rows<'p>(
+    /// Runs `f` on each live record of the `idx`-th page, with its row id,
+    /// where it lies on the page and without copying it. Executors stream a
+    /// heap one page at a time through this. `f` runs under the page read,
+    /// so it must not read pages itself.
+    pub fn for_each_record<'p>(
         &self,
         pages: impl Into<PageSource<'p>>,
         idx: usize,
-    ) -> DbResult<Vec<(RowId, Vec<u8>)>> {
+        mut f: impl FnMut(RowId, &[u8]) -> DbResult<()>,
+    ) -> DbResult<()> {
         let pid = self.pages[idx];
         pages.into().with_page(pid, |p| {
             p.iter()
-                .map(|(slot, rec)| (RowId { page: pid, slot }, rec.to_vec()))
-                .collect()
-        })
+                .try_for_each(|(slot, rec)| f(RowId { page: pid, slot }, rec))
+        })?
     }
 
     /// Collects every `(RowId, record)` in the heap (test/diagnostic helper).
     pub fn scan_all(&self, pager: &Pager) -> DbResult<Vec<(RowId, Vec<u8>)>> {
         let mut out = Vec::with_capacity(self.n_rows as usize);
         for idx in 0..self.pages.len() {
-            out.extend(self.page_rows(pager, idx)?);
+            self.for_each_record(pager, idx, |rid, rec| {
+                out.push((rid, rec.to_vec()));
+                Ok(())
+            })?;
         }
         Ok(out)
     }

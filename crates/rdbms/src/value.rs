@@ -280,63 +280,125 @@ pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
     }
 }
 
+/// A borrowed view of one value inside an encoded record: what the
+/// executor compares a predicate against before, or instead of, decoding
+/// the row. Text and bytes point into the record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// SQL `NULL`.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// A 64-bit signed integer.
+    Int(i64),
+    /// A 64-bit float.
+    Float(f64),
+    /// A UTF-8 string.
+    Text(&'a str),
+    /// Raw bytes.
+    Bytes(&'a [u8]),
+}
+
+impl ValueRef<'_> {
+    /// `true` if the value is `Null`.
+    pub fn is_null(&self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// [`Value::sql_cmp`] of this value with `other`, without materializing
+    /// it: `None` when either side is `Null` or the kinds do not compare.
+    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+        match (*self, other) {
+            (ValueRef::Null, _) | (_, Value::Null) => None,
+            (ValueRef::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+            (ValueRef::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (ValueRef::Int(a), Value::Float(b)) => (a as f64).partial_cmp(b),
+            (ValueRef::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
+            (ValueRef::Float(a), Value::Float(b)) => Some(a.total_cmp(b)),
+            (ValueRef::Text(a), Value::Text(b)) => Some(a.cmp(b.as_str())),
+            (ValueRef::Bytes(a), Value::Bytes(b)) => Some(a.cmp(b.as_slice())),
+            _ => None,
+        }
+    }
+
+    /// The owned value.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(x) => Value::Float(x),
+            ValueRef::Text(s) => Value::Text(s.to_string()),
+            ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
+        }
+    }
+}
+
+/// The `len` bytes at `*pos`, advancing past them.
+fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize, what: &str) -> DbResult<&'a [u8]> {
+    let bytes = buf
+        .get(*pos..pos.saturating_add(len))
+        .ok_or_else(|| DbError::Storage(format!("truncated {what}")))?;
+    *pos += len;
+    Ok(bytes)
+}
+
+/// Reads the value at `*pos` of an encoded record, advancing past it.
+fn read_value<'a>(buf: &'a [u8], pos: &mut usize) -> DbResult<ValueRef<'a>> {
+    let tag = take(buf, pos, 1, "row")?[0];
+    Ok(match tag {
+        0 => ValueRef::Null,
+        1 => ValueRef::Bool(take(buf, pos, 1, "bool")?[0] != 0),
+        2 => {
+            let z = get_varint(buf, pos)?;
+            ValueRef::Int(((z >> 1) as i64) ^ -((z & 1) as i64))
+        }
+        3 => {
+            let bytes: [u8; 8] = take(buf, pos, 8, "float")?
+                .try_into()
+                .expect("slice of length 8");
+            ValueRef::Float(f64::from_bits(u64::from_le_bytes(bytes)))
+        }
+        4 => {
+            let len = get_varint(buf, pos)? as usize;
+            let bytes = take(buf, pos, len, "text")?;
+            ValueRef::Text(
+                std::str::from_utf8(bytes)
+                    .map_err(|_| DbError::Storage("non-UTF-8 text in row".into()))?,
+            )
+        }
+        5 => {
+            let len = get_varint(buf, pos)? as usize;
+            ValueRef::Bytes(take(buf, pos, len, "bytes")?)
+        }
+        t => return Err(DbError::Storage(format!("bad value tag {t}"))),
+    })
+}
+
 /// Deserializes a row previously produced by [`encode_row`].
 pub fn decode_row(buf: &[u8]) -> DbResult<Row> {
     let mut pos = 0;
     let n = get_varint(buf, &mut pos)? as usize;
     let mut row = Vec::with_capacity(n);
     for _ in 0..n {
-        let tag = *buf
-            .get(pos)
-            .ok_or_else(|| DbError::Storage("truncated row".into()))?;
-        pos += 1;
-        let v = match tag {
-            0 => Value::Null,
-            1 => {
-                let b = *buf
-                    .get(pos)
-                    .ok_or_else(|| DbError::Storage("truncated bool".into()))?;
-                pos += 1;
-                Value::Bool(b != 0)
-            }
-            2 => {
-                let z = get_varint(buf, &mut pos)?;
-                Value::Int(((z >> 1) as i64) ^ -((z & 1) as i64))
-            }
-            3 => {
-                let bytes: [u8; 8] = buf
-                    .get(pos..pos + 8)
-                    .ok_or_else(|| DbError::Storage("truncated float".into()))?
-                    .try_into()
-                    .expect("slice of length 8");
-                pos += 8;
-                Value::Float(f64::from_bits(u64::from_le_bytes(bytes)))
-            }
-            4 => {
-                let len = get_varint(buf, &mut pos)? as usize;
-                let bytes = buf
-                    .get(pos..pos + len)
-                    .ok_or_else(|| DbError::Storage("truncated text".into()))?;
-                pos += len;
-                Value::Text(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| DbError::Storage("non-UTF-8 text in row".into()))?
-                        .to_string(),
-                )
-            }
-            5 => {
-                let len = get_varint(buf, &mut pos)? as usize;
-                let bytes = buf
-                    .get(pos..pos + len)
-                    .ok_or_else(|| DbError::Storage("truncated bytes".into()))?;
-                pos += len;
-                Value::Bytes(bytes.to_vec())
-            }
-            t => return Err(DbError::Storage(format!("bad value tag {t}"))),
-        };
-        row.push(v);
+        row.push(read_value(buf, &mut pos)?.to_value());
     }
     Ok(row)
+}
+
+/// Column `i` of an encoded record, borrowed from the record: the values
+/// before it are stepped over, nothing is copied. `None` when the record
+/// has fewer than `i + 1` columns.
+pub fn record_column(buf: &[u8], i: usize) -> DbResult<Option<ValueRef<'_>>> {
+    let mut pos = 0;
+    let n = get_varint(buf, &mut pos)? as usize;
+    if i >= n {
+        return Ok(None);
+    }
+    for _ in 0..i {
+        read_value(buf, &mut pos)?;
+    }
+    read_value(buf, &mut pos).map(Some)
 }
 
 // ---------------------------------------------------------------------
@@ -480,6 +542,24 @@ pub fn encode_key_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
+/// Appends the key encoding of `v` as a column of type `ty` stores it (see
+/// [`Value::coerce`]). Returns `false`, appending nothing, when `v` is
+/// `Null` or cannot be stored there: such a bound matches no key.
+pub fn encode_key_as(v: &Value, ty: DataType, out: &mut Vec<u8>) -> bool {
+    match (v, ty) {
+        (Value::Null, _) => false,
+        (Value::Int(i), DataType::Float) => {
+            encode_key_value(&Value::Float(*i as f64), out);
+            true
+        }
+        (v, t) if v.data_type() == Some(t) => {
+            encode_key_value(v, out);
+            true
+        }
+        _ => false,
+    }
+}
+
 /// Variable-length byte strings are escaped so that the terminator sorts
 /// below any content: `0x00` → `0x00 0xFF`, terminated by `0x00 0x00`.
 fn escape_bytes(data: &[u8], out: &mut Vec<u8>) {
@@ -532,6 +612,32 @@ mod tests {
             Value::Bytes(vec![]),
             Value::Bytes(vec![0, 255, 1, 0, 0]),
         ]);
+    }
+
+    #[test]
+    fn record_columns_borrow_what_decode_row_copies() {
+        let row = vec![
+            Value::Int(-7),
+            Value::Null,
+            Value::text("héllo"),
+            Value::Bytes(vec![0, 255]),
+            Value::Float(2.5),
+            Value::Bool(true),
+        ];
+        let mut buf = Vec::new();
+        encode_row(&row, &mut buf);
+        for (i, v) in row.iter().enumerate() {
+            let col = record_column(&buf, i).unwrap().unwrap();
+            assert_eq!(col.to_value(), *v);
+            assert_eq!(col.sql_cmp(v), v.sql_cmp(v), "column {i}");
+        }
+        assert_eq!(record_column(&buf, row.len()).unwrap(), None);
+        assert!(record_column(&buf[..buf.len() - 3], 4).is_err());
+        // Cross-kind comparisons agree with `Value::sql_cmp`.
+        let int = ValueRef::Int(2);
+        for other in [Value::Float(2.5), Value::text("2"), Value::Null] {
+            assert_eq!(int.sql_cmp(&other), Value::Int(2).sql_cmp(&other));
+        }
     }
 
     #[test]
