@@ -7,15 +7,14 @@
 //! report all --full   # all experiments, paper-scale documents
 //! report e3 e7        # selected experiments
 //! report --no-json    # skip writing BENCH_report.json
-//! report --obs-off    # disable the engine's global observability registry
-//!                     # (overhead spot checks; counters then read as zero)
 //! report --trace      # collect structured spans for the whole run and
 //!                     # export them as BENCH_trace.json (Chrome trace-event
 //!                     # format) plus BENCH_trace.folded (flamegraph stacks)
 //! ```
 
 use ordxml_bench::{experiments, report, Scale};
-use ordxml_rdbms::{obs, trace};
+use ordxml_rdbms::governance::Work;
+use ordxml_rdbms::trace;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -24,9 +23,6 @@ fn main() {
     } else {
         Scale::Quick
     };
-    if args.iter().any(|a| a == "--obs-off") {
-        obs::registry().set_enabled(false);
-    }
     let trace_run = args.iter().any(|a| a == "--trace");
     if trace_run {
         trace::clear();
@@ -51,9 +47,9 @@ fn main() {
                 println!(
                     "  [{id}] {:.2?}, {} engine statements ({} read / {} write)",
                     r.elapsed,
-                    r.engine.statements,
-                    r.engine.read_statements,
-                    r.engine.write_statements
+                    r.engine[Work::ReadStatement] + r.engine[Work::WriteStatement],
+                    r.engine[Work::ReadStatement],
+                    r.engine[Work::WriteStatement]
                 );
                 records.push(r);
             }

@@ -13,17 +13,17 @@ pub mod e08_gaps;
 pub mod e09_mixed;
 pub mod e10_scale;
 
-use crate::report::{self, EngineDelta, ExperimentRecord};
+use crate::report::{self, ExperimentRecord};
 use crate::Scale;
-use ordxml_rdbms::obs;
+use ordxml_rdbms::governance::Ledger;
 use std::time::Instant;
 
 /// Runs one experiment by id (`"e1"`..`"e10"`), bracketing it with engine
-/// counter snapshots; returns its record for the machine-readable report,
+/// counter readings; returns its record for the machine-readable report,
 /// or `None` for an unknown id.
 pub fn run(id: &str, scale: Scale) -> Option<ExperimentRecord> {
     report::drain_tables(); // discard tables from outside any experiment
-    let before = obs::snapshot();
+    let before = Ledger::process();
     let started = Instant::now();
     match id {
         "e1" => e01_storage::run(scale),
@@ -39,7 +39,7 @@ pub fn run(id: &str, scale: Scale) -> Option<ExperimentRecord> {
         _ => return None,
     }
     let elapsed = started.elapsed();
-    let engine = EngineDelta::between(&before, &obs::snapshot());
+    let engine = Ledger::process().since(&before);
     Some(ExperimentRecord {
         id: id.to_string(),
         elapsed,

@@ -40,7 +40,8 @@
 use crate::pool::DocumentPool;
 use crate::store::StoreError;
 use crate::xpath;
-use ordxml_rdbms::{governance, obs, DbError, StoreHealth, Value};
+use ordxml_rdbms::governance::{self, Ledger, Work};
+use ordxml_rdbms::{DbError, StoreHealth, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -164,7 +165,7 @@ pub struct Session {
 impl Session {
     /// A fresh session over `pool` with no limits armed.
     pub fn new(pool: Arc<DocumentPool>) -> Session {
-        obs::registry().record_serve_session();
+        governance::count(Work::ServeSession);
         Session {
             pool,
             doc: None,
@@ -289,24 +290,29 @@ impl Session {
             self.work_budget,
             self.doc.map_or("none".to_string(), |d| d.to_string()),
         )];
-        let o = obs::snapshot();
+        let o = Ledger::process();
         lines.push(format!(
             "process: sessions={} requests={} statements={} timed_out={} degraded_rejects={}",
-            o.serve_sessions,
-            o.serve_requests,
-            o.statements,
-            o.queries_timed_out,
-            o.degraded_rejects,
+            o[Work::ServeSession],
+            o[Work::ServeRequest],
+            o[Work::ReadStatement] + o[Work::WriteStatement],
+            o[Work::Timeout],
+            o[Work::DegradedReject],
         ));
         for s in &stats.shards {
             lines.push(format!(
-                "{}: docs={} health={} rows_scanned={} rows_written={} pages_read={}",
+                "{}: docs={} health={} statements={} commits={} wal_frames={} waits={} \
+                 rows_scanned={} rows_written={} pages_read={}",
                 s.identity,
                 s.documents,
                 match &s.health {
                     StoreHealth::Healthy => "healthy".to_string(),
                     StoreHealth::Degraded(reason) => format!("degraded ({reason})"),
                 },
+                s.stats.statements,
+                s.stats.commits,
+                s.stats.wal_frames,
+                s.stats.lock_waits,
                 s.stats.rows_scanned,
                 s.stats.rows_written,
                 s.stats.pages_read,
@@ -352,7 +358,7 @@ impl Session {
     /// typed `err usage:` replies.
     pub fn handle(&mut self, line: &str) -> Reply {
         self.requests += 1;
-        obs::registry().record_serve_requests(1);
+        governance::count(Work::ServeRequest);
         let line = line.trim();
         if line.is_empty() {
             return Reply::ok("", Vec::new());

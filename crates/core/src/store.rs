@@ -14,10 +14,10 @@ use crate::shred::{self, KIND_ATTR, KIND_ELEMENT};
 use crate::translate::ExecutionMode;
 use crate::update::UpdateCost;
 use crate::xpath::{self, XPathError};
-use ordxml_rdbms::obs::{self, WaitSite};
+use ordxml_rdbms::governance::{self, Work};
+use ordxml_rdbms::obs::WaitSite;
 use ordxml_rdbms::{
-    governance, latch, trace, Database, DbError, DbSnapshot, QueryResult, Row, SqlRead,
-    StoreHealth, Value,
+    latch, trace, Database, DbError, DbSnapshot, QueryResult, Row, SqlRead, StoreHealth, Value,
 };
 use ordxml_xml::{Document, NodePath};
 use std::fmt;
@@ -651,9 +651,9 @@ impl XmlStore {
     /// concurrent with any writer; a candidate the snapshot path refuses as
     /// a write (e.g. `EXPLAIN` of an `INSERT`) safely falls back to the
     /// exclusive write latch, which serves every statement kind (the
-    /// fallback is counted in the `sql_read_fallbacks` observability
-    /// metric). Used by the serving layer, which speaks raw SQL alongside
-    /// XPath.
+    /// fallback is counted as [`Work::SqlReadFallback`] on the calling
+    /// thread's ledger). Used by the serving layer, which speaks raw SQL
+    /// alongside XPath.
     pub fn sql(&self, sql: &str, params: &[Value]) -> StoreResult<QueryResult> {
         let trimmed = sql.trim_start();
         let keyword = trimmed
@@ -670,7 +670,7 @@ impl XmlStore {
                 // The snapshot path refuses statements that turn out to
                 // write (EXPLAIN of an INSERT, a writable CTE): count the
                 // fallback and retry below under the exclusive latch.
-                Err(DbError::Unsupported(_)) => obs::registry().record_sql_read_fallback(),
+                Err(DbError::Unsupported(_)) => governance::count(Work::SqlReadFallback),
                 result => return Ok(result?),
             }
         }

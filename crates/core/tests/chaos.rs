@@ -16,6 +16,7 @@
 //!   fault clears re-enables writes.
 
 use ordxml::{Encoding, XmlStore};
+use ordxml_rdbms::governance::{Ledger, Work};
 use ordxml_rdbms::{storage::wal_path, Database, DbError, StoreHealth, Value};
 use ordxml_xml::{parse as parse_xml, Document, NodePath};
 use proptest::prelude::*;
@@ -196,7 +197,6 @@ fn transient_read_faults_retry_and_recover() {
 /// flavors (dead write path, out of space).
 #[test]
 fn persistent_write_failure_degrades_to_read_only_then_restores() {
-    ordxml_rdbms::obs::registry().set_enabled(true);
     let pre_doc = item_doc(8);
     let fragment = parse_xml("<item id=\"new\"><name>New</name></item>").unwrap();
     for enc in Encoding::all() {
@@ -212,7 +212,6 @@ fn persistent_write_failure_degrades_to_read_only_then_restores() {
                 "crash" => store.db().faults().crash_after_wal_frames(0),
                 _ => store.db().faults().fail_writes_with_enospc(),
             }
-            let rejects_before = ordxml_rdbms::obs::snapshot().degraded_rejects;
 
             // The update fails mid-commit and rolls back.
             let err = store
@@ -240,6 +239,7 @@ fn persistent_write_failure_degrades_to_read_only_then_restores() {
                 8,
                 "{enc}/{fault}"
             );
+            let mark = Ledger::read();
             let err = store
                 .insert_fragment(d, &NodePath(vec![]), 0, &fragment)
                 .unwrap_err();
@@ -247,9 +247,10 @@ fn persistent_write_failure_degrades_to_read_only_then_restores() {
                 matches!(err, ordxml::StoreError::Db(DbError::Degraded(_))),
                 "{enc}/{fault}: degraded store accepted a write path: {err}"
             );
-            assert!(
-                ordxml_rdbms::obs::snapshot().degraded_rejects > rejects_before,
-                "{enc}/{fault}: rejection not counted"
+            assert_eq!(
+                Ledger::read().since(&mark)[Work::DegradedReject],
+                1,
+                "{enc}/{fault}: rejection not counted once"
             );
 
             // try_restore with the fault still live must fail and stay

@@ -382,16 +382,41 @@ fn concurrent_replies_are_each_one_committed_version() {
 // `.stats` under concurrent sessions
 // ---------------------------------------------------------------------
 
-/// The `pages_read` totals of every shard line of a `.stats` reply, summed.
-fn stats_pages_read(session: &mut Session) -> u64 {
-    session
-        .handle(".stats")
+/// Each of `keys` summed over the shard lines of a `.stats` reply, or
+/// read from the one shard line `only` names.
+fn shard_totals<const N: usize>(
+    session: &mut Session,
+    only: Option<usize>,
+    keys: [&str; N],
+) -> [u64; N] {
+    let reply = session.handle(".stats");
+    let prefix = only.map_or("shard-".to_string(), |i| format!("shard-{i}:"));
+    let shards: Vec<&String> = reply
         .lines
         .iter()
-        .filter_map(|l| l.split_once(" pages_read=").map(|(_, n)| n))
-        .map(|n| n.parse::<u64>().unwrap())
-        .sum()
+        .filter(|l| l.starts_with(&prefix))
+        .collect();
+    assert!(!shards.is_empty(), "{:?}", reply.lines);
+    keys.map(|key| {
+        let counter = |line: &&String| {
+            let field = line
+                .split_whitespace()
+                .find_map(|w| w.strip_prefix(key)?.strip_prefix('='));
+            field
+                .unwrap_or_else(|| panic!("no {key} in {line}"))
+                .parse::<u64>()
+                .unwrap()
+        };
+        shards.iter().map(counter).sum()
+    })
 }
+
+fn minus<const N: usize>(a: [u64; N], b: [u64; N]) -> [u64; N] {
+    std::array::from_fn(|i| a[i] - b[i])
+}
+
+/// The shard totals every concurrent request moves.
+const REQUEST_TOTALS: [&str; 2] = ["pages_read", "statements"];
 
 #[test]
 fn stats_shard_totals_are_exact_under_concurrent_sessions() {
@@ -402,12 +427,15 @@ fn stats_shard_totals_are_exact_under_concurrent_sessions() {
     let request = "xpath //item[name]";
     let mut observer = Session::new(Arc::clone(&pool));
     observer.handle(&format!(".use {id}"));
+    let mut totals = || shard_totals(&mut observer, None, REQUEST_TOTALS);
     // Warm the plan cache, then measure one request alone.
-    assert!(matches!(observer.handle(request).status, Status::Ok(_)));
-    let before = stats_pages_read(&mut observer);
-    assert!(matches!(observer.handle(request).status, Status::Ok(_)));
-    let solo = stats_pages_read(&mut observer) - before;
-    assert!(solo > 0);
+    let mut session = Session::new(Arc::clone(&pool));
+    session.handle(&format!(".use {id}"));
+    assert!(matches!(session.handle(request).status, Status::Ok(_)));
+    let before = totals();
+    assert!(matches!(session.handle(request).status, Status::Ok(_)));
+    let solo = minus(totals(), before);
+    assert!(solo[0] > 0 && solo[1] > 0, "{solo:?}");
 
     let start = Barrier::new(SESSIONS + 1);
     let finish = Barrier::new(SESSIONS + 1);
@@ -426,13 +454,39 @@ fn stats_shard_totals_are_exact_under_concurrent_sessions() {
         }
         // Every session is warm before the totals are read.
         start.wait();
-        let before = stats_pages_read(&mut observer);
+        let before = totals();
         finish.wait();
         before
     });
+    let n = SESSIONS as u64 * REQUESTS;
     assert_eq!(
-        stats_pages_read(&mut observer) - before,
-        SESSIONS as u64 * REQUESTS * solo,
-        "{SESSIONS} sessions x {REQUESTS} requests of {solo} pages each"
+        minus(totals(), before),
+        solo.map(|per_request| n * per_request),
+        "{SESSIONS} sessions x {REQUESTS} requests of {solo:?} {REQUEST_TOTALS:?} each"
     );
+}
+
+#[test]
+fn stats_shard_commits_are_exact_under_concurrent_writers() {
+    const WRITERS: usize = 4;
+    const UPDATES: u64 = 25;
+    let pool = Arc::new(DocumentPool::in_memory(2, Encoding::Dewey));
+    let id = pool.load(&catalog(20), "c").unwrap();
+    let shard = pool.shard_of(id);
+    let mut observer = Session::new(Arc::clone(&pool));
+    let before = shard_totals(&mut observer, Some(shard), ["commits"]);
+    // The first item's name text.
+    let text = NodePath(vec![0, 0, 0]);
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (pool, text) = (&pool, &text);
+            s.spawn(move || {
+                for i in 0..UPDATES {
+                    pool.update_text(id, text, &format!("w{w}-{i}")).unwrap();
+                }
+            });
+        }
+    });
+    let after = shard_totals(&mut observer, Some(shard), ["commits"]);
+    assert_eq!(after[0] - before[0], WRITERS as u64 * UPDATES);
 }

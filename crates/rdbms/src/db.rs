@@ -21,7 +21,6 @@ use crate::exec::{run_select, scan_for_update, Env, ExecStats, Profiler, SharedE
 use crate::expr::{eval, Expr, SimpleCtx};
 use crate::governance::{self, Ledger, Work};
 use crate::latch;
-use crate::obs;
 use crate::obs::WaitSite;
 use crate::plan::{plan_select, plan_table_access, render_plan, render_table_access, SelectPlan};
 use crate::schema::{ColumnDef, IndexDef, TableSchema};
@@ -195,11 +194,11 @@ impl PlanCache {
         if let Some(cached) = hit {
             cached.last_used.store(clock, Ordering::Relaxed);
             shard.hits.fetch_add(1, Ordering::Relaxed);
-            obs::registry().record_plan_cache(true);
+            governance::count(Work::PlanCacheHit);
             return Ok(cached);
         }
         shard.misses.fetch_add(1, Ordering::Relaxed);
-        obs::registry().record_plan_cache(false);
+        governance::count(Work::PlanCacheMiss);
         let _plan_span = trace::span("plan.build");
         let parsed = parse(sql)?;
         // EXPLAIN shares the wrapped statement's plan slot, so EXPLAIN
@@ -304,24 +303,53 @@ impl Shared {
         })
     }
 
-    /// Records one failed statement: the generic error counter, plus the
-    /// governance counters (registry and cumulative stats) when the failure
-    /// was a tripped deadline or cancellation.
-    fn record_failure(&self, e: &DbError) {
-        obs::registry().record_statement_error();
-        let mut s = ExecStats::default();
-        match e {
-            DbError::Timeout(_) => {
-                obs::registry().record_query_timeout();
-                s.queries_timed_out = 1;
+    /// Ends one statement's accounting, whatever its outcome: counts it
+    /// (a success by kind and time, a failure as an error, and a tripped
+    /// deadline or cancel as such), then settles the work this thread
+    /// counted since `mark`. A failed statement's work reaches the totals
+    /// too; only its executor counts are lost with its result.
+    fn finish(
+        &self,
+        mark: &Ledger,
+        pager: &Pager,
+        is_read: bool,
+        started: Instant,
+        outcome: DbResult<QueryResult>,
+    ) -> DbResult<QueryResult> {
+        match &outcome {
+            Ok(_) => {
+                let (n, ns) = if is_read {
+                    (Work::ReadStatement, Work::ReadNanos)
+                } else {
+                    (Work::WriteStatement, Work::WriteNanos)
+                };
+                governance::count(n);
+                let elapsed = u64::try_from(started.elapsed().as_nanos());
+                governance::add(ns, elapsed.unwrap_or(u64::MAX));
             }
-            DbError::Canceled(_) => {
-                obs::registry().record_query_cancel();
-                s.queries_canceled = 1;
+            Err(e) => {
+                governance::count(Work::StatementError);
+                match e {
+                    DbError::Timeout(_) => governance::count(Work::Timeout),
+                    DbError::Canceled(_) => governance::count(Work::Cancel),
+                    _ => {}
+                }
             }
-            _ => return,
         }
-        self.total_stats.merge(&s);
+        let stats = outcome.as_ref().map_or(ExecStats::default(), |r| r.stats);
+        let stats = self.settle(mark, pager, stats);
+        outcome.map(|result| QueryResult { stats, ..result })
+    }
+
+    /// Adds the work this thread counted since `mark` to `stats`, and
+    /// folds it into `pager`'s logical-read total and these totals: the
+    /// one place a statement or a commit feeds them.
+    fn settle(&self, mark: &Ledger, pager: &Pager, mut stats: ExecStats) -> ExecStats {
+        let work = Ledger::read().since(mark);
+        pager.add_logical_reads(work[Work::LogicalRead]);
+        stats.add_work(&work);
+        self.total_stats.merge(&stats);
+        stats
     }
 }
 
@@ -350,59 +378,29 @@ impl StatementLog {
             .unwrap_or_default()
     }
 
-    /// The start time of a statement someone will record: this log, or the
-    /// global registry.
-    fn clock(&self) -> Option<Instant> {
-        (self.on.load(Ordering::Relaxed) || obs::registry().enabled()).then(Instant::now)
-    }
-
-    /// Feeds one finished statement into the global registry and, while
-    /// on, this log.
-    fn record(
+    /// Appends one finished statement while on. `sql` is only called
+    /// then.
+    fn record<'s>(
         &self,
-        sql: &str,
+        sql: impl FnOnce() -> Cow<'s, str>,
         params: &[Value],
-        is_read: bool,
         started: Instant,
         result: &QueryResult,
     ) {
-        let elapsed = started.elapsed();
-        let rows = if result.rows.is_empty() {
-            result.rows_affected
-        } else {
-            result.rows.len() as u64
-        };
-        obs::registry().record_statement(
-            sql,
-            is_read,
-            &obs::SlowQuery {
-                sql: String::new(),
-                elapsed,
-                rows,
+        if !self.on.load(Ordering::Relaxed) {
+            return;
+        }
+        if let Some(trace) = latch::lock(&self.trace, WaitSite::Trace).as_mut() {
+            trace.push(StatementTrace {
+                sql: sql().into_owned(),
+                params: params.to_vec(),
+                rows: result.rows.len() as u64,
+                rows_affected: result.rows_affected,
+                elapsed: started.elapsed(),
                 stats: result.stats,
-            },
-        );
-        if self.on.load(Ordering::Relaxed) {
-            if let Some(trace) = latch::lock(&self.trace, WaitSite::Trace).as_mut() {
-                trace.push(StatementTrace {
-                    sql: sql.to_string(),
-                    params: params.to_vec(),
-                    rows: result.rows.len() as u64,
-                    rows_affected: result.rows_affected,
-                    elapsed,
-                    stats: result.stats,
-                });
-            }
+            });
         }
     }
-}
-
-/// The work this thread counted since `mark`, with its logical reads added
-/// to `pager`'s totals: the one place a statement or a commit feeds them.
-fn settle(mark: &Ledger, pager: &Pager) -> Ledger {
-    let work = Ledger::read().since(mark);
-    pager.add_logical_reads(work[Work::LogicalRead]);
-    work
 }
 
 /// One read statement's context: the catalog it plans and runs against,
@@ -428,17 +426,14 @@ impl ReadCtx<'_> {
     /// of [`ReadCtx::run`], entered directly by [`Database::run`].
     fn execute(&self, sql: &str, cached: &Cached, params: &[Value]) -> DbResult<QueryResult> {
         let mark = Ledger::read();
-        let started = self.log.clock();
+        let started = Instant::now();
         // Borrow the statement and plan straight out of the pinned cache
         // entry: the read hot path never deep-clones a SelectPlan.
         let outcome = self.dispatch(&cached.parsed.stmt, cached.plan.as_ref(), params);
-        let work = settle(&mark, self.pages.pager());
-        let mut result = outcome.inspect_err(|e| self.shared.record_failure(e))?;
-        result.stats.add_work(&work);
-        self.shared.total_stats.merge(&result.stats);
-        if let Some(started) = started {
-            self.log.record(sql, params, true, started, &result);
-        }
+        let pager = self.pages.pager();
+        let result = self.shared.finish(&mark, pager, true, started, outcome)?;
+        self.log
+            .record(|| Cow::Borrowed(sql), params, started, &result);
         Ok(result)
     }
 
@@ -564,7 +559,7 @@ impl Database {
     pub fn open(path: &Path, cache_pages: usize) -> DbResult<Database> {
         let report = wal::recover(path, &wal::wal_path(path))?;
         if report.ran {
-            obs::registry().record_recovery();
+            governance::count(Work::Recovery);
         }
         let pager = Pager::open_file(path, cache_pages)?;
         pager.attach_wal(Wal::open(&wal::wal_path(path))?);
@@ -724,12 +719,12 @@ impl Database {
     pub fn commit(&mut self) -> DbResult<()> {
         let mark = Ledger::read();
         let res = self.commit_txn();
-        settle(&mark, &self.pager);
+        self.shared.settle(&mark, &self.pager, ExecStats::default());
         res
     }
 
-    /// [`Database::commit`] without feeding the pager's logical-read
-    /// total: a write statement's auto-commit, whose envelope feeds it.
+    /// [`Database::commit`] without settling its work: a write
+    /// statement's auto-commit, whose envelope settles it.
     fn commit_txn(&mut self) -> DbResult<()> {
         if self.txn.is_none() {
             return Err(DbError::Txn("no active transaction".into()));
@@ -739,7 +734,7 @@ impl Database {
             Ok(()) => {
                 self.txn = None;
                 self.publish_committed();
-                obs::registry().record_txn(true);
+                governance::count(Work::Commit);
                 if self.pager.wal_frames_in_log() >= WAL_AUTOCHECKPOINT_FRAMES {
                     // Best effort: the commit is already durable; a failed
                     // checkpoint just leaves the log longer.
@@ -782,7 +777,7 @@ impl Database {
         // version, but snapshots taken from now on carry the restored
         // catalog (and a fresh page view, releasing the aborted epoch).
         self.publish_committed();
-        obs::registry().record_txn(false);
+        governance::count(Work::Rollback);
         Ok(())
     }
 
@@ -984,12 +979,10 @@ impl Database {
         body: impl FnOnce(&mut Database) -> DbResult<QueryResult>,
     ) -> DbResult<QueryResult> {
         let mark = Ledger::read();
-        let started = self.log.clock();
+        let started = Instant::now();
         let auto_txn = is_write && self.file_backed && !self.in_transaction();
-        if auto_txn {
-            self.begin()?;
-        }
-        let outcome = match body(self) {
+        let begun = if auto_txn { self.begin() } else { Ok(()) };
+        let outcome = match begun.and_then(|()| body(self)) {
             Ok(r) if auto_txn => self.commit_txn().map(|()| r),
             Ok(r) => Ok(r),
             Err(e) => {
@@ -999,19 +992,16 @@ impl Database {
                 Err(e)
             }
         };
-        let work = settle(&mark, &self.pager);
-        let mut result = outcome.inspect_err(|e| self.shared.record_failure(e))?;
+        let result = self
+            .shared
+            .finish(&mark, &self.pager, is_read, started, outcome)?;
         // Writes that commit without a transaction (the in-memory backend)
         // republish here; auto-commit and explicit transactions republish
         // inside `commit`.
         if is_write && !auto_txn && !self.in_transaction() {
             self.publish_committed();
         }
-        result.stats.add_work(&work);
-        self.shared.total_stats.merge(&result.stats);
-        if let Some(started) = started {
-            self.log.record(&sql(), params, is_read, started, &result);
-        }
+        self.log.record(sql, params, started, &result);
         Ok(result)
     }
 
@@ -1999,27 +1989,17 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_and_misses_reach_the_registry() {
-        // The registry is process-global and other tests touch it
-        // concurrently, so assert on deltas of monotonic counters.
-        if !obs::registry().enabled() {
-            obs::registry().set_enabled(true);
-        }
         let mut db = setup();
         seed(&mut db, 1);
-        let before = obs::snapshot();
+        let mark = Ledger::read();
         for _ in 0..5 {
             db.query("SELECT val FROM node WHERE doc = ?", &[Value::Int(1)])
                 .unwrap();
         }
-        let after = obs::snapshot();
-        assert!(
-            after.plan_cache_misses > before.plan_cache_misses,
-            "first execution misses"
-        );
-        assert!(
-            after.plan_cache_hits >= before.plan_cache_hits + 4,
-            "repeats hit the cached plan"
-        );
+        let work = Ledger::read().since(&mark);
+        assert_eq!(work[Work::PlanCacheMiss], 1, "first execution misses");
+        assert_eq!(work[Work::PlanCacheHit], 4, "repeats hit the cached plan");
+        assert_eq!(work[Work::ReadStatement], 5);
     }
 
     #[test]
@@ -2689,26 +2669,50 @@ mod tests {
 
     #[test]
     fn failed_bulk_insert_is_counted_like_a_failed_insert() {
-        if !obs::registry().enabled() {
-            obs::registry().set_enabled(true);
-        }
         let path = temp_db_path("bulk-dup.db");
         for mut db in [Database::in_memory(), Database::open(&path, 16).unwrap()] {
             db.execute("CREATE TABLE t (a INTEGER, PRIMARY KEY (a))", &[])
                 .unwrap();
             let rows = |keys: &[i64]| keys.iter().map(|&k| vec![Value::Int(k)]).collect();
             assert_eq!(db.insert_many("t", rows(&[0, 1])).unwrap(), 2);
-            // The registry is process-global, so assert on deltas.
-            let errors = || obs::snapshot().statement_errors;
-            let before = errors();
+            let errors = |mark: &Ledger| Ledger::read().since(mark)[Work::StatementError];
+            let mark = Ledger::read();
             let err = db.execute("INSERT INTO t VALUES (1)", &[]).unwrap_err();
             assert!(matches!(err, DbError::Constraint(_)), "{err}");
-            assert!(errors() > before, "a failed INSERT is counted");
-            let before = errors();
+            assert_eq!(errors(&mark), 1, "a failed INSERT is counted");
+            let mark = Ledger::read();
             let err = db.insert_many("t", rows(&[1, 2])).unwrap_err();
             assert!(matches!(err, DbError::Constraint(_)), "{err}");
-            assert!(errors() > before, "a failed bulk insert is counted");
+            assert_eq!(errors(&mark), 1, "a failed bulk insert is counted");
             assert_eq!(count(&mut db, "SELECT COUNT(*) FROM t"), 2);
+        }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn failed_statements_keep_their_work_in_the_totals() {
+        let path = temp_db_path("failed-work.db");
+        for mut db in [Database::in_memory(), Database::open(&path, 16).unwrap()] {
+            db.execute("CREATE TABLE t (a INTEGER, PRIMARY KEY (a))", &[])
+                .unwrap();
+            insert_range(&mut db, 0, 300);
+            let totals = |db: &Database| {
+                let stats = db.total_stats();
+                let reads = db.pager_stats().full().logical_reads;
+                (reads, stats.pages_read, stats.statements)
+            };
+            let before = totals(&db);
+            db.set_work_budget(50);
+            let err = db.query("SELECT COUNT(*) FROM t", &[]).unwrap_err();
+            assert!(matches!(err, DbError::ResourceExhausted(_)), "{err}");
+            db.set_work_budget(0);
+            let err = db.execute("INSERT INTO t VALUES (7)", &[]).unwrap_err();
+            assert!(matches!(err, DbError::Constraint(_)), "{err}");
+            let after = totals(&db);
+            let read = after.0 - before.0;
+            assert!(read > 0, "the failed statements read pages");
+            assert_eq!(after.1 - before.1, read, "pager and statement totals agree");
+            assert_eq!(after.2, before.2, "a failure is not a statement");
         }
         cleanup(&path);
     }

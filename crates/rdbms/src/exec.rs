@@ -64,7 +64,8 @@ use std::time::{Duration, Instant};
 ///
 /// The first six counters are maintained directly by the executor; the
 /// buffer-pool (`pages_*`, `cache_*`, `evictions`, `read_retries`) and
-/// B+tree (`btree_*`) counters are the work the statement's own thread
+/// B+tree (`btree_*`) counters, and the statement, commit, WAL-frame,
+/// lock-wait and governance counts, are what the statement's own thread
 /// counted on its [`crate::governance::Ledger`] while the statement ran,
 /// so they stay exact however many statements run concurrently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,6 +114,14 @@ pub struct ExecStats {
     /// ([`crate::DbError::Canceled`]). Cumulative-only, like
     /// `queries_timed_out`.
     pub queries_canceled: u64,
+    /// Statements that succeeded (1 in a statement's own stats).
+    pub statements: u64,
+    /// Transactions committed (explicit and auto-commit).
+    pub commits: u64,
+    /// Page-image frames appended to the write-ahead log.
+    pub wal_frames: u64,
+    /// Contended latch acquisitions, every wait site.
+    pub lock_waits: u64,
 }
 
 impl ExecStats {
@@ -129,6 +138,12 @@ impl ExecStats {
         self.btree_descent_reuses += w[Work::DescentReuse];
         self.btree_leaf_scans += w[Work::LeafScan];
         self.btree_splits += w[Work::Split];
+        self.queries_timed_out += w[Work::Timeout];
+        self.queries_canceled += w[Work::Cancel];
+        self.statements += w[Work::ReadStatement] + w[Work::WriteStatement];
+        self.commits += w[Work::Commit];
+        self.wal_frames += w[Work::WalFrame];
+        self.lock_waits += w.all_waits();
     }
 
     /// Adds another stats snapshot into this one.
@@ -151,17 +166,24 @@ impl ExecStats {
         self.read_retries += other.read_retries;
         self.queries_timed_out += other.queries_timed_out;
         self.queries_canceled += other.queries_canceled;
+        self.statements += other.statements;
+        self.commits += other.commits;
+        self.wal_frames += other.wal_frames;
+        self.lock_waits += other.lock_waits;
     }
 }
 
-/// A thread-safe accumulation cell for [`ExecStats`]: eighteen relaxed
-/// atomics, one per counter. [`crate::Database`] keeps its cumulative
-/// per-database totals in one of these so that concurrent readers merging
+/// Counters in an [`ExecStats`].
+const STATS: usize = 22;
+
+/// A thread-safe accumulation cell for [`ExecStats`]: one relaxed atomic
+/// per counter. [`crate::Database`] keeps its cumulative per-database
+/// totals in one of these so that concurrent readers merging
 /// their statement stats never serialize on a mutex (the totals latch used
 /// to be the last lock on the shared-read path).
 #[derive(Debug, Default)]
 pub struct SharedExecStats {
-    cells: [std::sync::atomic::AtomicU64; 18],
+    cells: [std::sync::atomic::AtomicU64; STATS],
 }
 
 impl SharedExecStats {
@@ -178,7 +200,7 @@ impl SharedExecStats {
     /// A plain-value copy of the totals.
     pub fn snapshot(&self) -> ExecStats {
         use std::sync::atomic::Ordering;
-        let mut vals = [0u64; 18];
+        let mut vals = [0u64; STATS];
         for (v, cell) in vals.iter_mut().zip(self.cells.iter()) {
             *v = cell.load(Ordering::Relaxed);
         }
@@ -193,7 +215,7 @@ impl SharedExecStats {
         }
     }
 
-    fn unpack(s: &ExecStats) -> [u64; 18] {
+    fn unpack(s: &ExecStats) -> [u64; STATS] {
         [
             s.rows_scanned,
             s.index_scans,
@@ -213,10 +235,14 @@ impl SharedExecStats {
             s.read_retries,
             s.queries_timed_out,
             s.queries_canceled,
+            s.statements,
+            s.commits,
+            s.wal_frames,
+            s.lock_waits,
         ]
     }
 
-    fn pack(v: [u64; 18]) -> ExecStats {
+    fn pack(v: [u64; STATS]) -> ExecStats {
         ExecStats {
             rows_scanned: v[0],
             index_scans: v[1],
@@ -236,6 +262,10 @@ impl SharedExecStats {
             read_retries: v[15],
             queries_timed_out: v[16],
             queries_canceled: v[17],
+            statements: v[18],
+            commits: v[19],
+            wal_frames: v[20],
+            lock_waits: v[21],
         }
     }
 }

@@ -9,8 +9,14 @@
 //! against it.
 //!
 //! The same calls count their [`Work`] on this thread's [`Ledger`], whose
-//! counts only grow and which no other thread touches, so the difference
+//! counts only grow and which no other thread writes, so the difference
 //! of two readings around a statement is exactly that statement's work.
+//! The ledger is the engine's one counter set: besides pages and B+tree
+//! steps it counts statements, plan-cache lookups, transactions, WAL
+//! frames, governance and serving events, and every contended latch
+//! acquisition with its wait time, per [`WaitSite`]. A database folds each
+//! statement's and each commit's difference into its own totals;
+//! [`Ledger::process`] sums every thread for process-wide figures.
 //!
 //! The design goals, in order:
 //!
@@ -33,11 +39,12 @@
 //!    back and latches release exactly as for any other statement error.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::error::{DbError, DbResult};
+use crate::obs::WaitSite;
 
 /// Work units charged between deadline/cancel checks. Row-at-a-time loops
 /// charge 1 per row, so this bounds the detection latency to ~256 rows of
@@ -79,7 +86,7 @@ struct GuardState {
     tripped: Option<DbError>,
 }
 
-/// One kind of engine work the ledger counts, one unit per call.
+/// One kind of engine work or event the ledger counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Work {
     /// A page served to a caller, cached or not.
@@ -100,26 +107,179 @@ pub enum Work {
     LeafScan,
     /// A B+tree node split.
     Split,
+    /// A read statement that succeeded (`SELECT`, any `EXPLAIN`).
+    ReadStatement,
+    /// Nanoseconds spent in read statements that succeeded.
+    ReadNanos,
+    /// A write statement that succeeded.
+    WriteStatement,
+    /// Nanoseconds spent in write statements that succeeded.
+    WriteNanos,
+    /// A statement that failed with an error.
+    StatementError,
+    /// A statement stopped by its deadline ([`DbError::Timeout`]).
+    Timeout,
+    /// A statement stopped by its cancel flag ([`DbError::Canceled`]).
+    Cancel,
+    /// A plan-cache lookup that found the statement planned.
+    PlanCacheHit,
+    /// A plan-cache lookup that parsed and planned the statement.
+    PlanCacheMiss,
+    /// A page-image frame appended to a write-ahead log.
+    WalFrame,
+    /// A transaction committed.
+    Commit,
+    /// A transaction rolled back.
+    Rollback,
+    /// A database open that ran WAL recovery.
+    Recovery,
+    /// A transition into degraded read-only mode.
+    DegradedEntry,
+    /// A write refused while degraded ([`DbError::Degraded`]).
+    DegradedReject,
+    /// A serving-layer session opened.
+    ServeSession,
+    /// A serving-layer request handled (one protocol line).
+    ServeRequest,
+    /// A read-shaped store `sql()` call that fell back to the exclusive
+    /// write path because the read path refused it.
+    SqlReadFallback,
 }
 
-const WORK_KINDS: usize = Work::Split as usize + 1;
+impl Work {
+    /// Every kind, in ledger order.
+    pub const ALL: [Work; WORK_KINDS] = [
+        Work::LogicalRead,
+        Work::PhysicalRead,
+        Work::PhysicalWrite,
+        Work::Eviction,
+        Work::ReadRetry,
+        Work::Descent,
+        Work::DescentReuse,
+        Work::LeafScan,
+        Work::Split,
+        Work::ReadStatement,
+        Work::ReadNanos,
+        Work::WriteStatement,
+        Work::WriteNanos,
+        Work::StatementError,
+        Work::Timeout,
+        Work::Cancel,
+        Work::PlanCacheHit,
+        Work::PlanCacheMiss,
+        Work::WalFrame,
+        Work::Commit,
+        Work::Rollback,
+        Work::Recovery,
+        Work::DegradedEntry,
+        Work::DegradedReject,
+        Work::ServeSession,
+        Work::ServeRequest,
+        Work::SqlReadFallback,
+    ];
 
-/// A reading of one thread's work ledger (see the module docs), indexed by
-/// [`Work`]. Counts only grow, so `later.since(&earlier)` is exactly the
-/// work this thread did between the two readings.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Ledger([u64; WORK_KINDS]);
+    /// Stable snake-case name (report keys).
+    pub fn name(self) -> &'static str {
+        match self {
+            Work::LogicalRead => "logical_reads",
+            Work::PhysicalRead => "physical_reads",
+            Work::PhysicalWrite => "physical_writes",
+            Work::Eviction => "evictions",
+            Work::ReadRetry => "read_retries",
+            Work::Descent => "btree_descents",
+            Work::DescentReuse => "btree_descent_reuses",
+            Work::LeafScan => "btree_leaf_scans",
+            Work::Split => "btree_splits",
+            Work::ReadStatement => "read_statements",
+            Work::ReadNanos => "read_ns",
+            Work::WriteStatement => "write_statements",
+            Work::WriteNanos => "write_ns",
+            Work::StatementError => "statement_errors",
+            Work::Timeout => "queries_timed_out",
+            Work::Cancel => "queries_canceled",
+            Work::PlanCacheHit => "plan_cache_hits",
+            Work::PlanCacheMiss => "plan_cache_misses",
+            Work::WalFrame => "wal_frames_written",
+            Work::Commit => "txn_commits",
+            Work::Rollback => "txn_rollbacks",
+            Work::Recovery => "recoveries_run",
+            Work::DegradedEntry => "degraded_entries",
+            Work::DegradedReject => "degraded_rejects",
+            Work::ServeSession => "serve_sessions",
+            Work::ServeRequest => "serve_requests",
+            Work::SqlReadFallback => "sql_read_fallbacks",
+        }
+    }
+}
+
+const WORK_KINDS: usize = Work::SqlReadFallback as usize + 1;
+
+/// Ledger cells: one per [`Work`] kind, then a wait count and a wait
+/// nanosecond total per [`WaitSite`].
+const CELLS: usize = WORK_KINDS + 2 * SITES;
+const SITES: usize = WaitSite::ALL.len();
+
+fn wait_cell(site: WaitSite) -> usize {
+    WORK_KINDS + site as usize
+}
+
+fn wait_ns_cell(site: WaitSite) -> usize {
+    WORK_KINDS + SITES + site as usize
+}
+
+/// A reading of one thread's work ledger, or of every thread's summed
+/// (see the module docs), indexed by [`Work`]. Counts only grow, so
+/// `later.since(&earlier)` is exactly the work done between two readings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ledger([u64; CELLS]);
+
+impl Default for Ledger {
+    fn default() -> Ledger {
+        Ledger([0; CELLS])
+    }
+}
 
 impl Ledger {
     /// This thread's counts so far.
     pub fn read() -> Ledger {
-        Ledger(LEDGER.with(|cells| cells.each_ref().map(Cell::get)))
+        LEDGER.with(|cells| Ledger(cells.each_ref().map(|c| c.load(Ordering::Relaxed))))
     }
 
-    /// The work counted between `mark` (an earlier reading on this
-    /// thread) and `self`.
+    /// Every thread's counts so far, summed; a thread that has exited
+    /// still contributes what it counted.
+    pub fn process() -> Ledger {
+        let mut sum = Ledger::default();
+        for cells in THREADS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
+            for (total, cell) in sum.0.iter_mut().zip(cells.iter()) {
+                *total += cell.load(Ordering::Relaxed);
+            }
+        }
+        sum
+    }
+
+    /// The work counted between `mark` (an earlier reading of the same
+    /// ledger) and `self`.
     pub fn since(&self, mark: &Ledger) -> Ledger {
         Ledger(std::array::from_fn(|i| self.0[i] - mark.0[i]))
+    }
+
+    /// Contended latch acquisitions at `site`.
+    pub fn waits(&self, site: WaitSite) -> u64 {
+        self.0[wait_cell(site)]
+    }
+
+    /// Time spent blocked at `site`.
+    pub fn wait_time(&self, site: WaitSite) -> Duration {
+        Duration::from_nanos(self.0[wait_ns_cell(site)])
+    }
+
+    /// Contended latch acquisitions at every site.
+    pub fn all_waits(&self) -> u64 {
+        WaitSite::ALL.iter().map(|&site| self.waits(site)).sum()
     }
 }
 
@@ -131,17 +291,59 @@ impl std::ops::Index<Work> for Ledger {
     }
 }
 
+/// One thread's ledger cells. Only the owning thread writes them, with a
+/// relaxed load and store (no read-modify-write); they are atomics only so
+/// [`Ledger::process`] can read them from another thread.
+type Cells = [AtomicU64; CELLS];
+
+/// Every thread's cells, registered on its first count and never removed.
+/// A plain mutex, not a [`crate::latch`] wrapper: the latch layer counts
+/// its waits here. Taken once per thread and by [`Ledger::process`].
+static THREADS: Mutex<Vec<&'static Cells>> = Mutex::new(Vec::new());
+
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static GUARD: RefCell<Option<GuardState>> = const { RefCell::new(None) };
-    static LEDGER: [Cell<u64>; WORK_KINDS] = const { [const { Cell::new(0) }; WORK_KINDS] };
+    // Leaked, so an exited thread's counts outlive it; no destructor, so
+    // counting never races thread-local teardown.
+    static LEDGER: &'static Cells = {
+        let cells: &'static Cells =
+            Box::leak(Box::new(std::array::from_fn(|_| AtomicU64::new(0))));
+        THREADS.lock().unwrap_or_else(PoisonError::into_inner).push(cells);
+        cells
+    };
+}
+
+#[inline]
+fn bump(cell: usize, n: u64) {
+    // `try_with`: a count that finds this thread's locals gone (from
+    // another local's destructor) is dropped rather than panicking.
+    let _ = LEDGER.try_with(|cells| {
+        let c = &cells[cell];
+        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    });
 }
 
 /// Counts one unit of `work` on this thread's ledger without charging the
-/// governing scope: physical I/O, and the pages a write touches.
+/// governing scope: physical I/O, the pages a write touches, and events.
 #[inline]
-pub(crate) fn count(work: Work) {
-    LEDGER.with(|cells| cells[work as usize].update(|n| n + 1));
+pub fn count(work: Work) {
+    bump(work as usize, 1);
+}
+
+/// Counts `n` units of `work` on this thread's ledger.
+#[inline]
+pub(crate) fn add(work: Work, n: u64) {
+    bump(work as usize, n);
+}
+
+/// Counts one contended acquisition at `site` that blocked for `waited`.
+pub(crate) fn count_wait(site: WaitSite, waited: Duration) {
+    bump(wait_cell(site), 1);
+    bump(
+        wait_ns_cell(site),
+        u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX),
+    );
 }
 
 /// An installed governance guard. Created by [`Scope::enter`]; dropping it
@@ -383,6 +585,7 @@ mod tests {
         count(Work::PhysicalRead);
         checkpoint_work(Work::LogicalRead).unwrap();
         note_work(Work::Descent);
+        add(Work::WalFrame, 3);
         std::thread::spawn(|| note_work(Work::Descent))
             .join()
             .unwrap();
@@ -391,9 +594,10 @@ mod tests {
             Work::LogicalRead,
             Work::PhysicalRead,
             Work::Descent,
+            Work::WalFrame,
             Work::Split,
         ];
-        assert_eq!(kinds.map(|w| got[w]), [1, 1, 1, 0]);
+        assert_eq!(kinds.map(|w| got[w]), [1, 1, 1, 3, 0]);
     }
 
     #[test]

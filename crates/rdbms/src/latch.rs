@@ -6,11 +6,11 @@
 //!
 //! * **Contention accounting** — an acquisition that finds the latch held
 //!   first fails a `try_lock`, then blocks, timing the wait; once through,
-//!   it reports the event to [`crate::obs`] attributed to the caller's
-//!   [`WaitSite`] (which subsystem's lock this was), with the measured wait
-//!   duration feeding that site's wait histogram. Uncontended acquisitions
-//!   stay on the fast path (one atomic CAS, no clock read), so the
-//!   single-threaded cost is unchanged.
+//!   it counts the wait and its duration on the waiting thread's work
+//!   ledger ([`crate::governance::Ledger`]), attributed to the caller's
+//!   [`WaitSite`] (which subsystem's lock this was). Uncontended
+//!   acquisitions stay on the fast path (one atomic CAS, no clock read),
+//!   so the single-threaded cost is unchanged.
 //! * **Poison tolerance** — a thread that panicked while holding a latch
 //!   poisons it; the data under an engine latch is always left in a
 //!   coherent state at panic sites (plain-value counters, caches that can
@@ -34,7 +34,7 @@ pub fn lock<T>(m: &Mutex<T>, site: WaitSite) -> MutexGuard<'_, T> {
         Err(TryLockError::WouldBlock) => {
             let start = Instant::now();
             let g = m.lock().unwrap_or_else(PoisonError::into_inner);
-            crate::obs::registry().record_lock_wait(site, start.elapsed());
+            crate::governance::count_wait(site, start.elapsed());
             g
         }
     }
@@ -49,7 +49,7 @@ pub fn read<T>(l: &RwLock<T>, site: WaitSite) -> RwLockReadGuard<'_, T> {
         Err(TryLockError::WouldBlock) => {
             let start = Instant::now();
             let g = l.read().unwrap_or_else(PoisonError::into_inner);
-            crate::obs::registry().record_lock_wait(site, start.elapsed());
+            crate::governance::count_wait(site, start.elapsed());
             g
         }
     }
@@ -64,7 +64,7 @@ pub fn write<T>(l: &RwLock<T>, site: WaitSite) -> RwLockWriteGuard<'_, T> {
         Err(TryLockError::WouldBlock) => {
             let start = Instant::now();
             let g = l.write().unwrap_or_else(PoisonError::into_inner);
-            crate::obs::registry().record_lock_wait(site, start.elapsed());
+            crate::governance::count_wait(site, start.elapsed());
             g
         }
     }
@@ -133,52 +133,42 @@ impl<T> EpochCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governance::Ledger;
 
     #[test]
     fn uncontended_acquisitions_do_not_count() {
-        let before = crate::obs::snapshot().lock_waits;
+        let mark = Ledger::read();
         let m = Mutex::new(1);
         let l = RwLock::new(2);
-        assert_eq!(*lock(&m, WaitSite::Backend), 1);
+        assert_eq!(*lock(&m, WaitSite::Wal), 1);
         assert_eq!(*read(&l, WaitSite::Backend), 2);
         assert_eq!(*write(&l, WaitSite::Backend), 2);
-        // Other tests contend concurrently on their own latches, but this
-        // test's three acquisitions must not have added to the count from
-        // this thread; the global registry can only have grown elsewhere.
-        assert!(crate::obs::snapshot().lock_waits >= before);
-        let m2 = Mutex::new(3);
-        let before_wal = crate::obs::snapshot().lock_waits_at(WaitSite::Wal);
-        assert_eq!(*lock(&m2, WaitSite::Wal), 3);
-        assert_eq!(
-            crate::obs::snapshot().lock_waits_at(WaitSite::Wal),
-            before_wal,
-            "uncontended lock must not record a wait"
-        );
+        assert_eq!(Ledger::read().since(&mark), Ledger::default());
     }
 
     #[test]
     fn contended_acquisition_counts_site_and_duration() {
-        let before = crate::obs::snapshot();
         let m = Arc::new(Mutex::new(0u32));
         let held = lock(&m, WaitSite::PlanCache);
         let m2 = Arc::clone(&m);
+        let (started, running) = std::sync::mpsc::channel();
         let t = std::thread::spawn(move || {
+            let mark = Ledger::read();
+            started.send(()).unwrap();
             *lock(&m2, WaitSite::PlanCache) = 7;
+            Ledger::read().since(&mark)
         });
-        // Give the thread time to hit the contended path, then release.
+        // Give the running thread time to hit the contended path, then
+        // release.
+        running.recv().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         drop(held);
-        t.join().unwrap();
+        let waited = t.join().unwrap();
         assert_eq!(*lock(&m, WaitSite::PlanCache), 7);
-        let after = crate::obs::snapshot();
-        assert!(after.lock_waits > before.lock_waits);
+        assert_eq!(waited.waits(WaitSite::PlanCache), 1);
+        assert_eq!(waited.all_waits(), 1, "attributed to one site only");
         assert!(
-            after.lock_waits_at(WaitSite::PlanCache) > before.lock_waits_at(WaitSite::PlanCache)
-        );
-        let hist = after.wait_latency_at(WaitSite::PlanCache);
-        assert!(hist.count > before.wait_latency_at(WaitSite::PlanCache).count);
-        assert!(
-            hist.max > std::time::Duration::ZERO,
+            waited.wait_time(WaitSite::PlanCache) > std::time::Duration::ZERO,
             "wait duration measured"
         );
     }

@@ -712,7 +712,7 @@ impl Pager {
         let mut health = latch::lock(&self.health, WaitSite::Txn);
         if health.is_none() {
             *health = Some(reason);
-            crate::obs::registry().record_degraded_entry();
+            governance::count(Work::DegradedEntry);
         }
     }
 
@@ -747,7 +747,7 @@ impl Pager {
     /// (rollback of an already-open transaction stays allowed).
     pub fn begin_txn(&self) -> DbResult<u64> {
         if let Some(reason) = latch::lock(&self.health, WaitSite::Txn).clone() {
-            crate::obs::registry().record_degraded_reject();
+            governance::count(Work::DegradedReject);
             return Err(DbError::Degraded(self.tag_reason(&reason)));
         }
         let mut txn = latch::lock(&self.txn, WaitSite::Txn);
@@ -801,7 +801,7 @@ impl Pager {
                     frames_written = wal
                         .commit(txn_id, &pages, db_size, &self.faults)
                         .map_err(|e| self.classify_write_failure("wal commit", e))?;
-                    crate::obs::registry().record_wal_frames(frames_written);
+                    governance::add(Work::WalFrame, frames_written);
                 }
                 // Write the pages home. Past the WAL barrier these are
                 // best-effort: a failed write leaves the frame dirty for
@@ -1264,7 +1264,6 @@ impl Pager {
         for attempt in 0..READ_ATTEMPTS {
             if attempt > 0 {
                 governance::count(Work::ReadRetry);
-                crate::obs::registry().record_read_retries(1);
                 // Tiny exponential backoff: transient device hiccups clear
                 // in microseconds; anything longer is for the error path.
                 std::thread::sleep(Duration::from_micros(50 << attempt));

@@ -10,8 +10,8 @@
 //!
 //! * `.explain on|off` — when on, every statement is preceded by its
 //!   `EXPLAIN ANALYZE` plan (per-operator row counts and timings).
-//! * `.stats` — cumulative engine counters for the session plus the
-//!   process-wide observability snapshot.
+//! * `.stats` — cumulative engine counters for the session plus every
+//!   thread's work ledger summed.
 //! * `.trace on|off` — toggle structured span tracing (statement → plan
 //!   cache → operators → btree/pager spans).
 //! * `.trace dump <path>` — export collected spans as Chrome trace-event
@@ -23,8 +23,10 @@
 //! * `EXPLAIN [ANALYZE] <stmt>` also works directly as SQL.
 
 use ordxml::{Encoding, XmlStore};
-use ordxml_rdbms::{obs, trace, Database, Value};
+use ordxml_rdbms::governance::{Ledger, Work};
+use ordxml_rdbms::{trace, Database, Value};
 use std::io::BufRead;
+use std::time::Duration;
 
 const HELP: &str = "\
 .help                 this text
@@ -63,18 +65,21 @@ impl Shell {
             s.btree_descents, s.btree_descent_reuses, s.btree_leaf_scans, s.btree_splits
         );
         let shard_stats = self.store.db().plan_cache_shard_stats();
-        let o = obs::snapshot();
+        let o = Ledger::process();
+        let mean = |n: Work, ns: Work| Duration::from_nanos(o[ns] / o[n].max(1));
         println!(
-            "     process: statements={} errors={} slow={} read_p50={:?} write_p50={:?}",
-            o.statements,
-            o.statement_errors,
-            o.slow_statements,
-            o.read_latency.p50,
-            o.write_latency.p50
+            "     process: statements={} errors={} read_mean={:?} write_mean={:?}",
+            o[Work::ReadStatement] + o[Work::WriteStatement],
+            o[Work::StatementError],
+            mean(Work::ReadStatement, Work::ReadNanos),
+            mean(Work::WriteStatement, Work::WriteNanos),
         );
         println!(
             "     plan cache: hits={} misses={} (descents={} reuses={})",
-            o.plan_cache_hits, o.plan_cache_misses, o.btree_descents, o.btree_descent_reuses
+            o[Work::PlanCacheHit],
+            o[Work::PlanCacheMiss],
+            o[Work::Descent],
+            o[Work::DescentReuse]
         );
         // Per-shard hit rates for this session's cache (the process-wide
         // numbers above aggregate every database in the process).
@@ -94,16 +99,19 @@ impl Shell {
         );
         println!(
             "     durability: wal_frames={} commits={} rollbacks={} recoveries={}",
-            o.wal_frames_written, o.txn_commits, o.txn_rollbacks, o.recoveries_run
+            o[Work::WalFrame],
+            o[Work::Commit],
+            o[Work::Rollback],
+            o[Work::Recovery]
         );
         println!(
             "     governance: timed_out={} canceled={} read_retries={} \
              degraded_entries={} degraded_rejects={} health={:?}",
-            o.queries_timed_out,
-            o.queries_canceled,
-            o.read_retries,
-            o.degraded_entries,
-            o.degraded_rejects,
+            o[Work::Timeout],
+            o[Work::Cancel],
+            o[Work::ReadRetry],
+            o[Work::DegradedEntry],
+            o[Work::DegradedReject],
             self.store.health()
         );
         println!();
