@@ -46,8 +46,10 @@ pub enum PositionStrategy {
     /// The paper's pure-SQL translation: a correlated `COUNT(*)` subquery
     /// counting preceding candidates per result row. Run naively that is
     /// O(siblings) work for *each* candidate, O(siblings²) per step; the
-    /// engine memoises each such range count per statement, so over the
-    /// ascending candidate order of a step it fetches O(siblings) rows.
+    /// engine memoises each such range count per statement, and ends the
+    /// candidate walk once the count has passed the position (walking
+    /// backwards for `last()`), so `[k]` and `position() <= k` fetch O(k)
+    /// rows plus the non-matching siblings before the k-th.
     #[default]
     CountSubquery,
     /// Mediator slicing: fetch the step's candidates in axis order (one

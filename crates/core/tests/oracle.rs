@@ -218,6 +218,19 @@ const POSITIONAL_QUERIES: &[&str] = &[
     "/catalog/item/author[1]",
     "/catalog/item/author[last()]",
     "/catalog/*[4]",
+    // Edges of the monotone stop: positions no candidate has, the count's
+    // limit at and below zero, `last()` on a reverse axis, and a second
+    // positional predicate over the first one's survivors.
+    "/catalog/item[0]",
+    "/catalog/item[9]",
+    "/catalog/item[position() < 1]",
+    "/catalog/item[position() <= 0]",
+    "/catalog/item[last() - 1]",
+    "/catalog/item[last() - 5]",
+    "/catalog/item[3]/preceding-sibling::item[last()]",
+    "/catalog/section/preceding-sibling::*[2]",
+    "/catalog/item[position() <= 3][last()]",
+    "/catalog/item[position() <= 2][last()]",
 ];
 
 const DESCENDANT_QUERIES: &[&str] = &[

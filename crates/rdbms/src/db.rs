@@ -63,6 +63,19 @@ fn plan_result(lines: Vec<String>, rows_affected: u64, stats: ExecStats) -> Quer
     }
 }
 
+/// The `Work:` line of an `EXPLAIN ANALYZE`: what the statement read, from
+/// its settled [`ExecStats`].
+fn work_line(stats: &ExecStats) -> String {
+    format!(
+        "Work: rows_examined={} index_rows={} logical_reads={} btree_descents={} lock_waits={}",
+        stats.rows_scanned,
+        stats.index_rows,
+        stats.pages_read,
+        stats.btree_descents,
+        stats.lock_waits
+    )
+}
+
 /// One executed statement as recorded between [`Database::start_trace`] and
 /// [`Database::take_trace`]. The XML layer builds its per-XPath-query and
 /// per-update diagnostics from these.
@@ -431,7 +444,17 @@ impl ReadCtx<'_> {
         // entry: the read hot path never deep-clones a SelectPlan.
         let outcome = self.dispatch(&cached.parsed.stmt, cached.plan.as_ref(), params);
         let pager = self.pages.pager();
-        let result = self.shared.finish(&mark, pager, true, started, outcome)?;
+        let mut result = self.shared.finish(&mark, pager, true, started, outcome)?;
+        if matches!(cached.parsed.stmt, Stmt::Explain { analyze: true, .. }) {
+            // The work is known only once the statement has settled.
+            let returned = result.rows.iter().position(
+                |row| matches!(row[0].as_text(), Ok(line) if line.starts_with("Rows returned: ")),
+            );
+            let at = returned.map_or(result.rows.len(), |i| i + 1);
+            result
+                .rows
+                .insert(at, vec![Value::text(work_line(&result.stats))]);
+        }
         self.log
             .record(|| Cow::Borrowed(sql), params, started, &result);
         Ok(result)

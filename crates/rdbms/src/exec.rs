@@ -40,6 +40,16 @@
 //! covered. Over the ascending outer order of a child-step join, a step
 //! costs O(siblings) rows instead of O(siblings²), and no invocation ever
 //! fetches a row that its own un-memoised scan would not.
+//!
+//! **Monotone stops.** When such a count is compared with a constant by
+//! `=`, `<` or `<=` in the predicate of an index walk, and the count is of
+//! the rows before the walked row in the walk's own order (the planner's
+//! [`Stop`], which flips a count of the rows *after* it to a backward
+//! walk), the count never decreases along the walk. So the first row whose
+//! count has passed the constant ends the walk — for the current left row
+//! of a join, not for the others. A positional step then reads the
+//! candidates up to its answer and the memo's count of the ones before
+//! them, O(k) rows, and `last()` reads about three.
 
 use crate::catalog::{Catalog, Table};
 use crate::error::{DbError, DbResult};
@@ -47,7 +57,7 @@ use crate::expr::{eval, eval_lent, EvalContext, Expr};
 use crate::governance::{Ledger, Work};
 use crate::plan::{
     Access, AccessPath, AggCall, AggFunc, Filtered, Node, Operand, RecordFilter, RecordTest,
-    SelectPlan,
+    SelectPlan, Stop,
 };
 use crate::storage::{PageSource, RowId};
 use crate::value::{
@@ -448,7 +458,7 @@ fn run_range_count(
     };
     let table = env.catalog.table(&access.table)?;
     let filter = filter.map_or(RowFilter::NONE, |(pred, record)| {
-        RowFilter::new(Some(pred), record)
+        RowFilter::new(Some(pred), record, None)
     });
     let (mut fetched, mut passed) = (0u64, 0u64);
     // Kept records, copied off their pages.
@@ -478,7 +488,9 @@ fn run_range_count(
                         _ => {
                             let row = decode_row(&buf)?;
                             let row = Pair::one(&row);
-                            filter.finish(env, stats, &plan.subplans, row, outer, verdict)?
+                            let pass =
+                                filter.finish(env, stats, &plan.subplans, row, outer, verdict)?;
+                            pass == Pass::Keep
                         }
                     };
                     if keep {
@@ -608,12 +620,25 @@ fn before_end(key: &[u8], end: Option<&[u8]>) -> bool {
 
 /// How a scan filters the records it reads: [`RecordTest`]s on the stored
 /// record first, then `rest` over the decoded row — or the whole `pred`
-/// when a test could not decide.
+/// when a test could not decide — and the conjunct of `pred`, if any, that
+/// ends the scan once it fails past its limit.
 #[derive(Clone, Copy)]
 struct RowFilter<'p> {
     tests: &'p [RecordTest],
     rest: Option<&'p Expr>,
     pred: Option<&'p Expr>,
+    stop: Option<&'p Stop>,
+}
+
+/// What a scan does with a row it has judged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// The row passes.
+    Keep,
+    /// The row fails; the scan goes on.
+    Reject,
+    /// The row fails, and so does every row after it: the scan ends.
+    Stop,
 }
 
 impl<'p> RowFilter<'p> {
@@ -622,26 +647,32 @@ impl<'p> RowFilter<'p> {
         tests: &[],
         rest: None,
         pred: None,
+        stop: None,
     };
 
-    /// `pred`, with the record split the planner made of it, if any.
-    fn new(pred: Option<&'p Expr>, record: Option<&'p RecordFilter>) -> Self {
-        match record {
-            Some(split) => RowFilter {
-                tests: &split.tests,
-                rest: split.rest.as_ref(),
-                pred,
-            },
-            None => RowFilter {
-                tests: &[],
-                rest: pred,
-                pred,
-            },
+    /// `pred`, with the record split and the stop the planner made of it,
+    /// if any.
+    fn new(
+        pred: Option<&'p Expr>,
+        record: Option<&'p RecordFilter>,
+        stop: Option<&'p Stop>,
+    ) -> Self {
+        let (tests, rest) = match record {
+            Some(split) => (&split.tests[..], split.rest.as_ref()),
+            None => (&[][..], pred),
+        };
+        RowFilter {
+            tests,
+            rest,
+            pred,
+            stop,
         }
     }
 
-    /// Whether a row the record tests did not reject passes: `rest` when
-    /// they passed it, the whole predicate when they could not decide.
+    /// Judges a row the record tests did not reject: by `rest` when they
+    /// passed it, by the whole predicate when they could not decide. A row
+    /// fails with [`Pass::Stop`] when the stop's count was evaluated for it
+    /// and has passed the stop's limit.
     fn finish(
         self,
         env: &Env<'_>,
@@ -650,16 +681,34 @@ impl<'p> RowFilter<'p> {
         row: Pair<'_>,
         outer: Option<Pair<'_>>,
         verdict: Verdict,
-    ) -> DbResult<bool> {
+    ) -> DbResult<Pass> {
         let pred = match verdict {
-            Verdict::Rejected => return Ok(false),
+            Verdict::Rejected => return Ok(Pass::Reject),
             Verdict::Passed => self.rest,
             Verdict::Undecided => self.pred,
         };
-        match pred {
-            None => Ok(true),
-            Some(pred) => holds(env, stats, subplans, pred, row, outer),
+        let Some(pred) = pred else {
+            return Ok(Pass::Keep);
+        };
+        let mut count = None;
+        let watch = self.stop.map(|s| (s.slot, &mut count));
+        let mut ctx = Ctx {
+            env,
+            stats,
+            subplans,
+            row,
+            outer,
+            watch,
+        };
+        if eval(pred, &mut ctx)?.is_true() {
+            return Ok(Pass::Keep);
         }
+        let ends = |stop: &Stop| count.as_ref().is_some_and(|c| stop.ends_at(c, env.params));
+        Ok(if self.stop.is_some_and(ends) {
+            Pass::Stop
+        } else {
+            Pass::Reject
+        })
     }
 }
 
@@ -760,10 +809,11 @@ fn walk_access(
         }
         let row = decode_row(rec)?;
         let pair = Pair { left, right: &row };
-        if !filter.finish(env, stats, subplans, pair, outer, verdict)? {
-            return Ok(true);
+        match filter.finish(env, stats, subplans, pair, outer, verdict)? {
+            Pass::Keep => DbResult::Ok(visit(rid, row)),
+            Pass::Reject => Ok(true),
+            Pass::Stop => Ok(false),
         }
-        DbResult::Ok(visit(rid, row))
     };
     // Reads one record through the index.
     let mut probe = |stats: &mut ExecStats, rid: RowId| -> DbResult<bool> {
@@ -907,6 +957,7 @@ fn value(
         subplans,
         row,
         outer,
+        watch: None,
     };
     eval(e, &mut ctx)
 }
@@ -985,6 +1036,7 @@ fn run_node_inner(
             input,
             pred,
             record,
+            stop,
         } => {
             if let Node::Scan(access) = &**input {
                 // The filter runs inside its scan, on each record as it is
@@ -992,7 +1044,7 @@ fn run_node_inner(
                 // and the scan still reports every record it read.
                 let _span = crate::trace::span(op_name(input));
                 let start = Instant::now();
-                let filter = RowFilter::new(Some(pred), record.as_ref());
+                let filter = RowFilter::new(Some(pred), record.as_ref(), stop.as_deref());
                 let mut out = Vec::new();
                 let read = walk_access(
                     env,
@@ -1032,6 +1084,7 @@ fn run_node_inner(
             residual,
             hash_keys,
             record,
+            stop,
         } => {
             let left_rows = run_node(env, stats, subplans, left, outer, ALL)?;
             if let Some((lk, rk)) = hash_keys {
@@ -1077,8 +1130,9 @@ fn run_node_inner(
             }
             // Index-nested loop: the inner-only conjuncts of the residual
             // run on each inner record, the rest over the `(left, right)`
-            // pair, and only a pair that passes both is concatenated.
-            let filter = RowFilter::new(residual.as_ref(), record.as_ref());
+            // pair, and only a pair that passes both is concatenated. A
+            // stop ends the inner walk for the current left row only.
+            let filter = RowFilter::new(residual.as_ref(), record.as_ref(), stop.as_deref());
             for lrow in &left_rows {
                 if out.len() >= budget {
                     break;
@@ -1304,6 +1358,7 @@ fn compute_bounds(
         subplans,
         row: Pair::one(left_row),
         outer,
+        watch: None,
     };
     let mut prefix = Vec::new();
     for (i, e) in eq.iter().enumerate() {
@@ -1406,6 +1461,7 @@ fn compute_multi_ranges(
         subplans,
         row: Pair::one(left_row),
         outer,
+        watch: None,
     };
     let mut prefix = Vec::new();
     for (i, e) in eq.iter().enumerate() {
@@ -1744,6 +1800,9 @@ struct Ctx<'a, 'b> {
     subplans: &'a [SelectPlan],
     row: Pair<'b>,
     outer: Option<Pair<'b>>,
+    /// A subquery slot whose value the caller wants to see, and where
+    /// evaluating it leaves the value (a [`Stop`]'s count).
+    watch: Option<(usize, &'b mut Option<Value>)>,
 }
 
 /// Subquery slot `i`.
@@ -1777,8 +1836,8 @@ impl EvalContext for Ctx<'_, '_> {
         self.stats.subquery_evals += 1;
         let plan = subplan(self.subplans, i)?;
         let rows = select(self.env, self.stats, plan, Some(self.row), ALL)?;
-        match rows.len() {
-            0 => Ok(Value::Null),
+        let v = match rows.len() {
+            0 => Value::Null,
             1 => {
                 let row = rows.into_iter().next().expect("length checked");
                 if row.len() != 1 {
@@ -1787,10 +1846,16 @@ impl EvalContext for Ctx<'_, '_> {
                         row.len()
                     )));
                 }
-                Ok(row.into_iter().next().expect("length checked"))
+                row.into_iter().next().expect("length checked")
             }
-            n => Err(DbError::Eval(format!("scalar subquery returned {n} rows"))),
+            n => return Err(DbError::Eval(format!("scalar subquery returned {n} rows"))),
+        };
+        if let Some((slot, seen)) = &mut self.watch {
+            if *slot == i {
+                **seen = Some(v.clone());
+            }
         }
+        Ok(v)
     }
 
     fn exists(&mut self, i: usize) -> DbResult<bool> {

@@ -126,6 +126,9 @@ pub enum Node {
         /// over the inner row alone that are checked on each inner record
         /// before it is decoded (see [`RecordFilter`]).
         record: Option<RecordFilter>,
+        /// The residual conjunct that ends the inner walk for the current
+        /// left row once it fails past its limit (see [`Stop`]).
+        stop: Option<Box<Stop>>,
     },
     /// Row filter.
     Filter {
@@ -137,6 +140,9 @@ pub enum Node {
         /// conjuncts are checked on each stored record before it is
         /// decoded (see [`RecordFilter`]).
         record: Option<RecordFilter>,
+        /// For a filter directly over an index scan, the conjunct that ends
+        /// the scan once it fails past its limit (see [`Stop`]).
+        stop: Option<Box<Stop>>,
     },
     /// Hash aggregation. Output row layout: group-by values, then one column
     /// per aggregate.
@@ -271,6 +277,57 @@ impl RecordFilter {
     }
 }
 
+/// A *monotone stop*: the conjunct `subquery $slot op limit` of a
+/// predicate read along an index walk, where `$slot` is a range count
+/// ([`SelectPlan::range_count`]) of the rows on one side of the walked row
+/// in the walk's order column, and every other bound of the count is the
+/// same for the whole walk. Along the walk that count never decreases, so
+/// once the conjunct has failed because the count passed `limit`, no later
+/// row can pass it and the walk ends (see [`Stop::ends_at`]). Placed by
+/// [`place_stops`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Stop {
+    /// The range-count subquery's slot.
+    pub slot: usize,
+    /// `=`, `<` or `<=`, with the count on its left.
+    pub op: BinOp,
+    /// What the count is compared with: a literal or a parameter.
+    pub limit: Expr,
+    /// The count is of the rows *after* the walked row, so the pass flipped
+    /// the scan to walk its range backwards.
+    pub backward: bool,
+}
+
+impl Stop {
+    /// Whether a count of `count`, for which the conjunct was just judged,
+    /// ends the walk: the conjunct fails for it and for every larger count.
+    /// `false` when the limit is NULL or does not compare with a count.
+    pub fn ends_at(&self, count: &Value, params: &[Value]) -> bool {
+        let limit = match &self.limit {
+            Expr::Literal(v) => Some(v),
+            Expr::Param(i) => params.get(*i),
+            _ => None,
+        };
+        match limit.and_then(|l| count.sql_cmp(l)) {
+            Some(ord) if self.op == BinOp::Lt => ord != std::cmp::Ordering::Less,
+            Some(ord) => ord == std::cmp::Ordering::Greater,
+            None => false,
+        }
+    }
+}
+
+impl std::fmt::Display for Stop {
+    /// The condition that ends the walk, e.g. `stop once subquery $0 > ?10`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let past = if self.op == BinOp::Lt { ">=" } else { ">" };
+        write!(f, "stop once subquery ${} {past} {}", self.slot, self.limit)?;
+        if self.backward {
+            f.write_str(", backward")?;
+        }
+        Ok(())
+    }
+}
+
 impl Node {
     /// A filter over `input`, split for the row path when `input` is a
     /// scan.
@@ -283,6 +340,7 @@ impl Node {
             input: Box::new(input),
             pred,
             record,
+            stop: None,
         }
     }
 
@@ -375,6 +433,7 @@ fn range_count_shape(root: &Node) -> Option<(&Access, Option<Filtered<'_>>)> {
             input,
             pred,
             record,
+            ..
         } => (&**input, Some((pred, record.as_ref()))),
         other => (other, None),
     };
@@ -561,6 +620,9 @@ impl<'a> Planner<'a> {
                 root = Node::filter(root, pred);
             }
         }
+        // Before ORDER BY: a scan the stops flip to walk backwards keeps
+        // its sort.
+        place_stops(self.catalog, &self.subplans, &mut root);
 
         // ---------------- aggregates ----------------
         let has_aggregate = stmt.items.iter().any(
@@ -749,6 +811,7 @@ impl<'a> Planner<'a> {
                         residual,
                         hash_keys,
                         record,
+                        stop: None,
                     }
                 }
             });
@@ -1396,6 +1459,139 @@ fn choose_access_path(
     }
 }
 
+/// The monotone-stop pass over a join tree: marks the [`Stop`] of every
+/// index-nested-loop join and of every filter directly over an index scan
+/// whose predicate has one, flipping the scan of a count of the rows after
+/// the walked row to walk backwards. Returns the width of `node`'s rows.
+fn place_stops(catalog: &Catalog, subplans: &[Option<SelectPlan>], node: &mut Node) -> usize {
+    match node {
+        Node::Scan(access) => access.width,
+        Node::Join {
+            left,
+            right,
+            residual,
+            hash_keys,
+            stop,
+            ..
+        } => {
+            let left_width = place_stops(catalog, subplans, left);
+            if let (Some(pred), None) = (residual.as_ref(), hash_keys.as_ref()) {
+                *stop = find_stop(catalog, subplans, pred, right, left_width);
+            }
+            left_width + right.width
+        }
+        Node::Filter {
+            input, pred, stop, ..
+        } => {
+            let width = place_stops(catalog, subplans, input);
+            if let Node::Scan(access) = &mut **input {
+                *stop = find_stop(catalog, subplans, pred, access, 0);
+            }
+            width
+        }
+        _ => 0,
+    }
+}
+
+/// The first conjunct of `pred` that can stop a forward walk of `access`,
+/// whose rows sit after `left_width` columns of a join's left row in the
+/// row `pred` reads. The conjunct is `subquery $i op c` (or `c op subquery
+/// $i`) with `op` one of `=`, `<`, `<=` once the count is on the left, `c`
+/// a literal or a parameter, and `$i` a range count bounded on one side by
+/// the walked row's own order column, the index column after the scan's
+/// equality prefix. Every other bound of the count may read only the left
+/// row, parameters, literals and the walked row's columns the equality
+/// prefix pins, so it is the same for the whole walk. A count of the rows
+/// after the walked row flips `access` to walk backwards; it needs the
+/// order column NOT NULL, since NULL keys sort first and a NULL bound
+/// counts nothing.
+fn find_stop(
+    catalog: &Catalog,
+    subplans: &[Option<SelectPlan>],
+    pred: &Expr,
+    access: &mut Access,
+    left_width: usize,
+) -> Option<Box<Stop>> {
+    let AccessPath::Index {
+        index,
+        eq,
+        reverse: false,
+        ..
+    } = &access.path
+    else {
+        return None;
+    };
+    let table = catalog.table(&access.table).ok()?;
+    let cols: &[usize] = match index {
+        None => &table.schema.primary_key,
+        Some(i) => &table.indexes[*i].0.columns,
+    };
+    let walked = *cols.get(eq.len())?;
+    let pinned = &cols[..eq.len()];
+    let steady = |e: &Expr| {
+        let mut ok = true;
+        e.visit(&mut |x| match x {
+            Expr::OuterColumn(j) => {
+                ok &= *j < left_width || pinned.contains(&(j - left_width));
+            }
+            Expr::Column(_) | Expr::Subquery(_) | Expr::Exists(_) => ok = false,
+            _ => {}
+        });
+        ok
+    };
+    let own = Expr::OuterColumn(left_width + walked);
+    let is_own = |b: &Option<(Expr, bool)>| b.as_ref().is_some_and(|(e, _)| *e == own);
+    let steady_bound = |b: &Option<(Expr, bool)>| b.as_ref().is_none_or(|(e, _)| steady(e));
+    for c in pred.clone().conjuncts() {
+        let Expr::Binary(op, l, r) = &c else {
+            continue;
+        };
+        let (slot, op, limit) = match (&**l, &**r) {
+            (Expr::Subquery(s), c @ (Expr::Literal(_) | Expr::Param(_))) => (*s, *op, c),
+            (c @ (Expr::Literal(_) | Expr::Param(_)), Expr::Subquery(s)) => (*s, op.flipped(), c),
+            _ => continue,
+        };
+        if !matches!(op, BinOp::Eq | BinOp::Lt | BinOp::Le) {
+            continue;
+        }
+        let Some(Some(sub)) = subplans.get(slot) else {
+            continue;
+        };
+        let Some((count, _)) = sub.range_count_parts() else {
+            continue;
+        };
+        let AccessPath::Index {
+            eq: count_eq,
+            lower,
+            upper,
+            ..
+        } = &count.path
+        else {
+            continue;
+        };
+        if !count_eq.iter().all(steady) {
+            continue;
+        }
+        let backward = if is_own(upper) && steady_bound(lower) {
+            false
+        } else if is_own(lower) && steady_bound(upper) && !table.schema.columns[walked].nullable {
+            true
+        } else {
+            continue;
+        };
+        if let AccessPath::Index { reverse, .. } = &mut access.path {
+            *reverse = backward;
+        }
+        return Some(Box::new(Stop {
+            slot,
+            op,
+            limit: limit.clone(),
+            backward,
+        }));
+    }
+    None
+}
+
 /// `true` if the plan already delivers rows in `keys` order: the keys must be
 /// ascending (or all descending) columns matching the first table's index
 /// scan order after its equality prefix. Left-deep joins, filters, and hash
@@ -1464,7 +1660,7 @@ fn sort_satisfied_by_plan(catalog: &Catalog, node: &Node, keys: &[(Expr, bool)])
 /// Serves an all-descending `ORDER BY` by flipping the leftmost
 /// single-range index scan to walk its range backwards, when that makes the
 /// plan deliver `keys` order. Returns whether it did; on `false` the plan is
-/// unchanged.
+/// unchanged. A scan under a [`Stop`] keeps the direction its stop needs.
 fn reverse_leftmost_scan(catalog: &Catalog, root: &mut Node, keys: &[(Expr, bool)]) -> bool {
     fn leftmost_index_scan(node: &mut Node) -> Option<&mut bool> {
         match node {
@@ -1472,7 +1668,9 @@ fn reverse_leftmost_scan(catalog: &Catalog, root: &mut Node, keys: &[(Expr, bool
                 path: AccessPath::Index { reverse, .. },
                 ..
             }) => Some(reverse),
-            Node::Filter { input, .. } => leftmost_index_scan(input),
+            Node::Filter {
+                input, stop: None, ..
+            } => leftmost_index_scan(input),
             Node::Join { left, .. } => leftmost_index_scan(left),
             _ => None,
         }
@@ -1707,8 +1905,11 @@ fn render_node(
     match node {
         Node::OneRow => out.push(format!("{pad}Result (one row){suffix}")),
         Node::Scan(a) => out.push(format!("{pad}{}{suffix}", render_access(catalog, a))),
-        Node::Filter { input, pred, .. } => {
-            out.push(format!("{pad}Filter [{pred}]{suffix}"));
+        Node::Filter {
+            input, pred, stop, ..
+        } => {
+            let stop = stop.as_ref().map(|s| format!(" {s}")).unwrap_or_default();
+            out.push(format!("{pad}Filter [{pred}]{stop}{suffix}"));
             render_node(catalog, input, prof, depth + 1, false, out);
         }
         Node::Join {
@@ -1716,6 +1917,7 @@ fn render_node(
             right,
             residual,
             hash_keys,
+            stop,
             ..
         } => {
             let strategy = if hash_keys.is_some() {
@@ -1739,6 +1941,9 @@ fn render_node(
             }
             if let Some(r) = residual {
                 line.push_str(&format!(" residual [{r}]"));
+            }
+            if let Some(s) = stop {
+                line.push_str(&format!(" {s}"));
             }
             line.push_str(&suffix);
             out.push(line);

@@ -8,6 +8,7 @@ use ordxml_rdbms::{Database, DbError, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 const GROUPS: i64 = 3;
 
@@ -214,6 +215,225 @@ proptest! {
     #[test]
     fn range_count_memo_matches_standalone_counts(seed in any::<u64>()) {
         check_case(seed)?;
+    }
+}
+
+/// Standalone counts, each statement run once per distinct parameter list.
+#[derive(Default)]
+struct Solo(HashMap<String, i64>);
+
+impl Solo {
+    fn count(&mut self, db: &Database, sql: &str, params: &[Value]) -> i64 {
+        let key = format!("{sql} {params:?}");
+        *self.0.entry(key).or_insert_with(|| {
+            db.run_read(sql, params).unwrap().rows[0][0]
+                .as_int()
+                .unwrap()
+        })
+    }
+}
+
+/// Whether `count op limit` holds, for the comparisons the property uses.
+fn compares(count: i64, op: &str, limit: i64) -> bool {
+    match op {
+        "=" => count == limit,
+        "<" => count < limit,
+        "<=" => count <= limit,
+        ">" => count > limit,
+        "<>" => count != limit,
+        _ => unreachable!("{op}"),
+    }
+}
+
+/// One count predicate, `(COUNT(*) ...) op ?`, read along an index walk of
+/// `x`: a filter over the scan of one group (`join = false`) or the inner
+/// side of an index-nested-loop join from `o`, whose `lo`/`hi` bound the
+/// count's other side. `cmp` compares the counted key with the walked row's
+/// (`<`, `<=`: a preceding-count; `>`, `>=`: a following-count). With
+/// `filter`, the count counts only `tag = 'a'` rows and a conjunct judged
+/// after it keeps only `tag = 'a'` candidates, as an XPath node test does,
+/// so a walked row can fail while its count still satisfies the predicate.
+#[allow(clippy::too_many_arguments)]
+fn check_stop_shape(
+    db: &Database,
+    solo: &mut Solo,
+    table: &str,
+    cmp: &str,
+    filter: bool,
+    join: bool,
+    group: i64,
+    limits: &[i64],
+) -> Result<(), TestCaseError> {
+    let (out, order) = if table == "t" {
+        ("x.id", "x.k, x.id")
+    } else {
+        ("x.k", "x.k")
+    };
+    let preceding = cmp.starts_with('<');
+    let (other, bound) = if preceding { (">", "lo") } else { ("<", "hi") };
+    let tag = if filter { " AND y.tag = ?" } else { "" };
+    let own_tag = if filter { " AND x.tag = 'a'" } else { "" };
+    // The candidates in output order, each with its standalone count.
+    let (sql_head, candidates) = if join {
+        let rows = db
+            .run_read(
+                &format!(
+                    "SELECT o.oid, {out}, x.g, x.k, o.{bound} FROM o, {table} x \
+                     WHERE x.g = o.g{own_tag} ORDER BY o.oid, {order}"
+                ),
+                &[],
+            )
+            .unwrap()
+            .rows;
+        let count_sql = format!(
+            "SELECT COUNT(*) FROM {table} y WHERE y.g = ? AND y.k {cmp} ? AND y.k {other} ?{tag}"
+        );
+        let counted = rows
+            .into_iter()
+            .map(|r| {
+                let mut p = vec![r[2].clone(), r[3].clone(), r[4].clone()];
+                p.extend(filter.then(|| Value::text("a")));
+                (r[..2].to_vec(), solo.count(db, &count_sql, &p))
+            })
+            .collect::<Vec<_>>();
+        let head = format!(
+            "SELECT o.oid, {out} FROM o, {table} x WHERE x.g = o.g AND (SELECT COUNT(*) \
+             FROM {table} y WHERE y.g = x.g AND y.k {cmp} x.k AND y.k {other} o.{bound}{tag})"
+        );
+        (head, counted)
+    } else {
+        let rows = db
+            .run_read(
+                &format!(
+                    "SELECT {out}, x.g, x.k FROM {table} x WHERE x.g = ?{own_tag} ORDER BY {order}"
+                ),
+                &[Value::Int(group)],
+            )
+            .unwrap()
+            .rows;
+        let count_sql =
+            format!("SELECT COUNT(*) FROM {table} y WHERE y.g = ? AND y.k {cmp} ?{tag}");
+        let counted = rows
+            .into_iter()
+            .map(|r| {
+                let mut p = vec![r[1].clone(), r[2].clone()];
+                p.extend(filter.then(|| Value::text("a")));
+                (r[..1].to_vec(), solo.count(db, &count_sql, &p))
+            })
+            .collect::<Vec<_>>();
+        let head = format!(
+            "SELECT {out} FROM {table} x WHERE x.g = ? AND (SELECT COUNT(*) FROM {table} y \
+             WHERE y.g = x.g AND y.k {cmp} x.k{tag})"
+        );
+        (head, counted)
+    };
+    for op in ["=", "<", "<=", ">", "<>"] {
+        let own_tag = if filter { " AND x.tag = ?" } else { "" };
+        let sql = if join {
+            format!("{sql_head} {op} ?{own_tag} ORDER BY o.oid, {order}")
+        } else {
+            format!("{sql_head} {op} ?{own_tag} ORDER BY {order}")
+        };
+        let mut params: Vec<Value> = Vec::new();
+        if !join {
+            params.push(Value::Int(group));
+        }
+        if filter {
+            params.push(Value::text("a"));
+        }
+        // `t.k` is nullable, so only its preceding-counts stop.
+        let stops = op != ">" && op != "<>" && (preceding || table == "u");
+        let with_limit = |limit: i64| {
+            let mut p = params.clone();
+            p.push(Value::Int(limit));
+            p.extend(filter.then(|| Value::text("a")));
+            p
+        };
+        let plan = db
+            .run_read(&format!("EXPLAIN {sql}"), &with_limit(0))
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r[0].as_text().unwrap().to_string())
+            .collect::<Vec<_>>()
+            .join("\n");
+        prop_assert_eq!(
+            plan.contains("stop once subquery"),
+            stops,
+            "{}\n{}",
+            sql,
+            plan
+        );
+        prop_assert_eq!(
+            plan.contains("(reverse)"),
+            stops && !preceding,
+            "{}\n{}",
+            sql,
+            plan
+        );
+        for &limit in limits {
+            let p = with_limit(limit);
+            let got = db.run_read(&sql, &p).unwrap().rows;
+            let want: Vec<Vec<Value>> = candidates
+                .iter()
+                .filter(|(_, count)| compares(*count, op, limit))
+                .map(|(row, _)| row.clone())
+                .collect();
+            prop_assert_eq!(&got, &want, "{} with {:?}", sql, p);
+            if !join && table == "u" {
+                // A descending ORDER BY may flip only a scan whose stop
+                // does not need it ascending.
+                let desc = sql.replace("ORDER BY x.k", "ORDER BY x.k DESC");
+                let got = db.run_read(&desc, &p).unwrap().rows;
+                let want: Vec<Vec<Value>> = want.iter().rev().cloned().collect();
+                prop_assert_eq!(got, want, "{} with {:?}", desc, p);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Count predicates the planner gives a monotone stop (`=`, `<`, `<=` over
+/// a preceding- or following-count) and two it must not (`>`, `<>`), each
+/// with limits `0, 1, n/2, n, n + 5`, against the standalone count of every
+/// candidate row. Rows whose walked key is NULL sort first and count
+/// nothing.
+fn check_stops(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut db, outer) = setup(&mut rng);
+    for id in 0..rng.gen_range(0..3i64) {
+        let g = Value::Int(rng.gen_range(0..GROUPS));
+        db.execute(
+            "INSERT INTO t VALUES (?, ?, NULL, ?)",
+            &[Value::Int(100 + id), g, Value::text("a")],
+        )
+        .unwrap();
+    }
+    load_outer(&mut db, &outer);
+    let n = db.run_read("SELECT COUNT(*) FROM t", &[]).unwrap().rows[0][0]
+        .as_int()
+        .unwrap();
+    let limits = [0, 1, n / 2, n, n + 5];
+    let group = rng.gen_range(0..GROUPS);
+    let mut solo = Solo::default();
+    for table in ["t", "u"] {
+        for cmp in ["<", "<=", ">", ">="] {
+            for filter in [false, true] {
+                for join in [false, true] {
+                    check_stop_shape(&db, &mut solo, table, cmp, filter, join, group, &limits)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn stopped_count_predicates_match_standalone_counts(seed in any::<u64>()) {
+        check_stops(seed)?;
     }
 }
 
