@@ -553,17 +553,17 @@ impl XmlStore {
 
     /// The current committed snapshot, creating the schema first if no
     /// statement has touched the store yet. The common case is one
-    /// lock-free epoch-cell load; the one-time slow path takes the write
+    /// cell load (one `Arc` clone); the one-time slow path takes the write
     /// latch to run the DDL and republishes.
     fn read_snapshot(&self) -> StoreResult<Arc<StoreSnapshot>> {
-        let (_, snap) = self.published.load(WaitSite::Snapshot);
+        let snap = self.published.load(WaitSite::Snapshot);
         if snap.schema_ready {
             return Ok(snap);
         }
         drop(snap);
         // write_inner creates the schema; its guard republishes on drop.
         drop(self.write_inner()?);
-        Ok(self.published.load(WaitSite::Snapshot).1)
+        Ok(self.published.load(WaitSite::Snapshot))
     }
 
     /// A handle onto the current committed version. All the store's read
@@ -608,7 +608,6 @@ impl XmlStore {
     pub fn set_deadline_ms(&self, ms: u64) {
         self.published
             .load(WaitSite::Snapshot)
-            .1
             .db
             .set_deadline_ms(ms);
     }
@@ -620,7 +619,6 @@ impl XmlStore {
     pub fn set_work_budget(&self, units: u64) {
         self.published
             .load(WaitSite::Snapshot)
-            .1
             .db
             .set_work_budget(units);
     }
@@ -631,7 +629,7 @@ impl XmlStore {
     /// [`XmlStore::set_deadline_ms`] — retrievable even mid-update, which
     /// is exactly when an operator wants it.
     pub fn cancel_flag(&self) -> std::sync::Arc<std::sync::atomic::AtomicBool> {
-        self.published.load(WaitSite::Snapshot).1.db.cancel_flag()
+        self.published.load(WaitSite::Snapshot).db.cancel_flag()
     }
 
     /// Labels the store for operator-facing error messages: degraded-mode
@@ -641,7 +639,6 @@ impl XmlStore {
     pub fn set_identity(&self, label: &str) {
         self.published
             .load(WaitSite::Snapshot)
-            .1
             .db
             .set_identity(label);
     }
@@ -693,14 +690,14 @@ impl XmlStore {
     /// state), so it always answers — even while a writer holds the write
     /// latch mid-transaction.
     pub fn health(&self) -> StoreHealth {
-        self.published.load(WaitSite::Snapshot).1.db.health()
+        self.published.load(WaitSite::Snapshot).db.health()
     }
 
     /// Cumulative engine counters, served lock-free from the published
     /// snapshot (the counter cells are shared with the live database), so
     /// stats endpoints answer while a writer is mid-transaction.
     pub fn total_stats(&self) -> ordxml_rdbms::ExecStats {
-        self.published.load(WaitSite::Snapshot).1.db.total_stats()
+        self.published.load(WaitSite::Snapshot).db.total_stats()
     }
 
     /// Attempts to leave degraded read-only mode by re-checkpointing
@@ -936,8 +933,7 @@ impl XmlStore {
 
 impl StoreInner {
     /// Captures the last committed version as a fresh [`StoreSnapshot`]
-    /// (cheap: one committed-state epoch-cell load plus a handful of `Arc`
-    /// clones).
+    /// (cheap: a handful of `Arc` clones).
     fn capture(&self) -> StoreSnapshot {
         StoreSnapshot {
             db: self.db.snapshot(),
@@ -962,8 +958,8 @@ impl StoreInner {
     /// a transaction is already open, `f` simply joins it.
     ///
     /// A *panicking* update is rolled back too, before the panic resumes:
-    /// the in-memory pager only publishes a new page-map epoch at commit,
-    /// so readers keep the last committed snapshot throughout, and the
+    /// readers run on the published snapshot, whose page view holds the
+    /// last commit on both backends, so they never see the update; the
     /// rollback here closes the transaction so the store stays usable
     /// (a poisoned latch is deliberately ignored by the latch helpers).
     fn with_txn<T>(&mut self, f: impl FnOnce(&mut StoreInner) -> StoreResult<T>) -> StoreResult<T> {

@@ -131,6 +131,9 @@ struct DbTxn {
     catalog: Catalog,
     /// Catalog page list at `begin`.
     catalog_pages: Vec<PageId>,
+    /// DDL ran inside the transaction, so plans cached since may name
+    /// tables or indexes the rollback takes away.
+    ddl: bool,
 }
 
 /// How many ways the plan cache is sharded. Statements hash to a shard by
@@ -519,7 +522,7 @@ impl ReadCtx<'_> {
 
 /// One committed version of the database: the catalog as of a commit,
 /// paired with a [`PageView`] of exactly the pages that commit produced.
-/// Published as a unit by the writer (which holds `&mut Database`, so the
+/// Replaced as a unit by the writer (which holds `&mut Database`, so the
 /// pair can never be torn) and shared by `Arc` clone with every reader.
 struct CommittedState {
     catalog: Arc<Catalog>,
@@ -563,10 +566,10 @@ pub struct Database {
     file_backed: bool,
     /// Open explicit or auto-commit transaction, if any.
     txn: Option<DbTxn>,
-    /// The last committed version, republished by every commit, rollback,
-    /// and auto-commit write. [`Database::snapshot`] loads it; readers run
-    /// against it while a writer proceeds.
-    committed: latch::EpochCell<CommittedState>,
+    /// The last committed version, replaced by every commit (which holds
+    /// `&mut self`). [`Database::snapshot`] clones it; readers run against
+    /// it while a writer proceeds.
+    committed: Arc<CommittedState>,
 }
 
 impl Database {
@@ -619,7 +622,7 @@ impl Database {
         file_backed: bool,
     ) -> Database {
         let pager = Arc::new(pager);
-        let committed = latch::EpochCell::new(CommittedState::capture(&catalog, &pager));
+        let committed = CommittedState::capture(&catalog, &pager);
         Database {
             pager,
             catalog,
@@ -731,6 +734,7 @@ impl Database {
         self.txn = Some(DbTxn {
             catalog: self.catalog.clone(),
             catalog_pages: self.catalog_pages.clone(),
+            ddl: false,
         });
         Ok(())
     }
@@ -756,7 +760,12 @@ impl Database {
         match res {
             Ok(()) => {
                 self.txn = None;
-                self.publish_committed();
+                // Only a commit replaces the version `snapshot` hands out,
+                // so a reader never pairs a catalog with other pages. The
+                // catalog clone shares every table by `Arc`; the page view
+                // costs one `Arc` per page in memory, one reader
+                // registration on file.
+                self.committed = CommittedState::capture(&self.catalog, &self.pager);
                 governance::count(Work::Commit);
                 if self.pager.wal_frames_in_log() >= WAL_AUTOCHECKPOINT_FRAMES {
                     // Best effort: the commit is already durable; a failed
@@ -794,34 +803,23 @@ impl Database {
         self.pager.rollback_txn()?;
         self.catalog = st.catalog;
         self.catalog_pages = st.catalog_pages;
-        // Plans cached inside the transaction may name its DDL.
-        self.invalidate_plans();
-        // Republish the restored state: content-identical to the previous
-        // version, but snapshots taken from now on carry the restored
-        // catalog (and a fresh page view, releasing the aborted epoch).
-        self.publish_committed();
+        if st.ddl {
+            self.invalidate_plans();
+        }
+        // Nothing to republish: every change since the last published
+        // commit ran inside this transaction, so `committed` still holds
+        // exactly the restored state.
         governance::count(Work::Rollback);
         Ok(())
     }
 
-    /// Publishes the current (committed) catalog + page state as the
-    /// version [`Database::snapshot`] hands out. Called at every commit,
-    /// rollback, and standalone auto-commit write — never mid-transaction,
-    /// so readers only ever pair a catalog with exactly its pages. Cheap:
-    /// the catalog clone shares every table by `Arc` (copy-on-write).
-    fn publish_committed(&self) {
-        let state = CommittedState::capture(&self.catalog, &self.pager);
-        self.committed.publish(state, WaitSite::Snapshot);
-    }
-
     /// A read-only [`DbSnapshot`] of the last committed version. Cheap
-    /// (one epoch-cell load); any number of threads may query their
-    /// snapshots while this database runs a writer. The snapshot stays
-    /// valid — and pins at most its own version — for as long as it lives.
+    /// (one `Arc` clone); any number of threads may query their snapshots
+    /// while this database runs a writer. The snapshot stays valid — and
+    /// pins at most its own version — for as long as it lives.
     pub fn snapshot(&self) -> DbSnapshot {
-        let (_, state) = self.committed.load(WaitSite::Snapshot);
         DbSnapshot {
-            state,
+            state: Arc::clone(&self.committed),
             shared: Arc::clone(&self.shared),
             log: StatementLog::default(),
         }
@@ -987,10 +985,11 @@ impl Database {
 
     /// The envelope every write statement runs in — [`Database::run`]'s
     /// writes and [`Database::insert_many`] alike. Standalone writes
-    /// auto-commit under WAL durability, so each is atomic and durable on
-    /// its own; statements inside an explicit transaction ride on its
-    /// commit. Failures (the body's or the commit's) are counted, and the
-    /// result's stats carry only the statement's own page and index traffic.
+    /// auto-commit on both backends, so each is atomic on its own (and
+    /// durable under the WAL); statements inside an explicit transaction
+    /// ride on its commit. Failures (the body's or the commit's) are
+    /// counted, and the result's stats carry only the statement's own page
+    /// and index traffic.
     /// `sql` names the statement in traces; it is only called when
     /// something records.
     fn write_envelope<'s>(
@@ -1003,7 +1002,7 @@ impl Database {
     ) -> DbResult<QueryResult> {
         let mark = Ledger::read();
         let started = Instant::now();
-        let auto_txn = is_write && self.file_backed && !self.in_transaction();
+        let auto_txn = is_write && !self.in_transaction();
         let begun = if auto_txn { self.begin() } else { Ok(()) };
         let outcome = match begun.and_then(|()| body(self)) {
             Ok(r) if auto_txn => self.commit_txn().map(|()| r),
@@ -1018,12 +1017,6 @@ impl Database {
         let result = self
             .shared
             .finish(&mark, &self.pager, is_read, started, outcome)?;
-        // Writes that commit without a transaction (the in-memory backend)
-        // republish here; auto-commit and explicit transactions republish
-        // inside `commit`.
-        if is_write && !auto_txn && !self.in_transaction() {
-            self.publish_committed();
-        }
         self.log.record(sql, params, started, &result);
         Ok(result)
     }
@@ -1373,6 +1366,9 @@ impl Database {
     }
 
     fn invalidate_plans(&mut self) {
+        if let Some(t) = self.txn.as_mut() {
+            t.ddl = true;
+        }
         for shard in &self.shared.plans.shards {
             latch::write(&shard.map, WaitSite::PlanCache).clear();
         }
@@ -1443,7 +1439,7 @@ fn stmt_writes(stmt: &Stmt) -> bool {
 /// A read-only handle onto one *committed* version of a [`Database`] — the
 /// MVCC snapshot readers run against while a writer proceeds.
 ///
-/// Snapshots are cheap ([`Database::snapshot`] is one epoch-cell load) and
+/// Snapshots are cheap ([`Database::snapshot`] is one `Arc` clone) and
 /// self-contained: reads execute against the snapshot's own catalog and a
 /// [`PageView`] of exactly that commit's pages, which each statement
 /// carries as its page source — taking **no** database-level latch, so a
@@ -1452,8 +1448,8 @@ fn stmt_writes(stmt: &Stmt) -> bool {
 /// and governance knobs are shared with the live database, so snapshot
 /// reads stay governed, observable, and warm.
 ///
-/// A snapshot holds its version for as long as it lives (in-memory: the
-/// published page map; file: registered pre-image deltas) — drop it to
+/// A snapshot holds its version for as long as it lives (in-memory: its
+/// copy of the page map; file: registered pre-image deltas) — drop it to
 /// release them. Each snapshot carries its *own* trace cells, so two
 /// concurrent diagnostics never interleave their statement traces.
 pub struct DbSnapshot {

@@ -19,7 +19,6 @@
 //!   propagating the poison and taking the whole store down.
 
 use crate::obs::WaitSite;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
     Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
 };
@@ -70,63 +69,43 @@ pub fn write<T>(l: &RwLock<T>, site: WaitSite) -> RwLockWriteGuard<'_, T> {
     }
 }
 
-/// An epoch-published slot holding an immutable snapshot behind an `Arc`.
+/// A published slot holding an immutable snapshot behind an `Arc`.
 ///
-/// This is the publication primitive behind the pager's lock-free read
-/// path: a writer builds a new immutable value off to the side, then
-/// [`publish`](EpochCell::publish)es it — store the `Arc`, bump the epoch.
-/// Readers call [`epoch`](EpochCell::epoch) (one `Acquire` load) to
-/// validate a previously cloned snapshot and only touch the slot's lock on
-/// an epoch mismatch, so a reader that already holds the current snapshot
-/// never blocks and never records a wait.
+/// This is the publication primitive behind `XmlStore`'s snapshot reads: a
+/// writer builds a new immutable value off to the side, then
+/// [`publish`](EpochCell::publish)es it; readers
+/// [`load`](EpochCell::load) the current one and keep it for as long as
+/// they need, never blocking the next publication.
 ///
 /// The slot itself is an `RwLock<Arc<T>>` rather than a bare atomic
 /// pointer: `std` has no atomic `Arc` swap, and the lock is held only for
 /// the duration of an `Arc` clone/store (never while building the value),
 /// so contention on it is bounded by publication frequency, not read
-/// traffic.
-///
-/// Epoch/slot ordering: `publish` stores the slot first, then bumps the
-/// epoch with `Release`. A racing [`load`](EpochCell::load) can therefore
-/// observe a *newer* value labelled with the previous epoch, which is
-/// benign — every value ever read from the slot is a complete published
-/// snapshot, and the stale label only causes one extra refresh on the next
-/// validation.
+/// traffic. Every value ever read from the slot is a complete published
+/// snapshot.
 #[derive(Debug)]
 pub struct EpochCell<T> {
-    epoch: AtomicU64,
     slot: RwLock<Arc<T>>,
 }
 
 impl<T> EpochCell<T> {
-    /// A cell publishing `initial` at epoch 0.
+    /// A cell publishing `initial`.
     pub fn new(initial: Arc<T>) -> EpochCell<T> {
         EpochCell {
-            epoch: AtomicU64::new(0),
             slot: RwLock::new(initial),
         }
     }
 
-    /// The current publication epoch (monotonic; bumps once per
-    /// [`publish`](EpochCell::publish)).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+    /// The current snapshot.
+    pub fn load(&self, site: WaitSite) -> Arc<T> {
+        Arc::clone(&read(&self.slot, site))
     }
 
-    /// The current snapshot and the epoch it was validated against.
-    /// Readers cache the pair and revalidate with [`epoch`](EpochCell::epoch)
-    /// alone on subsequent reads.
-    pub fn load(&self, site: WaitSite) -> (u64, Arc<T>) {
-        let epoch = self.epoch();
-        (epoch, Arc::clone(&read(&self.slot, site)))
-    }
-
-    /// Publishes `value` as the new current snapshot and advances the
-    /// epoch. The caller must pass a fully built value — readers may
-    /// observe it the instant this returns (or even mid-call).
+    /// Publishes `value` as the new current snapshot. The caller must pass
+    /// a fully built value — readers may observe it the instant this
+    /// returns (or even mid-call).
     pub fn publish(&self, value: Arc<T>, site: WaitSite) {
         *write(&self.slot, site) = value;
-        self.epoch.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -134,6 +113,7 @@ impl<T> EpochCell<T> {
 mod tests {
     use super::*;
     use crate::governance::Ledger;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn uncontended_acquisitions_do_not_count() {
@@ -205,14 +185,10 @@ mod tests {
     #[test]
     fn epoch_cell_publishes_and_validates() {
         let cell = EpochCell::new(Arc::new(vec![1, 2, 3]));
-        let (e0, v0) = cell.load(WaitSite::Backend);
-        assert_eq!(e0, 0);
+        let v0 = cell.load(WaitSite::Backend);
         assert_eq!(*v0, vec![1, 2, 3]);
-        assert_eq!(cell.epoch(), e0, "cached epoch still valid");
         cell.publish(Arc::new(vec![4]), WaitSite::Backend);
-        assert_ne!(cell.epoch(), e0, "publish must invalidate cached readers");
-        let (e1, v1) = cell.load(WaitSite::Backend);
-        assert_eq!(e1, 1);
+        let v1 = cell.load(WaitSite::Backend);
         assert_eq!(*v1, vec![4]);
         // The old snapshot stays alive and unchanged for readers that
         // still hold it.
@@ -229,7 +205,7 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        let (_, snap) = cell.load(WaitSite::Backend);
+                        let snap = cell.load(WaitSite::Backend);
                         let first = snap[0];
                         assert!(
                             snap.iter().all(|&x| x == first),
@@ -246,6 +222,5 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(cell.epoch(), 199);
     }
 }

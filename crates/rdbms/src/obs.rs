@@ -22,7 +22,8 @@ pub enum WaitSite {
     Obs,
     /// Statement-trace capture buffers in [`crate::Database`].
     Trace,
-    /// Epoch-published snapshot cells: publish-side collisions.
+    /// Published snapshot cells ([`crate::latch::EpochCell`]):
+    /// publish-side collisions.
     Snapshot,
 }
 

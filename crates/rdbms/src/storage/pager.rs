@@ -1,25 +1,30 @@
 //! The pager: page allocation, caching, transactions, and the two backends.
 //!
-//! * [`Pager::in_memory`] keeps every page in an epoch-published immutable
-//!   page map — the default for the experiment harness (the paper's cost
-//!   differences are algorithmic, not I/O-bound, and an in-memory backend
-//!   removes disk noise). Readers validate a thread-local snapshot against
-//!   the published epoch and never lock anything; writers copy-on-write
-//!   the touched pages and publish at commit (see [`MemBackend`]).
+//! * [`Pager::in_memory`] keeps every page in one page map behind a
+//!   reader–writer latch — the default for the experiment harness (the
+//!   paper's cost differences are algorithmic, not I/O-bound, and an
+//!   in-memory backend removes disk noise). Pages are individually `Arc`ed,
+//!   so a [`PageView`] shares every page with the live map and a writer
+//!   copies only the pages it touches.
 //! * [`Pager::open_file`] stores pages in a file behind a clock-replacement
 //!   buffer pool of configurable capacity, for durability tests and
 //!   out-of-memory-sized documents.
 //!
-//! All read/write access goes through [`Pager::with_page`] /
+//! All live access goes through [`Pager::with_page`] /
 //! [`Pager::with_page_mut`], which count every page they serve, read or
 //! write on the calling thread's [`governance::Ledger`]; the pager itself
-//! keeps only the I/O totals in [`PagerStats`].
+//! keeps only the I/O totals in [`PagerStats`]. A live read sees the
+//! pager's current state — an open transaction's writes included — from
+//! every thread, on both backends. A read of the last commit goes through
+//! a [`PageView`].
 //!
 //! # Transactions
 //!
 //! [`Pager::begin_txn`] starts page-level transaction tracking: the first
-//! mutation of each page captures a pre-image, and rollback restores those
-//! images (and the page count). With a WAL attached ([`Pager::attach_wal`])
+//! mutation of each page captures a pre-image into the backend's one
+//! pre-image map, and rollback restores those images (and the page count).
+//! Views read through the same map, so a view never sees an uncommitted
+//! page. With a WAL attached ([`Pager::attach_wal`])
 //! the pager runs a no-steal policy — dirty pages are never evicted to the
 //! database file — and commit appends every dirty page to the WAL (fsync =
 //! the durability barrier) before writing it home. A file-backed `Database`
@@ -40,8 +45,8 @@
 //! failures are classified at the WAL commit barrier and at checkpoints:
 //! a *persistent* failure (the injector's crashed state, or `ENOSPC` real
 //! or injected) transitions the pager to [`StoreHealth::Degraded`] —
-//! readers keep serving (the last published epoch in memory mode, the
-//! WAL-protected committed state on file), [`Pager::begin_txn`] refuses
+//! readers keep serving (the pages in memory mode, the WAL-protected
+//! committed state on file), [`Pager::begin_txn`] refuses
 //! new writes with [`DbError::Degraded`], and [`Pager::try_restore`]
 //! re-checkpoints and re-enables writes once I/O succeeds again.
 //! Transient one-shot faults never degrade: the transaction rolls back
@@ -139,10 +144,27 @@ struct Frame {
     referenced: bool,
 }
 
-/// Pre-image entry kept for snapshot readers: `Some(page)` is the image a
-/// page held at the snapshot's epoch, `None` marks a page that did not yet
-/// exist (allocated later — snapshot reads of it are out-of-range).
+/// Pre-image entry: `Some(page)` is the image a page held before a
+/// transaction (or, on the version chain, at a reader's epoch), `None`
+/// marks a page that did not yet exist (allocated later — view reads of it
+/// are out of range, and rollback drops it).
 type PreImage = Option<Arc<Page>>;
+
+/// The open transaction's first-touch pre-images, one per modified or
+/// allocated page. Each backend keeps exactly one such map under its own
+/// latch: rollback restores from it, views read through it, and a
+/// non-empty map is what makes the file backend no-steal.
+type PreImages = HashMap<PageId, PreImage>;
+
+/// An in-memory page map. Pages are individually `Arc`ed so a view shares
+/// every page and a writer copy-on-writes only the pages it touches.
+type PageMap = Vec<Arc<Page>>;
+
+/// The in-memory backend's state, under one latch.
+struct MemPages {
+    pages: PageMap,
+    pre_images: PreImages,
+}
 
 struct FileBackend {
     file: File,
@@ -159,17 +181,17 @@ struct FileBackend {
     /// auto-commit mutation while snapshot readers exist). A [`PageView`]
     /// taken at epoch `V` reads pages as of commit `V`.
     epoch: u64,
-    /// Mirror of the open transaction's first-touch pre-images, maintained
-    /// under the pool mutex so snapshot reads never see uncommitted frame
-    /// content. Moved into `retained` at commit, cleared on rollback.
-    txn_pre: HashMap<PageId, PreImage>,
+    /// The open transaction's pre-images: view reads never see uncommitted
+    /// frame content through them. Moved into `retained` at commit,
+    /// restored on rollback.
+    pre_images: PreImages,
     /// Per-commit pre-image deltas kept alive for registered readers.
     /// The delta at key `k` holds the images pages had *through* epoch `k`
     /// (it was retained by the commit that moved the backend to `k + 1`).
     /// A reader at epoch `V` resolves page `P` from the first delta at
     /// `k >= V` that contains `P`; if none does and the open transaction
     /// has not touched `P`, the current frame is unchanged since `V`.
-    retained: BTreeMap<u64, HashMap<PageId, PreImage>>,
+    retained: BTreeMap<u64, PreImages>,
     /// Registered snapshot readers per epoch ([`PageView`] handles).
     /// Deltas older than the oldest registered epoch are pruned, so a slow
     /// reader pins at most the versions back to its own snapshot.
@@ -199,6 +221,52 @@ impl FileBackend {
         self.retained.entry(self.epoch).or_default().insert(id, pre);
         self.epoch += 1;
     }
+
+    /// Clock eviction: advances the hand until an unreferenced (and, under
+    /// no-steal, clean) frame shows. Two full sweeps visit every frame once
+    /// with its reference bit cleared; `None` means every frame is pinned
+    /// dirty and the pool must grow past capacity. It never shrinks back:
+    /// once commits clean the frames, eviction replaces them in place, so
+    /// the pool keeps its high-water size.
+    fn clock_victim(&mut self, no_steal: bool) -> Option<usize> {
+        for _ in 0..self.frames.len() * 2 {
+            let i = self.hand;
+            self.hand = (self.hand + 1) % self.frames.len();
+            if self.frames[i].referenced {
+                self.frames[i].referenced = false;
+            } else if !(no_steal && self.frames[i].dirty) {
+                return Some(i);
+            }
+        }
+        None
+    }
+
+    /// Writes frame `i` to its home page, records its checksum, and marks
+    /// it clean.
+    fn write_home(
+        &mut self,
+        i: usize,
+        faults: &FaultInjector,
+        stats: &PagerStats,
+    ) -> std::io::Result<()> {
+        let frame = &mut self.frames[i];
+        let off = frame.id as u64 * PAGE_SIZE as u64;
+        faults.write_at(&mut self.file, off, frame.page.bytes())?;
+        self.sums.insert(frame.id, page_sum(frame.page.bytes()));
+        frame.dirty = false;
+        stats.physical_write();
+        Ok(())
+    }
+
+    /// Writes every dirty frame home (see [`FileBackend::write_home`]).
+    fn write_dirty(&mut self, faults: &FaultInjector, stats: &PagerStats) -> std::io::Result<()> {
+        for i in 0..self.frames.len() {
+            if self.frames[i].dirty {
+                self.write_home(i, faults, stats)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// 64-bit FNV-1a over a page image (file-read validation).
@@ -215,132 +283,32 @@ fn page_sum(bytes: &[u8]) -> u64 {
 /// plus bounded retries with exponential backoff).
 const READ_ATTEMPTS: u32 = 3;
 
-/// Ways in the per-thread snapshot cache (direct-mapped by pager id).
-const SNAP_WAYS: usize = 4;
-
-/// One published page map: the unit the in-memory backend publishes
-/// atomically. Pages are individually `Arc`ed so a writer can copy-on-write
-/// only the pages it touches.
-type PageMap = Vec<Arc<Page>>;
-
-/// One snapshot-cache way: `(pager id, epoch, snapshot)`.
-type SnapEntry = (u64, u64, Arc<PageMap>);
-
-thread_local! {
-    /// Per-thread cache of validated `(pager id, epoch, snapshot)` triples,
-    /// direct-mapped by pager id. A reader whose cached epoch still matches
-    /// the pager's published epoch serves pages with two shared atomic
-    /// *loads* and zero shared read-modify-writes — nothing for other
-    /// readers to contend on.
-    static SNAP_CACHE: std::cell::RefCell<[Option<SnapEntry>; SNAP_WAYS]> =
-        const { std::cell::RefCell::new([None, None, None, None]) };
+/// The error for a page id past the end of the pager (or of a view).
+fn out_of_range(id: PageId) -> DbError {
+    DbError::Storage(format!("page {id} out of range"))
 }
 
-/// A process-unique token for the calling thread (never 0, which the
-/// writer slot uses for "none"). `ThreadId` has no stable integer form, so
-/// the pager numbers threads itself.
-fn thread_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TOKEN: u64 = NEXT.fetch_add(1, AtomicOrdering::Relaxed);
-    }
-    // During thread teardown TLS may be gone; u64::MAX is never allocated
-    // as a token, so such a thread simply never matches the writer slot.
-    TOKEN.try_with(|t| *t).unwrap_or(u64::MAX)
-}
-
-/// The in-memory backend: an epoch-published immutable page map.
-///
-/// Readers never lock the map. [`MemBackend::with_map`] validates the
-/// calling thread's cached snapshot against the published epoch (one
-/// `Acquire` load) and only touches the [`latch::EpochCell`]'s slot lock on
-/// a mismatch — i.e. once per commit per thread, not once per read.
-///
-/// Writers mutate `working` (copy-on-write per page via [`Arc::make_mut`])
-/// and *publish* a clone of it: at commit/rollback when a transaction is
-/// open, or immediately after each mutation otherwise. A writer that
-/// panics mid-transaction therefore never publishes — the previously
-/// published epoch stays readable, and the still-open transaction keeps
-/// new writers out until it is rolled back (which restores pre-images and
-/// publishes the restored map, from any thread).
-struct MemBackend {
-    /// Unique id keying the per-thread snapshot cache.
-    id: u64,
-    /// The writer's working map; always equal to the published map between
-    /// publications. Only mutating entry points lock it.
-    working: RwLock<PageMap>,
-    /// The last published (committed) page map.
-    published: latch::EpochCell<PageMap>,
-    /// Thread token of the thread that opened the current transaction
-    /// (0 = none). That thread's reads route to `working` so it observes
-    /// its own uncommitted writes; every other thread reads the published
-    /// snapshot.
-    writer: AtomicU64,
-}
-
-impl MemBackend {
-    fn new() -> MemBackend {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        MemBackend {
-            id: NEXT_ID.fetch_add(1, AtomicOrdering::Relaxed),
-            working: RwLock::new(Vec::new()),
-            published: latch::EpochCell::new(Arc::new(Vec::new())),
-            writer: AtomicU64::new(0),
-        }
-    }
-
-    /// Runs `f` against the current published snapshot, through the
-    /// calling thread's cache. Lock-free once the cache is warm: two
-    /// shared atomic loads (writer slot, epoch) and a TLS lookup.
-    fn with_map<R>(&self, f: impl FnOnce(&PageMap) -> R) -> R {
-        let current = self.published.epoch();
-        let way = (self.id as usize) % SNAP_WAYS;
-        let mut f = Some(f);
-        let out = SNAP_CACHE.try_with(|cache| {
-            let mut cache = cache.borrow_mut();
-            let slot = &mut cache[way];
-            let valid = matches!(slot, Some((id, epoch, _)) if *id == self.id && *epoch == current);
-            if !valid {
-                let (epoch, snap) = self.published.load(WaitSite::Backend);
-                *slot = Some((self.id, epoch, snap));
-            }
-            let (_, _, snap) = slot.as_ref().expect("just validated or refilled");
-            (f.take().expect("with_map closure consumed once"))(snap)
-        });
-        match out {
-            Ok(r) => r,
-            // TLS is gone during thread teardown; read the slot directly.
-            Err(_) => {
-                let g = f.take().expect("closure unused when TLS failed");
-                g(&self.published.load(WaitSite::Backend).1)
-            }
-        }
-    }
-
-    /// Publishes `map` as the new committed snapshot.
-    fn publish(&self, map: PageMap) {
-        self.published.publish(Arc::new(map), WaitSite::Backend);
-    }
-}
-
-/// The two storage backends. The in-memory backend is an epoch-published
-/// immutable page map ([`MemBackend`]) — concurrent readers share it with
-/// no lock at all. The file backend cannot offer shared reads — even a
-/// logically read-only [`Pager::with_page`] pins a frame, which mutates
-/// the frame table and may evict — so it sits behind a `Mutex` and reads
-/// serialize (contention shows up in the `lock_waits` counter).
+/// The two storage backends, each with its state and the open
+/// transaction's pre-images under one latch. The in-memory page map sits
+/// behind a `RwLock`: any number of live readers share it, and a writer
+/// holds it only for one page mutation or allocation. The file backend
+/// cannot offer shared reads — even a logically read-only
+/// [`Pager::with_page`] pins a frame, which mutates the frame table and may
+/// evict — so it sits behind a `Mutex` and reads serialize (contention
+/// shows up in the `lock_waits` counter).
 enum Backend {
-    Mem(MemBackend),
+    Mem(RwLock<MemPages>),
     File(Mutex<FileBackend>),
 }
 
-/// A read-only view of the pager as of one committed epoch — the page half
-/// of an MVCC snapshot. Cheap to clone (one `Arc`); holding one pins at
-/// most the page versions back to its own epoch:
+/// A read-only view of the pager as of one commit — the page half of an
+/// MVCC snapshot. Cheap to clone (one `Arc`); holding one pins at most the
+/// page versions back to its own commit:
 ///
-/// * **in-memory**: the view holds the published immutable page map of its
-///   epoch — reads touch no lock at all, and dropping the view releases
-///   the map.
+/// * **in-memory**: the view holds its own copy of the page map with the
+///   open transaction's pre-images put back, sharing every unchanged page
+///   with the live map — reads touch no lock at all, and dropping the view
+///   releases the pages only it still holds.
 /// * **file**: the view registers its epoch with the buffer pool; commits
 ///   that overwrite pages it can still see retain per-commit pre-image
 ///   deltas, which are pruned as soon as no registered reader needs them.
@@ -360,8 +328,8 @@ struct ViewInner {
 }
 
 enum ViewCore {
-    /// The epoch-published immutable map itself — self-contained.
-    Mem(Arc<PageMap>),
+    /// The page map as of the view's commit — self-contained.
+    Mem(PageMap),
     /// A registered reader epoch on the file backend's version chain.
     File { epoch: u64 },
 }
@@ -389,34 +357,23 @@ impl PageView {
         &self.inner.pager
     }
 
-    /// The committed epoch this view reads at (file backend; the in-memory
-    /// backend's map is self-describing). Diagnostic only.
-    pub fn epoch(&self) -> u64 {
-        match &self.inner.core {
-            ViewCore::Mem(_) => self.inner.pager.mem_epoch(),
-            ViewCore::File { epoch } => *epoch,
-        }
-    }
-
-    /// Serves one page read as of this view's epoch — the snapshot
+    /// Serves one page read as of this view's commit — the snapshot
     /// counterpart of [`Pager::with_page`], with the same span, governance
-    /// checkpoint, and logical-read count. Neither the writer's working
-    /// map nor its uncommitted frames are ever visible here, whichever
-    /// thread reads.
+    /// checkpoint, and logical-read count. An open transaction's writes
+    /// are never visible here, whichever thread reads.
     pub fn read_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> DbResult<R> {
         let _span = trace::span("pager.read");
         let pager = &self.inner.pager;
         governance::checkpoint_work(Work::LogicalRead)?;
         match &self.inner.core {
-            ViewCore::Mem(map) => match map.get(id as usize) {
-                Some(page) => Ok(f(page)),
-                None => Err(DbError::Storage(format!("page {id} out of range"))),
-            },
+            ViewCore::Mem(pages) => pages
+                .get(id as usize)
+                .map(|p| f(p))
+                .ok_or_else(|| out_of_range(id)),
             ViewCore::File { epoch } => {
                 let Backend::File(fbm) = &pager.backend else {
                     unreachable!("file view on a non-file pager");
                 };
-                let wal_mode = pager.wal_enabled();
                 let fb = &mut *latch::lock(fbm, WaitSite::Backend);
                 // Resolve the version chain: the first retained delta at or
                 // after our epoch that mentions the page holds its image as
@@ -428,12 +385,12 @@ impl PageView {
                     .retained
                     .range(*epoch..)
                     .find_map(|(_, delta)| delta.get(&id).cloned())
-                    .or_else(|| fb.txn_pre.get(&id).cloned());
+                    .or_else(|| fb.pre_images.get(&id).cloned());
                 match pre {
                     Some(Some(img)) => Ok(f(&img)),
-                    Some(None) => Err(DbError::Storage(format!("page {id} out of range"))),
+                    Some(None) => Err(out_of_range(id)),
                     None => {
-                        let no_steal = wal_mode || !fb.txn_pre.is_empty();
+                        let no_steal = pager.no_steal(fb);
                         let idx = Pager::pin(fb, id, &pager.stats, no_steal, &pager.faults, None)?;
                         Ok(f(&fb.frames[idx].page))
                     }
@@ -445,14 +402,12 @@ impl PageView {
 
 impl std::fmt::Debug for PageView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.inner.core {
-            ViewCore::Mem(_) => "mem",
-            ViewCore::File { .. } => "file",
+        let mut d = f.debug_struct("PageView");
+        match &self.inner.core {
+            ViewCore::Mem(pages) => d.field("pages", &pages.len()),
+            ViewCore::File { epoch } => d.field("epoch", epoch),
         };
-        f.debug_struct("PageView")
-            .field("backend", &kind)
-            .field("epoch", &self.epoch())
-            .finish()
+        d.finish()
     }
 }
 
@@ -490,14 +445,10 @@ impl<'a> From<&'a Pager> for PageSource<'a> {
     }
 }
 
-/// Per-transaction pager state: pre-images for rollback.
+/// Per-transaction pager state (its pre-images live in the backend).
 struct TxnState {
     /// Monotonic id stamped into WAL frames.
     id: u64,
-    /// First-touch pre-image per modified page; `None` marks a page
-    /// allocated inside this transaction (rollback drops it). `Arc`ed so
-    /// the file backend's snapshot mirror shares the same image.
-    pre_images: HashMap<PageId, PreImage>,
     /// Page count at `begin_txn` (rollback target).
     start_pages: u32,
 }
@@ -511,10 +462,11 @@ struct TxnState {
 /// writer at a time; see `XmlStore` in the core crate).
 ///
 /// Lock order, for paths that hold more than one latch: `txn` → `backend`
-/// (the in-memory working map or the file frame table, then the published
-/// snapshot slot) → `wal`. `n_pages`, `txn_seq` and `wal_attached` are
-/// atomics and participate in no ordering. The in-memory *read* path takes
-/// none of these — it runs against the epoch-published snapshot.
+/// (the in-memory page map or the file frame table, each with the open
+/// transaction's pre-images) → `wal`. `n_pages`, `txn_seq` and
+/// `wal_attached` are atomics and participate in no ordering. A live read
+/// takes only `backend` (shared on the in-memory backend); a view read of
+/// the in-memory backend takes nothing.
 pub struct Pager {
     backend: Backend,
     n_pages: AtomicU32,
@@ -541,11 +493,11 @@ pub struct Pager {
 }
 
 impl Pager {
-    /// A pager whose pages live entirely in memory.
-    pub fn in_memory() -> Self {
+    /// A pager over `backend`, which holds `n_pages` pages.
+    fn with_backend(backend: Backend, n_pages: u32) -> Self {
         Pager {
-            backend: Backend::Mem(MemBackend::new()),
-            n_pages: AtomicU32::new(0),
+            backend,
+            n_pages: AtomicU32::new(n_pages),
             stats: Arc::new(PagerStats::default()),
             faults: Arc::new(FaultInjector::new()),
             wal: Mutex::new(None),
@@ -555,6 +507,15 @@ impl Pager {
             health: Mutex::new(None),
             identity: Mutex::new(None),
         }
+    }
+
+    /// A pager whose pages live entirely in memory.
+    pub fn in_memory() -> Self {
+        let pages = MemPages {
+            pages: Vec::new(),
+            pre_images: HashMap::new(),
+        };
+        Pager::with_backend(Backend::Mem(RwLock::new(pages)), 0)
     }
 
     /// A file-backed pager with a buffer pool of `cache_pages` frames.
@@ -573,30 +534,20 @@ impl Pager {
                 "file length {len} is not a multiple of the page size"
             )));
         }
+        let fb = FileBackend {
+            file,
+            frames: Vec::new(),
+            map: HashMap::new(),
+            capacity: cache_pages.max(8),
+            hand: 0,
+            sums: HashMap::new(),
+            epoch: 0,
+            pre_images: HashMap::new(),
+            retained: BTreeMap::new(),
+            readers: BTreeMap::new(),
+        };
         let n_pages = (len / PAGE_SIZE as u64) as u32;
-        Ok(Pager {
-            backend: Backend::File(Mutex::new(FileBackend {
-                file,
-                frames: Vec::new(),
-                map: HashMap::new(),
-                capacity: cache_pages.max(8),
-                hand: 0,
-                sums: HashMap::new(),
-                epoch: 0,
-                txn_pre: HashMap::new(),
-                retained: BTreeMap::new(),
-                readers: BTreeMap::new(),
-            })),
-            n_pages: AtomicU32::new(n_pages),
-            stats: Arc::new(PagerStats::default()),
-            faults: Arc::new(FaultInjector::new()),
-            wal: Mutex::new(None),
-            wal_attached: AtomicBool::new(false),
-            txn: Mutex::new(None),
-            txn_seq: AtomicU64::new(0),
-            health: Mutex::new(None),
-            identity: Mutex::new(None),
-        })
+        Ok(Pager::with_backend(Backend::File(Mutex::new(fb)), n_pages))
     }
 
     /// Attaches a write-ahead log: from now on the pager runs no-steal and
@@ -628,22 +579,26 @@ impl Pager {
         Arc::clone(&self.stats)
     }
 
-    /// The in-memory backend's published epoch (0 for file pagers;
-    /// diagnostic only).
-    fn mem_epoch(&self) -> u64 {
-        match &self.backend {
-            Backend::Mem(mem) => mem.published.epoch(),
-            Backend::File(_) => 0,
-        }
-    }
-
-    /// Captures a read-only [`PageView`] of the last committed state.
-    /// Cheap: one published-map load (in-memory) or one reader-epoch
-    /// registration under the pool mutex (file). Associated function
-    /// because the view keeps its pager alive.
+    /// Captures a read-only [`PageView`] of the last committed state: on
+    /// the in-memory backend a copy of the page map (one `Arc` per page)
+    /// with the open transaction's pre-images put back, on the file
+    /// backend one reader-epoch registration under the pool mutex.
+    /// Associated function because the view keeps its pager alive.
     pub fn view(pager: &Arc<Pager>) -> PageView {
         let core = match &pager.backend {
-            Backend::Mem(mem) => ViewCore::Mem(mem.published.load(WaitSite::Backend).1),
+            Backend::Mem(mem) => {
+                let mem = latch::read(mem, WaitSite::Backend);
+                let mut pages = mem.pages.clone();
+                let mut end = pages.len();
+                for (&id, pre) in &mem.pre_images {
+                    match pre {
+                        Some(img) => pages[id as usize] = Arc::clone(img),
+                        None => end = end.min(id as usize),
+                    }
+                }
+                pages.truncate(end);
+                ViewCore::Mem(pages)
+            }
             Backend::File(fbm) => {
                 let fb = &mut *latch::lock(fbm, WaitSite::Backend);
                 *fb.readers.entry(fb.epoch).or_insert(0) += 1;
@@ -670,9 +625,10 @@ impl Pager {
 
     /// `true` if the open transaction has modified (or allocated) any page.
     pub fn txn_has_writes(&self) -> bool {
-        latch::lock(&self.txn, WaitSite::Txn)
-            .as_ref()
-            .is_some_and(|t| !t.pre_images.is_empty())
+        match &self.backend {
+            Backend::Mem(mem) => !latch::read(mem, WaitSite::Backend).pre_images.is_empty(),
+            Backend::File(fbm) => !latch::lock(fbm, WaitSite::Backend).pre_images.is_empty(),
+        }
     }
 
     /// Sets the operator-facing identity included in degraded-mode errors
@@ -757,14 +713,8 @@ impl Pager {
         let id = self.txn_seq.fetch_add(1, AtomicOrdering::Relaxed) + 1;
         *txn = Some(TxnState {
             id,
-            pre_images: HashMap::new(),
             start_pages: self.page_count(),
         });
-        if let Backend::Mem(mem) = &self.backend {
-            // Route this thread's reads to the working map for the
-            // transaction's lifetime so it observes its own writes.
-            mem.writer.store(thread_token(), AtomicOrdering::Release);
-        }
         Ok(id)
     }
 
@@ -809,19 +759,10 @@ impl Pager {
                 // contract applies (durability comes from `flush`), so
                 // failures surface to the caller.
                 for &i in &dirty {
-                    let off = fb.frames[i].id as u64 * PAGE_SIZE as u64;
-                    let res = self
-                        .faults
-                        .write_at(&mut fb.file, off, fb.frames[i].page.bytes());
-                    match res {
-                        Ok(()) => {
-                            let sum = page_sum(fb.frames[i].page.bytes());
-                            fb.sums.insert(fb.frames[i].id, sum);
-                            fb.frames[i].dirty = false;
-                            self.stats.physical_write();
+                    if let Err(e) = fb.write_home(i, &self.faults, &self.stats) {
+                        if wal.is_none() {
+                            return Err(e.into());
                         }
-                        Err(e) if wal.is_none() => return Err(e.into()),
-                        Err(_) => {}
                     }
                 }
             }
@@ -829,8 +770,8 @@ impl Pager {
             // the version chain (only if a registered reader can still need
             // them) and advance the epoch, so views taken before this
             // commit keep resolving their versions.
-            if !fb.txn_pre.is_empty() {
-                let pre = std::mem::take(&mut fb.txn_pre);
+            if !fb.pre_images.is_empty() {
+                let pre = std::mem::take(&mut fb.pre_images);
                 if !fb.readers.is_empty() {
                     fb.retained.entry(fb.epoch).or_default().extend(pre);
                 }
@@ -839,12 +780,7 @@ impl Pager {
             }
         }
         if let Backend::Mem(mem) = &self.backend {
-            // Publish the working map as the new committed snapshot, then
-            // release the writer routing — in that order, so the (single)
-            // writer thread never reads a map missing its own commit.
-            let map = latch::read(&mem.working, WaitSite::Backend).clone();
-            mem.publish(map);
-            mem.writer.store(0, AtomicOrdering::Release);
+            latch::write(mem, WaitSite::Backend).pre_images.clear();
         }
         *txn = None;
         Ok(frames_written)
@@ -856,37 +792,28 @@ impl Pager {
         let txn = latch::lock(&self.txn, WaitSite::Txn)
             .take()
             .ok_or_else(|| DbError::Txn("no active transaction".into()))?;
-        let had_writes = !txn.pre_images.is_empty();
-        match &self.backend {
+        let had_writes = match &self.backend {
             Backend::Mem(mem) => {
-                let restored = {
-                    let pages = &mut *latch::write(&mem.working, WaitSite::Backend);
-                    for (pid, pre) in txn.pre_images {
-                        if let Some(img) = pre {
-                            if let Some(slot) = pages.get_mut(pid as usize) {
-                                *slot = img;
-                            }
-                        }
+                let mem = &mut *latch::write(mem, WaitSite::Backend);
+                let pre_images = std::mem::take(&mut mem.pre_images);
+                let had_writes = !pre_images.is_empty();
+                for (pid, pre) in pre_images {
+                    if let Some(img) = pre {
+                        mem.pages[pid as usize] = img;
                     }
-                    pages.truncate(txn.start_pages as usize);
-                    pages.clone()
-                };
-                // Re-publish the restored map: content-identical to the
-                // previous epoch, but readers whose cached epoch lapsed
-                // mid-transaction (non-txn publications cannot interleave;
-                // this is belt-and-braces) revalidate cleanly, and the
-                // working map and published map are equal again.
-                mem.publish(restored);
-                mem.writer.store(0, AtomicOrdering::Release);
+                }
+                mem.pages.truncate(txn.start_pages as usize);
+                had_writes
             }
             Backend::File(fbm) => {
                 let fb = &mut *latch::lock(fbm, WaitSite::Backend);
                 // The rollback restores the frames to exactly the committed
-                // images, so snapshot readers no longer need the shield
-                // (and the epoch must *not* advance: nothing committed).
-                fb.txn_pre.clear();
+                // images, so views no longer need the shield (and the epoch
+                // must *not* advance: nothing committed).
+                let pre_images = std::mem::take(&mut fb.pre_images);
+                let had_writes = !pre_images.is_empty();
                 let wal_mode = self.wal_enabled();
-                for (pid, pre) in txn.pre_images {
+                for (pid, pre) in pre_images {
                     match pre {
                         Some(img) => {
                             if let Some(&idx) = fb.map.get(&pid) {
@@ -928,8 +855,9 @@ impl Pager {
                         .faults
                         .set_len(&fb.file, txn.start_pages as u64 * PAGE_SIZE as u64);
                 }
+                had_writes
             }
-        }
+        };
         self.n_pages.store(txn.start_pages, AtomicOrdering::Release);
         if had_writes {
             if let Some(wal) = latch::lock(&self.wal, WaitSite::Wal).as_mut() {
@@ -951,19 +879,8 @@ impl Pager {
         }
         if let Backend::File(fbm) = &self.backend {
             let fb = &mut *latch::lock(fbm, WaitSite::Backend);
-            for i in 0..fb.frames.len() {
-                if !fb.frames[i].dirty {
-                    continue;
-                }
-                let off = fb.frames[i].id as u64 * PAGE_SIZE as u64;
-                self.faults
-                    .write_at(&mut fb.file, off, fb.frames[i].page.bytes())
-                    .map_err(|e| self.classify_write_failure("checkpoint write", e))?;
-                let sum = page_sum(fb.frames[i].page.bytes());
-                fb.sums.insert(fb.frames[i].id, sum);
-                fb.frames[i].dirty = false;
-                self.stats.physical_write();
-            }
+            fb.write_dirty(&self.faults, &self.stats)
+                .map_err(|e| self.classify_write_failure("checkpoint write", e))?;
             self.faults
                 .sync(&fb.file)
                 .map_err(|e| self.classify_write_failure("checkpoint fsync", e))?;
@@ -980,25 +897,14 @@ impl Pager {
     /// writer (one writer at a time), so the load/store pair on the page
     /// count never races another allocation.
     pub fn allocate(&self) -> DbResult<PageId> {
-        let mut txn = latch::lock(&self.txn, WaitSite::Txn);
+        let txn = latch::lock(&self.txn, WaitSite::Txn);
         let id = self.page_count();
         match &self.backend {
             Backend::Mem(mem) => {
-                let map = {
-                    let pages = &mut *latch::write(&mem.working, WaitSite::Backend);
-                    pages.push(Arc::new(Page::new()));
-                    if txn.is_none() {
-                        Some(pages.clone())
-                    } else {
-                        None
-                    }
-                };
-                // Outside a transaction the allocation publishes
-                // immediately — and before the page count advances, so a
-                // reader that observes the new count always finds the page
-                // in the snapshot it loads.
-                if let Some(map) = map {
-                    mem.publish(map);
+                let mem = &mut *latch::write(mem, WaitSite::Backend);
+                mem.pages.push(Arc::new(Page::new()));
+                if txn.is_some() {
+                    mem.pre_images.insert(id, None);
                 }
             }
             Backend::File(fbm) => {
@@ -1022,52 +928,40 @@ impl Pager {
                     fb.sums.insert(id, page_sum(zero.bytes()));
                     self.stats.physical_write();
                 }
-                // Snapshot readers must see the page as nonexistent: mark
-                // it `None` on the open transaction's mirror, or directly
-                // on the version chain for an auto-commit allocation.
+                // Views must see the page as nonexistent: mark it `None` in
+                // the open transaction's pre-images, or directly on the
+                // version chain for an auto-commit allocation.
                 if txn.is_some() {
-                    fb.txn_pre.entry(id).or_insert(None);
+                    fb.pre_images.insert(id, None);
                 } else {
                     fb.retain_autocommit(id, None);
                 }
             }
         }
-        if let Some(t) = txn.as_mut() {
-            t.pre_images.entry(id).or_insert(None);
-        }
         self.n_pages.store(id + 1, AtomicOrdering::Release);
         Ok(id)
     }
 
-    /// Runs `f` with shared access to the page. On the in-memory backend
-    /// any number of threads run this concurrently *without locking*:
-    /// each reads the epoch-published snapshot through its thread-local
-    /// cache (see [`MemBackend`]), so the `backend` wait site stays at
-    /// zero on the read path. On the file backend reads serialize on the
-    /// buffer-pool latch (pinning mutates the frame table).
+    /// Runs `f` with shared access to the page as the pager holds it now —
+    /// an open transaction's writes included, whichever thread reads. On
+    /// the in-memory backend any number of threads share the page map's
+    /// read latch, which a writer holds only for one page mutation; on the
+    /// file backend reads serialize on the buffer-pool latch (pinning
+    /// mutates the frame table).
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> DbResult<R> {
         let _span = trace::span("pager.read");
         governance::checkpoint_work(Work::LogicalRead)?;
         match &self.backend {
             Backend::Mem(mem) => {
-                let w = mem.writer.load(AtomicOrdering::Acquire);
-                if w != 0 && w == thread_token() {
-                    // The transaction's own thread sees its uncommitted
-                    // writes from the working map.
-                    let pages = latch::read(&mem.working, WaitSite::Backend);
-                    return match pages.get(id as usize) {
-                        Some(page) => Ok(f(page)),
-                        None => Err(DbError::Storage(format!("page {id} out of range"))),
-                    };
-                }
-                mem.with_map(|pages| match pages.get(id as usize) {
-                    Some(page) => Ok(f(page)),
-                    None => Err(DbError::Storage(format!("page {id} out of range"))),
-                })
+                let mem = latch::read(mem, WaitSite::Backend);
+                mem.pages
+                    .get(id as usize)
+                    .map(|p| f(p))
+                    .ok_or_else(|| out_of_range(id))
             }
             Backend::File(fbm) => {
-                let no_steal = self.no_steal();
                 let fb = &mut *latch::lock(fbm, WaitSite::Backend);
+                let no_steal = self.no_steal(fb);
                 let idx = Self::pin(fb, id, &self.stats, no_steal, &self.faults, None)?;
                 Ok(f(&fb.frames[idx].page))
             }
@@ -1079,58 +973,41 @@ impl Pager {
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> DbResult<R> {
         let _span = trace::span("pager.write");
         governance::count(Work::LogicalRead);
-        let mut txn = latch::lock(&self.txn, WaitSite::Txn);
+        let txn = latch::lock(&self.txn, WaitSite::Txn);
         match &self.backend {
             Backend::Mem(mem) => {
-                let mut pages = latch::write(&mem.working, WaitSite::Backend);
-                let slot = pages
+                let mem = &mut *latch::write(mem, WaitSite::Backend);
+                let slot = mem
+                    .pages
                     .get_mut(id as usize)
-                    .ok_or_else(|| DbError::Storage(format!("page {id} out of range")))?;
-                if let Some(t) = txn.as_mut() {
+                    .ok_or_else(|| out_of_range(id))?;
+                if txn.is_some() {
                     // Sharing the slot's Arc (instead of deep-cloning) also
                     // pins its refcount above 1, so `make_mut` below is
                     // guaranteed to copy-on-write.
-                    t.pre_images
+                    mem.pre_images
                         .entry(id)
                         .or_insert_with(|| Some(Arc::clone(slot)));
                 }
-                // Copy-on-write: if the published snapshot still shares
-                // this page, mutate a private copy — readers keep the
-                // committed image until the next publication.
-                let r = f(Arc::make_mut(slot));
-                if txn.is_none() {
-                    // No transaction: each mutation publishes immediately
-                    // (auto-commit granularity).
-                    let map = pages.clone();
-                    drop(pages);
-                    mem.publish(map);
-                }
-                Ok(r)
+                // Copy-on-write: a view or pre-image still sharing this
+                // page keeps its image; the live map gets a private copy.
+                Ok(f(Arc::make_mut(slot)))
             }
             Backend::File(fbm) => {
-                let no_steal = txn.is_some() || self.wal_enabled();
                 let fb = &mut *latch::lock(fbm, WaitSite::Backend);
+                let no_steal = self.no_steal(fb);
                 let idx = Self::pin(fb, id, &self.stats, no_steal, &self.faults, None)?;
-                match txn.as_mut() {
-                    Some(t) => {
-                        // One shared image feeds both rollback (txn state)
-                        // and snapshot reads (the backend mirror).
-                        if let std::collections::hash_map::Entry::Vacant(e) = t.pre_images.entry(id)
-                        {
-                            let img = Arc::new(fb.frames[idx].page.clone());
-                            e.insert(Some(Arc::clone(&img)));
-                            fb.txn_pre.insert(id, Some(img));
-                        }
+                if txn.is_some() {
+                    if !fb.pre_images.contains_key(&id) {
+                        let img = Arc::new(fb.frames[idx].page.clone());
+                        fb.pre_images.insert(id, Some(img));
                     }
-                    None => {
-                        // Auto-commit granularity: the mutation commits by
-                        // itself, so registered readers need the old image
-                        // on the version chain before it changes.
-                        if !fb.readers.is_empty() {
-                            let old = Arc::new(fb.frames[idx].page.clone());
-                            fb.retain_autocommit(id, Some(old));
-                        }
-                    }
+                } else if !fb.readers.is_empty() {
+                    // Auto-commit granularity: the mutation commits by
+                    // itself, so registered readers need the old image on
+                    // the version chain before it changes.
+                    let old = Arc::new(fb.frames[idx].page.clone());
+                    fb.retain_autocommit(id, Some(old));
                 }
                 fb.frames[idx].dirty = true;
                 Ok(f(&mut fb.frames[idx].page))
@@ -1149,8 +1026,8 @@ impl Pager {
     /// Dirty pages must stay pinned whenever they are protected by a WAL
     /// (their only durable copy is the uncheckpointed log or an open
     /// transaction's buffer) or by an open transaction's pre-images.
-    fn no_steal(&self) -> bool {
-        self.wal_enabled() || self.in_txn()
+    fn no_steal(&self, fb: &FileBackend) -> bool {
+        self.wal_enabled() || !fb.pre_images.is_empty()
     }
 
     /// Ensures `id` is cached, evicting with the clock algorithm if the pool
@@ -1177,73 +1054,29 @@ impl Pager {
                 Self::read_page_checked(fb, id, faults)?
             }
         };
-        if fb.frames.len() < fb.capacity {
-            let idx = fb.frames.len();
-            fb.frames.push(Frame {
-                id,
-                page,
-                dirty: false,
-                referenced: true,
-            });
-            fb.map.insert(id, idx);
-            return Ok(idx);
-        }
-        // Clock eviction: advance the hand until an unreferenced (and, under
-        // no-steal, clean) frame shows. Two full sweeps visit every frame
-        // once with its reference bit cleared; if none is evictable, every
-        // frame is pinned dirty and the pool grows past capacity. It never
-        // shrinks back: once commits clean the frames, eviction replaces
-        // them in place, so the pool keeps its high-water size.
-        let mut victim = None;
-        let mut examined = 0;
-        let limit = fb.frames.len() * 2;
-        while examined < limit {
-            let i = fb.hand;
-            fb.hand = (fb.hand + 1) % fb.frames.len();
-            examined += 1;
-            if fb.frames[i].referenced {
-                fb.frames[i].referenced = false;
-                continue;
-            }
-            if no_steal && fb.frames[i].dirty {
-                continue;
-            }
-            victim = Some(i);
-            break;
-        }
-        let Some(idx) = victim else {
-            let idx = fb.frames.len();
-            fb.frames.push(Frame {
-                id,
-                page,
-                dirty: false,
-                referenced: true,
-            });
-            fb.map.insert(id, idx);
-            return Ok(idx);
-        };
-        governance::count(Work::Eviction);
-        let victim = &mut fb.frames[idx];
-        if victim.dirty {
-            faults.write_at(
-                &mut fb.file,
-                victim.id as u64 * PAGE_SIZE as u64,
-                victim.page.bytes(),
-            )?;
-            let sum = page_sum(victim.page.bytes());
-            let vid = victim.id;
-            fb.sums.insert(vid, sum);
-            stats.physical_write();
-        }
-        let victim = &mut fb.frames[idx];
-        fb.map.remove(&victim.id);
-        fb.map.insert(id, idx);
-        fb.frames[idx] = Frame {
+        let frame = Frame {
             id,
             page,
             dirty: false,
             referenced: true,
         };
+        let victim = if fb.frames.len() < fb.capacity {
+            None
+        } else {
+            fb.clock_victim(no_steal)
+        };
+        let Some(idx) = victim else {
+            fb.frames.push(frame);
+            fb.map.insert(id, fb.frames.len() - 1);
+            return Ok(fb.frames.len() - 1);
+        };
+        governance::count(Work::Eviction);
+        if fb.frames[idx].dirty {
+            fb.write_home(idx, faults, stats)?;
+        }
+        fb.map.remove(&fb.frames[idx].id);
+        fb.map.insert(id, idx);
+        fb.frames[idx] = frame;
         Ok(idx)
     }
 
@@ -1303,18 +1136,7 @@ impl Pager {
     pub fn flush(&self) -> DbResult<()> {
         if let Backend::File(fbm) = &self.backend {
             let fb = &mut *latch::lock(fbm, WaitSite::Backend);
-            for i in 0..fb.frames.len() {
-                if !fb.frames[i].dirty {
-                    continue;
-                }
-                let off = fb.frames[i].id as u64 * PAGE_SIZE as u64;
-                self.faults
-                    .write_at(&mut fb.file, off, fb.frames[i].page.bytes())?;
-                let sum = page_sum(fb.frames[i].page.bytes());
-                fb.sums.insert(fb.frames[i].id, sum);
-                fb.frames[i].dirty = false;
-                self.stats.physical_write();
-            }
+            fb.write_dirty(&self.faults, &self.stats)?;
             self.faults.sync(&fb.file)?;
         }
         Ok(())
@@ -1530,102 +1352,123 @@ mod tests {
         assert!(matches!(pager.rollback_txn(), Err(DbError::Txn(_))));
     }
 
+    /// A memory pager and a file pager with a WAL, each holding pages 0
+    /// and 1 with one committed record, and the files to remove after.
+    fn committed_pagers(name: &str) -> ([Arc<Pager>; 2], [std::path::PathBuf; 2]) {
+        let dir = std::env::temp_dir().join(format!("ordxml-pager-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let wal_p = super::super::wal::wal_path(&path);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&wal_p);
+        let file = Pager::open_file(&path, 8).unwrap();
+        file.attach_wal(Wal::open(&wal_p).unwrap());
+        let pagers = [Arc::new(Pager::in_memory()), Arc::new(file)];
+        for pager in &pagers {
+            pager.begin_txn().unwrap();
+            for _ in 0..2 {
+                let id = pager.allocate().unwrap();
+                pager
+                    .with_page_mut(id, |p| p.insert(b"old").map(drop))
+                    .unwrap();
+            }
+            pager.commit_txn().unwrap();
+        }
+        (pagers, [path, wal_p])
+    }
+
+    /// Asserts, on this thread and a fresh one, that `view` reads one
+    /// record on `pages` and no page 2.
+    fn assert_reads_last_commit(view: &PageView, pages: &[PageId]) {
+        let check = || {
+            for &id in pages {
+                let n = view.read_page(id, |p| p.live_count()).unwrap();
+                assert_eq!(n, 1, "uncommitted write visible through a view");
+            }
+            assert!(
+                view.read_page(2, |_| ()).is_err(),
+                "uncommitted page visible"
+            );
+        };
+        check();
+        std::thread::scope(|s| s.spawn(check).join().unwrap());
+    }
+
     #[test]
     fn readers_see_pre_or_post_commit_snapshot_never_uncommitted() {
-        // Two pages are updated inside one transaction on a writer thread.
-        // While the transaction is open (and provably uncommitted — the
-        // writer blocks on a channel), other threads must see the old
-        // committed epoch on BOTH pages; after commit, the new one.
-        let pager = Arc::new(Pager::in_memory());
-        let a = pager.allocate().unwrap();
-        let b = pager.allocate().unwrap();
-        for id in [a, b] {
-            pager
-                .with_page_mut(id, |p| {
-                    p.insert(b"old").unwrap();
-                })
-                .unwrap();
-        }
-        let (mutated_tx, mutated_rx) = std::sync::mpsc::channel::<()>();
-        let (commit_tx, commit_rx) = std::sync::mpsc::channel::<()>();
-        let w = Arc::clone(&pager);
-        let writer = std::thread::spawn(move || {
-            w.begin_txn().unwrap();
-            for id in [a, b] {
-                w.with_page_mut(id, |p| {
-                    p.insert(b"new").unwrap();
-                })
-                .unwrap();
+        // Two pages are updated and a third allocated inside one
+        // transaction on a writer thread. While it is open (the writer
+        // blocks on a channel), views taken before and during it must see
+        // the old commit on BOTH pages and no third page; a view taken
+        // after commit, the new one.
+        let (pagers, files) = committed_pagers("pre-or-post.db");
+        for pager in pagers {
+            let before = Pager::view(&pager);
+            let (mutated_tx, mutated_rx) = std::sync::mpsc::channel::<()>();
+            let (commit_tx, commit_rx) = std::sync::mpsc::channel::<()>();
+            let w = Arc::clone(&pager);
+            let writer = std::thread::spawn(move || {
+                w.begin_txn().unwrap();
+                for id in [0, 1] {
+                    w.with_page_mut(id, |p| p.insert(b"new").map(drop)).unwrap();
+                }
+                assert_eq!(w.allocate().unwrap(), 2);
+                mutated_tx.send(()).unwrap();
+                commit_rx.recv().unwrap(); // hold the txn open until told
+                w.commit_txn().unwrap();
+            });
+            mutated_rx.recv().unwrap();
+            // Live reads see the open transaction from every thread...
+            assert_eq!(pager.with_page(0, |p| p.live_count()).unwrap(), 2);
+            // ...views taken before and during it see the last commit.
+            let during = Pager::view(&pager);
+            assert_reads_last_commit(&before, &[0, 1]);
+            assert_reads_last_commit(&during, &[0, 1]);
+            commit_tx.send(()).unwrap();
+            writer.join().unwrap();
+            // Post-commit: the new version, atomically covering both pages
+            // and the new one; the older views keep theirs.
+            let after = Pager::view(&pager);
+            for id in [0, 1] {
+                assert_eq!(after.read_page(id, |p| p.live_count()).unwrap(), 2);
             }
-            // The writer itself sees its own uncommitted writes...
-            assert_eq!(w.with_page(a, |p| p.live_count()).unwrap(), 2);
-            mutated_tx.send(()).unwrap();
-            commit_rx.recv().unwrap(); // hold the txn open until told
-            w.commit_txn().unwrap();
-        });
-        mutated_rx.recv().unwrap();
-        // ...while every other thread still reads the published epoch.
-        for id in [a, b] {
-            assert_eq!(
-                pager.with_page(id, |p| p.live_count()).unwrap(),
-                1,
-                "uncommitted write leaked to a non-writer thread"
-            );
+            assert!(after.read_page(2, |_| ()).is_ok());
+            assert_reads_last_commit(&during, &[0, 1]);
         }
-        let r = Arc::clone(&pager);
-        std::thread::spawn(move || {
-            for id in [a, b] {
-                assert_eq!(r.with_page(id, |p| p.live_count()).unwrap(), 1);
-            }
-        })
-        .join()
-        .unwrap();
-        commit_tx.send(()).unwrap();
-        writer.join().unwrap();
-        // Post-commit: the new epoch, atomically covering both pages.
-        for id in [a, b] {
-            assert_eq!(pager.with_page(id, |p| p.live_count()).unwrap(), 2);
-        }
+        files.iter().for_each(|f| drop(std::fs::remove_file(f)));
     }
 
     #[test]
     fn writer_panic_mid_txn_leaves_published_epoch_readable() {
-        let pager = Arc::new(Pager::in_memory());
-        let a = pager.allocate().unwrap();
-        pager
-            .with_page_mut(a, |p| {
-                p.insert(b"committed").unwrap();
+        let (pagers, files) = committed_pagers("writer-panic.db");
+        for pager in pagers {
+            let before = Pager::view(&pager);
+            // A writer thread opens a transaction, mutates, allocates, and
+            // dies without committing — simulating a panic mid-commit.
+            let w = Arc::clone(&pager);
+            let _ = std::thread::spawn(move || {
+                w.begin_txn().unwrap();
+                w.with_page_mut(0, |p| p.insert(b"uncommitted").map(drop))
+                    .unwrap();
+                w.allocate().unwrap();
+                panic!("writer dies mid-transaction");
             })
-            .unwrap();
-        // A writer thread opens a transaction, mutates, and dies without
-        // committing — simulating a panic mid-commit.
-        let w = Arc::clone(&pager);
-        let _ = std::thread::spawn(move || {
-            w.begin_txn().unwrap();
-            w.with_page_mut(a, |p| {
-                p.insert(b"uncommitted").unwrap();
-            })
-            .unwrap();
-            panic!("writer dies mid-transaction");
-        })
-        .join();
-        // Readers (this thread and fresh ones) still see the previously
-        // published epoch: exactly one committed record.
-        assert_eq!(pager.with_page(a, |p| p.live_count()).unwrap(), 1);
-        let r = Arc::clone(&pager);
-        std::thread::spawn(move || {
-            assert_eq!(r.with_page(a, |p| p.live_count()).unwrap(), 1);
-        })
-        .join()
-        .unwrap();
-        // The orphaned transaction still guards the pager...
-        assert!(matches!(pager.begin_txn(), Err(DbError::Txn(_))));
-        // ...until rollback (from this thread — not the dead writer's)
-        // restores the pre-image and reopens the write path.
-        pager.rollback_txn().unwrap();
-        assert_eq!(pager.with_page(a, |p| p.live_count()).unwrap(), 1);
-        pager.begin_txn().unwrap();
-        pager.commit_txn().unwrap();
+            .join();
+            // Views taken before and after the panic still see exactly one
+            // committed record and no new page.
+            assert_reads_last_commit(&before, &[0]);
+            assert_reads_last_commit(&Pager::view(&pager), &[0]);
+            // The orphaned transaction still guards the pager...
+            assert!(matches!(pager.begin_txn(), Err(DbError::Txn(_))));
+            // ...until rollback (from this thread — not the dead writer's)
+            // restores the pre-image and reopens the write path.
+            pager.rollback_txn().unwrap();
+            assert_eq!(pager.with_page(0, |p| p.live_count()).unwrap(), 1);
+            assert_eq!(pager.page_count(), 2);
+            pager.begin_txn().unwrap();
+            pager.commit_txn().unwrap();
+        }
+        files.iter().for_each(|f| drop(std::fs::remove_file(f)));
     }
 
     #[test]
